@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .core import GyroTable, InternalConsistencyError
 from .substructure import (
-    DEFAULT_LATTICE_CAP,
     SubSet,
     generate,
     is_L_subgyrogroup,
@@ -49,14 +48,17 @@ def commutator_subgyrogroup(g: GyroTable) -> SubSet:
     return derived
 
 
-def nc_commutator(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> SubSet:
+def nc_commutator(g: GyroTable) -> SubSet:
     """Normal closure of the commutator subgyrogroup.
 
+    It is the 0-class of the congruence generated by identifying every
+    commutator with 0 (Bruck 1958; union-find closure after Freese 2008),
+    so no subgyrogroup lattice is enumerated and no order cap applies.
     The quotient by it must be gyrocommutative and it must itself be a
     subgroup; both are asserted here.  Its minimality over the whole normal
     lattice is a separate sweep-level check."""
     derived = commutator_subgyrogroup(g)
-    closure = normal_closure(g, derived.members, cap=cap)
+    closure = normal_closure(g, derived.members)
     q = try_quotient(g, closure)
     if not q.table.is_gyrocommutative():
         raise InternalConsistencyError("quotient by the closure is not gyrocommutative")

@@ -7,7 +7,9 @@ derived from the table via the gyrator identity
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
 and memoized per cell.  All values are immutable after construction except
-that cache, whose fill is idempotent (safe for concurrent readers).
+that cache and the per-table memo of quotients filled by
+``normality.try_quotient``; both fills are idempotent (safe for concurrent
+readers).
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ class GyroTable:
     identity row, unique left inverses) is enforced in either case.
     """
 
-    __slots__ = ("order", "table", "inv", "_gyr")
+    __slots__ = ("order", "table", "inv", "_gyr", "_quotients")
 
     def __init__(self, table, *, check: bool = True):
         rows = _normalize_rows(table)
@@ -259,6 +261,8 @@ class GyroTable:
         self.table = rows
         self.inv = tuple(inv)
         self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
+        # frozenset(N) -> normality.Quotient, filled by try_quotient
+        self._quotients: dict = {}
 
     # -- basic operations ---------------------------------------------------
 

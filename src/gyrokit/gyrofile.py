@@ -4,14 +4,15 @@ ASCII with LF line endings.  Lines starting with '#' are comments; blank
 lines are ignored.  The first significant line is exactly ``gyro 1``, the
 second is the order n >= 1, followed by n rows of n space-separated
 integers in 0..n-1; row a column b holds a (+) b.  Index 0 must be the left
-identity, which is validated on load, never assumed.
+identity, which is validated on load, never assumed.  An order above
+``DEFAULT_ORDER_CAP`` is refused before any row is read.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .core import GyroTable
+from .core import DEFAULT_ORDER_CAP, GyroTable, ResourceCapError
 
 
 class GyroParseError(ValueError):
@@ -36,6 +37,10 @@ def parse_gyro(text: str) -> list[list[int]]:
         raise GyroParseError(f"bad order line {lines[1]!r}") from None
     if n < 1:
         raise GyroParseError(f"order must be >= 1, got {n}")
+    if n > DEFAULT_ORDER_CAP:
+        raise ResourceCapError(
+            "order_cap", f"order {n} exceeds cap {DEFAULT_ORDER_CAP}"
+        )
     body = lines[2:]
     if len(body) != n:
         raise GyroParseError(f"expected {n} rows, found {len(body)}")

@@ -366,9 +366,10 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
     if not extend(1):
         return False, None
     witness = Perm(phi)  # full scan re-verification
-    assert all(
+    if not all(
         th[witness(a)][witness(b)] == witness(tg[a][b]) for a in range(n) for b in range(n)
-    )
+    ):
+        raise InternalConsistencyError("isomorphism witness fails the full table scan")
     return True, witness
 
 

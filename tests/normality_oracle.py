@@ -1,0 +1,129 @@
+"""The five-step normality decision and the lattice-filter normal closure,
+kept as an independent slow oracle for ``gyrokit.normality``.
+
+``try_quotient`` checks gyration invariance, builds the left-coset
+partition, confirms the coset operation and the induced gyrations are
+independent of representatives, and verifies the induced table against the
+axioms.  ``normal_closure`` filters the enumerated subgyrogroup lattice
+through that decision and intersects.  Neither shares code with the
+congruence method the library uses.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from gyrokit.core import GyroTable, InternalConsistencyError, verify_axioms
+from gyrokit.normality import Hom, NotNormal, Quotient, check_hom
+from gyrokit.substructure import (
+    DEFAULT_LATTICE_CAP,
+    NotPartition,
+    SubSet,
+    _require_subgyrogroup,
+    enumerate_subgyrogroups,
+    left_cosets,
+)
+
+
+def try_quotient(g: GyroTable, subset) -> Quotient:
+    """Build the quotient by N or raise NotNormal with a witness.
+
+    Steps: gyration invariance of N, coset partition, representative
+    independence of the coset operation, descent of gyrations, and the
+    axiom check of the induced table.  On success N is exactly the kernel
+    of the projection, so the decision is sound; any kernel passes all
+    steps, so it is complete."""
+    n_set = _require_subgyrogroup(g, subset)
+
+    for a in g.elements():
+        for b in g.elements():
+            gy = g.gyr(a, b)
+            if frozenset(gy(x) for x in n_set) != n_set:
+                raise NotNormal(
+                    "gyr-invariance", (a, b), "gyration does not fix the subgyrogroup"
+                )
+
+    try:
+        family = left_cosets(g, n_set)
+    except NotPartition as exc:
+        raise NotNormal(
+            "partition", (exc.coset_a, exc.coset_b), "left cosets do not partition"
+        ) from exc
+
+    ci = [0] * g.order
+    for i, coset in enumerate(family.cosets):
+        for x in coset:
+            ci[x] = i
+    reps = family.representatives
+    k = len(reps)
+
+    table = [[ci[g.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    for a in g.elements():
+        for b in g.elements():
+            if ci[g.table[a][b]] != table[ci[a]][ci[b]]:
+                raise NotNormal(
+                    "representative-independence",
+                    (a, b),
+                    "coset operation depends on representatives",
+                )
+
+    ref = [
+        [[ci[g.gyr(reps[i], reps[j])(reps[m])] for m in range(k)] for j in range(k)]
+        for i in range(k)
+    ]
+    for a in g.elements():
+        for b in g.elements():
+            gy = g.gyr(a, b)
+            row = ref[ci[a]][ci[b]]
+            for c in g.elements():
+                if ci[gy(c)] != row[ci[c]]:
+                    raise NotNormal(
+                        "gyration-descent", (a, b, c), "gyrations do not descend to cosets"
+                    )
+
+    report = verify_axioms(table)
+    if not report.passed:
+        raise NotNormal("axioms", (), f"induced table fails axioms: {report.summary()}")
+
+    quotient_table = GyroTable(table, check=False)
+    projection = Hom(g, quotient_table, tuple(ci))
+    if not check_hom(projection):
+        raise InternalConsistencyError("projection is not a homomorphism")
+    if frozenset(a for a in g.elements() if ci[a] == 0) != n_set:
+        raise InternalConsistencyError("projection kernel differs from the subgyrogroup")
+    return Quotient(
+        parent=g,
+        normal_members=tuple(sorted(n_set)),
+        cosets=family,
+        table=quotient_table,
+        projection=projection,
+    )
+
+
+def is_normal(g: GyroTable, subset) -> bool:
+    try:
+        try_quotient(g, subset)
+        return True
+    except NotNormal:
+        return False
+
+
+def normal_closure(g: GyroTable, seed: Iterable[int], cap: int = DEFAULT_LATTICE_CAP) -> SubSet:
+    """The least normal subgyrogroup containing the seed, by filtering the
+    enumerated lattice through the normality decision and intersecting."""
+    seed = set(seed)
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    lattice = enumerate_subgyrogroups(g, cap=cap)
+    containing = [s for s in lattice if seed <= s.as_set() and is_normal(g, s)]
+    if not containing:
+        raise InternalConsistencyError("no normal subgyrogroup contains the seed")
+    closure = frozenset(containing[0].as_set()).intersection(
+        *[s.as_set() for s in containing[1:]]
+    )
+    result = SubSet.of(g, closure)
+    if not seed <= result.as_set():
+        raise InternalConsistencyError("closure does not contain the seed")
+    if not is_normal(g, result):
+        raise InternalConsistencyError("closure is not normal")
+    return result

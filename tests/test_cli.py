@@ -4,6 +4,7 @@ import pytest
 
 from gyrokit.cli import analyze_object, main
 from gyrokit.commutator import commutator_subgyrogroup, nc_commutator
+from gyrokit.core import ResourceCapError
 from gyrokit.gyrofile import (
     GyroParseError,
     format_gyro,
@@ -77,6 +78,15 @@ class TestVerifyCommand:
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["verify", "/nonexistent/nope.gyro"]) == 1
+
+    def test_order_over_cap_exit_3_before_rows(self, tmp_path, capsys):
+        p = tmp_path / "huge.gyro"
+        p.write_text("gyro 1\n5000\n")
+        with pytest.raises(ResourceCapError) as exc_info:
+            parse_gyro(p.read_text())
+        assert exc_info.value.cap_name == "order_cap"
+        assert main(["verify", str(p)]) == 3
+        assert "order_cap" in capsys.readouterr().out
 
 
 class TestAnalyzeCommand:

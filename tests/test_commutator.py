@@ -1,6 +1,7 @@
 import pytest
 
 from gyrokit.catalog import cyclic, sym3
+from gyrokit.core import ResourceCapError, direct_product
 from gyrokit.commutator import (
     check_universal_property,
     commutator,
@@ -123,6 +124,16 @@ class TestNormalClosureOfCommutators:
 
     def test_s3(self, groups):
         assert nc_commutator(groups["s3"]).members == (0, 3, 4)
+
+    def test_beyond_the_lattice_cap(self, nonassoc8):
+        # order 72 is over the lattice cap, which the congruence closure
+        # never meets; the commutators of na8 x Z9 lie in na8 x {0}
+        g = direct_product(nonassoc8, cyclic(9))
+        with pytest.raises(ResourceCapError):
+            enumerate_subgyrogroups(g)
+        base = nc_commutator(nonassoc8).members
+        assert base == (0, 1)
+        assert nc_commutator(g).members == tuple(9 * a for a in base)
 
     def test_postconditions(self, corpus):
         for g in corpus.values():

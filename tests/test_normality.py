@@ -1,7 +1,8 @@
 import pytest
 
+import normality_oracle as oracle
 from gyrokit.catalog import cyclic, sym3
-from gyrokit.core import verify_axioms
+from gyrokit.core import direct_product, verify_axioms
 from gyrokit.normality import (
     Hom,
     NotNormal,
@@ -145,6 +146,11 @@ class TestNormalClosure:
     def test_singleton_zero(self):
         assert normal_closure(cyclic(4), [0]).members == (0,)
 
+    def test_rejects_out_of_range_seed(self):
+        for seed in ([4], [-1], []):
+            with pytest.raises(ValueError):
+                normal_closure(cyclic(4), seed)
+
     def test_s3_transposition_generates_everything(self):
         # oracle: the subgroup generated by all conjugates of (12), computed
         # with plain group arithmetic, is all of s3
@@ -213,3 +219,45 @@ class TestGyrocommutativeQuotientWitness:
                     found = True
                     break
             assert found
+
+
+class TestCongruenceAgainstOracle:
+    """The congruence method against the five-step quotient decision and
+    the lattice-filter closure over every subgyrogroup of the order-8
+    census, the acceptance corpus and na8 x Z2."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, corpus, nonassoc8):
+        named = [(f"census8-{i}", t) for i, t in enumerate(census8)]
+        named += sorted(corpus.items())
+        named.append(("na8xZ2", direct_product(nonassoc8, cyclic(2))))
+        return named
+
+    def test_quotients_match(self, tables):
+        for name, g in tables:
+            for s in enumerate_subgyrogroups(g):
+                try:
+                    want = oracle.try_quotient(g, s)
+                except NotNormal:
+                    want = None
+                assert is_normal(g, s) == (want is not None), (name, s.members)
+                if want is None:
+                    with pytest.raises(NotNormal) as exc_info:
+                        try_quotient(g, s)
+                    assert exc_info.value.step == "congruence"
+                    (x,) = exc_info.value.witness
+                    assert x not in s and x in normal_closure(g, s.members)
+                    continue
+                got = try_quotient(g, s)
+                assert got.table == want.table, (name, s.members)
+                assert got.projection.map == want.projection.map, (name, s.members)
+                assert got.cosets == want.cosets, (name, s.members)
+                assert got.normal_members == want.normal_members
+
+    def test_normal_closures_match(self, tables):
+        for name, g in tables:
+            seeds = [s.members for s in enumerate_subgyrogroups(g)]
+            seeds += [(a,) for a in g.elements()]
+            for seed in seeds:
+                got = normal_closure(g, seed)
+                assert got == oracle.normal_closure(g, seed), (name, seed)
