@@ -187,16 +187,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    named: list[tuple[str, GyroTable]] = []
-    if args.corpus:
-        named.extend(_collect_corpus(args.corpus))
-    for order in args.orders or []:
-        result = run_search(SearchConfig(order=order, time_budget=args.time_budget))
-        for i, table in enumerate(result.tables):
-            named.append((f"search-{order}-{i}", table))
-    if not named:
+    if not args.corpus and not args.orders:
         print("nothing to hunt over; pass --corpus and/or --orders")
         return EXIT_USAGE
+    named = _collect_corpus(args.corpus) if args.corpus else []
+    complete = True
+    for order in args.orders or []:
+        result = run_search(SearchConfig(order=order, time_budget=args.time_budget))
+        complete = complete and result.complete
+        for i, table in enumerate(result.tables):
+            named.append((f"search-{order}-{i}", table))
     counterexamples = 0
     for rec in hunt_commutator_normality(sorted(named, key=lambda nt: nt[0])):
         status = "normal" if rec.commutators_normal else "NOT NORMAL"
@@ -209,6 +209,9 @@ def cmd_hunt(args) -> int:
         print(f"counterexamples found: {counterexamples}")
     else:
         print(f"no counterexample among {len(named)} instances")
+    if not complete:
+        print("TIME BUDGET EXCEEDED: results are partial")
+        return EXIT_CAP
     return EXIT_OK
 
 

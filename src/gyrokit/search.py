@@ -17,14 +17,18 @@ Every surviving leaf is re-verified from scratch with the full axiom check,
 so the pruning only needs to be sound, never exact.  Optional symmetry
 breaking discards prefixes that are provably not the lexicographically least
 relabeling of any completion; each isomorphism class keeps at least its
-minimal table, and canonical-form deduplication runs afterwards regardless.
+minimal table, and canonical-form deduplication (inside the time budget)
+runs afterwards regardless.
+
+Isomorphism uses two algorithms: one backtracking search, whose first
+isomorphism answers ``are_isomorphic`` and whose full list from a table to
+itself is ``automorphisms``; and the branch-and-bound ``canonical_form``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
 
 from .core import (
     GyroTable,
@@ -304,8 +308,13 @@ class _Search:
             complete = False
         tables = self.found
         if self.config.mode == MODE_EXHAUSTIVE:
-            canon = sorted({canonical_form(t, cap=self.n).table for t in tables})
-            tables = [GyroTable(rows, check=False) for rows in canon]
+            canon = set()
+            for t in tables:
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    complete = False
+                    break
+                canon.add(canonical_form(t, cap=self.n).table)
+            tables = [GyroTable(rows, check=False) for rows in sorted(canon)]
         if self.config.max_results is not None:
             tables = tables[: self.config.max_results]
         return SearchResult(tuple(tables), complete, self.leaves, self.nodes)
@@ -323,52 +332,48 @@ def run_search(config: SearchConfig) -> SearchResult:
 # -- isomorphism layer ---------------------------------------------------------
 
 
-def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
-    """Backtracking search for an operation-preserving bijection fixing 0.
-
-    The witness, when found, is re-verified by a full scan."""
-    if g.order != h.order:
-        return False, None
+def _isomorphisms(g: GyroTable, h: GyroTable):
+    """Every operation-preserving bijection g -> h fixing 0 (equal orders), in
+    lexicographic order of its images: elements 1, 2, ... are mapped in turn,
+    and a partial map is cut once it sends a sum of mapped elements
+    elsewhere than to the sum of their images."""
     n = g.order
     tg, th = g.table, h.table
-    phi: list[int | None] = [None] * n
-    used = [False] * n
-    phi[0] = 0
-    used[0] = True
+    phi: list[int | None] = [0] + [None] * (n - 1)
 
-    def consistent(upto: int) -> bool:
-        for a in range(upto + 1):
+    def consistent(x: int) -> bool:
+        for a in range(x + 1):
             fa = phi[a]
-            if fa is None:
-                continue
-            for b in range(n):
-                fb = phi[b]
-                if fb is None:
-                    continue
+            for b in range(x + 1):
                 ft = phi[tg[a][b]]
-                if ft is not None and th[fa][fb] != ft:
+                if ft is not None and th[fa][phi[b]] != ft:
                     return False
         return True
 
-    def extend(x: int) -> bool:
+    def extend(x: int):
         if x == n:
-            return True
+            yield Perm(phi)
+            return
         for v in range(n):
-            if not used[v]:
+            if v not in phi:
                 phi[x] = v
-                used[v] = True
-                if consistent(x) and extend(x + 1):
-                    return True
-                phi[x] = None
-                used[v] = False
-        return False
+                if consistent(x):
+                    yield from extend(x + 1)
+        phi[x] = None
 
-    if not extend(1):
+    yield from extend(1)
+
+
+def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
+    """The first isomorphism of the backtracking search, if any.
+
+    The witness is the lexicographically least one; it is re-verified by a
+    full scan."""
+    witness = next(_isomorphisms(g, h), None) if g.order == h.order else None
+    if witness is None:
         return False, None
-    witness = Perm(phi)  # full scan re-verification
-    if not all(
-        th[witness(a)][witness(b)] == witness(tg[a][b]) for a in range(n) for b in range(n)
-    ):
+    tg, th, els = g.table, h.table, range(g.order)
+    if not all(th[witness(a)][witness(b)] == witness(tg[a][b]) for a in els for b in els):
         raise InternalConsistencyError("isomorphism witness fails the full table scan")
     return True, witness
 
@@ -381,7 +386,7 @@ def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     n = g.order
     if n > cap:
         raise ResourceCapError("aut_cap", f"order {n} exceeds automorphism cap {cap}")
-    found, _ = _all_isomorphisms(g, g)
+    found = list(_isomorphisms(g, g))
     auts = set(found)
     if not all(p * q in auts for p in auts for q in auts) or not all(
         p.inverse() in auts for p in auts
@@ -392,64 +397,51 @@ def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     return sorted(found)
 
 
-def _all_isomorphisms(g: GyroTable, h: GyroTable) -> tuple[list[Perm], int]:
-    n = g.order
-    tg, th = g.table, h.table
-    phi: list[int | None] = [None] * n
-    used = [False] * n
-    phi[0] = 0
-    used[0] = True
-    out: list[Perm] = []
-    nodes = 0
-
-    def ok_after(x: int) -> bool:
-        for a in range(x + 1):
-            fa = phi[a]
-            if fa is None:
-                continue
-            for b in range(x + 1):
-                fb = phi[b]
-                if fb is None:
-                    continue
-                ft = phi[tg[a][b]]
-                if ft is not None and th[fa][fb] != ft:
-                    return False
-        return True
-
-    def extend(x: int):
-        nonlocal nodes
-        nodes += 1
-        if x == n:
-            out.append(Perm(list(phi)))
-            return
-        for v in range(n):
-            if not used[v]:
-                phi[x] = v
-                used[v] = True
-                if ok_after(x):
-                    extend(x + 1)
-                phi[x] = None
-                used[v] = False
-
-    extend(1)
-    return out, nodes
-
-
 def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
     """The lexicographically least relabeling of the table fixing 0.
 
-    Two tables are isomorphic iff their canonical forms are identical."""
+    Two tables are isomorphic iff their canonical forms are identical.
+
+    Branch-and-bound over first-appearance labels (after McKay, Meynert and
+    Myrvold, J. Combin. Des. 15, 2007).  Row 0 is the identity row in every
+    relabeling, so rows 1..n-1 are scanned row-major as it is built.  A
+    value with no label yet gets the next free label k, the least value its
+    cell takes in any completion.  A row or column label no element has yet
+    branches over the unlabeled elements; a branch is cut once a cell
+    exceeds the best table on a tied prefix."""
     n = g.order
     if n > cap:
         raise ResourceCapError("canon_cap", f"order {n} exceeds canonical-form cap {cap}")
     t = g.table
-    best = None
-    for rest in permutations(range(1, n)):
-        sigma = (0,) + rest  # original -> new
-        inv = _inverse_tuple(sigma)
-        relabeled = tuple(
-            tuple(sigma[t[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return GyroTable(best, check=False)
+    cells = (n - 1) * n
+    cur = [0] * cells
+    best: list[int] | None = None
+
+    def scan(pos: int, old: list[int], tied: bool):
+        # old[k] is the element labeled k; tied: cells < pos equal best's
+        nonlocal best
+        new = {e: k for k, e in enumerate(old)}
+        while pos < cells:
+            x, y = divmod(pos, n)
+            if x + 1 >= len(old) or y >= len(old):
+                for e in range(1, n):
+                    if e not in new:
+                        scan(pos, old + [e], tied)
+                        tied = True  # best now shares the cells < pos
+                return
+            e = t[old[x + 1]][old[y]]
+            if e not in new:
+                new[e] = len(old)
+                old.append(e)
+            v = new[e]
+            if tied:
+                if v > best[pos]:
+                    return
+                tied = v == best[pos]
+            cur[pos] = v
+            pos += 1
+        best = cur[:]
+
+    scan(0, [0], False)
+    rows = [tuple(range(n))] + [tuple(best[r : r + n]) for r in range(0, cells, n)]
+    return GyroTable(rows, check=False)

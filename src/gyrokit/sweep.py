@@ -505,15 +505,19 @@ def _sweep_prime_index(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
 
 
 def sweep_table(name: str, g: GyroTable) -> _Recorder:
+    """Every check on one table; an internal inconsistency ends them in a FAIL."""
     r = _Recorder(name)
-    lattice = enumerate_subgyrogroups(g)
-    normals = [s for s in lattice if is_normal(g, s)]
-    _sweep_core(r, g)
-    _sweep_substructure(r, g, lattice)
-    _sweep_normality(r, g, lattice, normals)
-    _sweep_commutators(r, g, normals)
-    _sweep_nuclei(r, g)
-    _sweep_prime_index(r, g, lattice)
+    try:
+        lattice = enumerate_subgyrogroups(g)
+        normals = [s for s in lattice if is_normal(g, s)]
+        _sweep_core(r, g)
+        _sweep_substructure(r, g, lattice)
+        _sweep_normality(r, g, lattice, normals)
+        _sweep_commutators(r, g, normals)
+        _sweep_nuclei(r, g)
+        _sweep_prime_index(r, g, lattice)
+    except InternalConsistencyError as exc:
+        r.check("internal-consistency", False, str(exc))
     return r
 
 

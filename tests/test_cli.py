@@ -217,6 +217,11 @@ class TestHuntCommand:
     def test_requires_input(self, capsys):
         assert main(["hunt"]) == 1
 
+    def test_partial_search_exit_3(self, capsys):
+        assert main(["hunt", "--orders", "8", "--time-budget", "1e-9"]) == 3
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "TIME BUDGET EXCEEDED: results are partial"
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -1,7 +1,12 @@
+import random
+from types import SimpleNamespace
+
+import isomorphism_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gyrokit import search
 from gyrokit.catalog import all_groups, cyclic, klein_four, sym3
 from gyrokit.core import GyroTable, ResourceCapError, verify_axioms
 from gyrokit.search import (
@@ -82,6 +87,25 @@ class TestEnumerate:
     def test_time_budget_flags_partial(self):
         result = run_search(SearchConfig(order=8, time_budget=1e-9))
         assert not result.complete
+
+    def test_time_budget_covers_canonicalisation(self, monkeypatch):
+        # a clock that stands still through the DFS and passes the deadline
+        # with the fifth canonical form
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        canonicalised = []
+
+        def canon(g, cap):
+            canonicalised.append(canonical_form(g, cap=cap).table)
+            if len(canonicalised) == 5:
+                clock.now = 10.0
+            return GyroTable(canonicalised[-1], check=False)
+
+        monkeypatch.setattr(search, "canonical_form", canon)
+        result = run_search(SearchConfig(order=6, time_budget=1.0, symmetry_breaking=False))
+        assert not result.complete
+        assert result.leaves > 5 and len(canonicalised) == 5
+        assert [t.table for t in result.tables] == sorted(set(canonicalised))
 
     def test_census_contains_all_five_groups(self, census8, groups):
         group_tables = [t for t in census8 if t.is_group()]
@@ -194,3 +218,52 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             canonical_form(cyclic(9), cap=8)
+
+
+class TestIsomorphismAgainstOracle:
+    """The isomorphism layer against the brute-force canonical form, the
+    permutation-filter automorphisms and the seed's backtracking
+    ``are_isomorphic``, over every group of order <= 8 and every order-8
+    census class, each in its own labels and in four seeded relabelings."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, groups, census8):
+        bases = sorted(groups.items()) + [(f"census8-{i}", t) for i, t in enumerate(census8)]
+        rng = random.Random(1)
+        out = []
+        for name, g in bases:
+            relabeled = [g]
+            for _ in range(4):
+                rest = list(range(1, g.order))
+                rng.shuffle(rest)
+                relabeled.append(relabel(g, (0,) + tuple(rest)))
+            out.append((name, g, relabeled))
+        return out
+
+    def test_canonical_forms_match(self, inputs):
+        for name, g, relabeled in inputs:
+            # the oracle minimises over every relabeling, so one call covers
+            # every relabeling of g
+            want = oracle.canonical_form(g).table
+            for h in relabeled:
+                assert canonical_form(h).table == want, name
+
+    def test_automorphisms_match(self, inputs):
+        for name, _, relabeled in inputs:
+            for h in relabeled:
+                assert automorphisms(h) == oracle.automorphisms(h), name
+
+    def test_isomorphism_witnesses_match(self, inputs):
+        for name, g, relabeled in inputs:
+            for h in relabeled:
+                for pair in ((g, h), (h, g)):
+                    got = are_isomorphic(*pair)
+                    assert got[0], name
+                    assert got == oracle.are_isomorphic(*pair), name
+
+    def test_distinct_census_classes_not_isomorphic(self, census8):
+        for i, a in enumerate(census8):
+            for j, b in enumerate(census8):
+                if i != j:
+                    assert are_isomorphic(a, b) == (False, None), (i, j)
+                    assert oracle.are_isomorphic(a, b) == (False, None), (i, j)

@@ -1,4 +1,8 @@
+from gyrokit import sweep
 from gyrokit.catalog import cyclic, sym3
+from gyrokit.cli import main
+from gyrokit.core import InternalConsistencyError
+from gyrokit.gyrofile import save_table
 from gyrokit.sweep import run_theorem_sweep, sweep_table
 
 
@@ -46,3 +50,27 @@ class TestSweep:
         assert "axioms" in check_ids
         assert "reversal-kernel-word-oracle" in check_ids
         assert "ladder-invariance-iff-normal" in check_ids
+
+    def test_internal_consistency_error_isolated_per_table(self, monkeypatch, tmp_path):
+        named = [("s3", sym3()), ("z4", cyclic(4)), ("z6", cyclic(6))]
+        clean = run_theorem_sweep(named)
+        real = sweep.automorphisms
+
+        def broken_on_z4(g, *args, **kwargs):
+            if g.order == 4:
+                raise InternalConsistencyError("planted")
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "automorphisms", broken_on_z4)
+        report = run_theorem_sweep(named)
+        assert report.failures == 1
+        z4 = [line for line in report.lines if line.startswith("z4 ::")]
+        clean_z4 = [line for line in clean.lines if line.startswith("z4 ::")]
+        assert z4[-1] == "z4 :: internal-consistency :: FAIL :: planted"
+        assert len(z4) > 1 and z4[:-1] == clean_z4[: len(z4) - 1]
+        others = [line for line in report.lines if not line.startswith("z4 ::")]
+        assert others == [line for line in clean.lines if not line.startswith("z4 ::")]
+
+        for name, g in named:
+            save_table(tmp_path / f"{name}.gyro", g)
+        assert main(["sweep-theorems", str(tmp_path)]) == 2
