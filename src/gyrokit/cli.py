@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .core import (
@@ -190,10 +191,18 @@ def cmd_hunt(args) -> int:
     if not args.corpus and not args.orders:
         print("nothing to hunt over; pass --corpus and/or --orders")
         return EXIT_USAGE
+    if args.time_budget is not None and args.time_budget <= 0:
+        raise ValueError("time_budget must be positive")
     named = _collect_corpus(args.corpus) if args.corpus else []
     complete = True
+    # one deadline for the whole command: each order gets the time left
+    deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     for order in args.orders or []:
-        result = run_search(SearchConfig(order=order, time_budget=args.time_budget))
+        budget = None if deadline is None else deadline - time.monotonic()
+        if budget is not None and budget <= 0:
+            complete = False
+            break
+        result = run_search(SearchConfig(order=order, time_budget=budget))
         complete = complete and result.complete
         for i, table in enumerate(result.tables):
             named.append((f"search-{order}-{i}", table))

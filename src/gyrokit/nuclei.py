@@ -16,16 +16,23 @@ sets:
     products of words whose reversal collapses.
 
 The radical is the preimage of that last set under a -> L_a.  Nuclei are
-computed twice, from the associativity definition and from the gyration
-characterization, and the two must agree exactly.
+computed from the associativity definition.
+
+Each function computes its answer once.  The sweep checks the facts that tie
+these sets together: ``left-middle-nuclei-identical`` and
+``nuclei-structure`` for the nuclei, ``translation-subgroup-chain`` for the
+second and third sets being subgroups normal in lmlt(G) with the second equal
+to the translations of the left nucleus, and the ``radical-*`` checks for the
+radical being a normal subgroup inside the left nucleus.  The tests compare
+the nuclei with the gyration characterization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GyroTable, InternalConsistencyError, Perm, ResourceCapError
-from .substructure import SubSet, is_L_subgyrogroup, is_subgroup
+from .core import GyroTable, Perm, ResourceCapError
+from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
 DEFAULT_PAIR_CAP = 10**6
@@ -108,51 +115,27 @@ def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
     return TwistedReport(not violations, tuple(violations))
 
 
-def _normal_under_generators(group: PermGroup, subset: frozenset) -> bool:
-    return all(
-        g * x * g.inverse() in subset for g in group.generators for x in subset
-    )
-
-
-def lg_sharp(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:
+def lg_sharp(g: GyroTable) -> frozenset:
     """Intersection of the translated copies L_a L(G) inside lmlt(G).
 
-    Asserted to coincide with the translations of the left nucleus and to
-    be a normal subgroup of lmlt(G)."""
+    It equals the translations of the left nucleus and is a normal subgroup
+    of lmlt(G); the sweep check ``translation-subgroup-chain`` confirms
+    both."""
     translations = left_translations(g)
     lg = frozenset(translations)
     result = lg  # a = 0 term
-    for a in g.elements():
-        la = translations[a]
+    for la in translations:
         result &= frozenset(la * lx for lx in lg)
-    if not result <= lg:
-        raise InternalConsistencyError("translated-copy intersection left L(G)")
-    nucleus_translations = frozenset(
-        translations[a] for a in left_nucleus(g).members
-    )
-    if result != nucleus_translations:
-        raise InternalConsistencyError(
-            "translated-copy intersection differs from nucleus translations"
-        )
-    group = lmlt(g, cap=cap)
-    if not _closed_subgroup(result):
-        raise InternalConsistencyError("translated-copy intersection is not a subgroup")
-    if not _normal_under_generators(group, result):
-        raise InternalConsistencyError("translated-copy intersection is not normal")
     return result
-
-
-def _closed_subgroup(perms: frozenset) -> bool:
-    if not perms:
-        return False
-    return all(p * q in perms for p in perms for q in perms) and all(
-        p.inverse() in perms for p in perms
-    )
 
 
 def lg_prime(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:
     """Forward products of translation words whose reversed product is the
-    identity, via the doubled closure of {(L_a, L_a^-1)}."""
+    identity, via the doubled closure of {(L_a, L_a^-1)}.
+
+    It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
+    ``translation-subgroup-chain`` confirms this and
+    ``reversal-kernel-word-oracle`` compares it with the word oracle."""
     translations = left_translations(g)
     seeds = [(la, la.inverse()) for la in translations]
     pairs = set(seeds)
@@ -171,17 +154,7 @@ def lg_prime(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:
                         )
         frontier = new
     ident = Perm.identity(g.order)
-    result = frozenset(f for f, r in pairs if r == ident)
-    if not _closed_subgroup(result):
-        raise InternalConsistencyError("reversal-kernel set is not a subgroup")
-    sharp = lg_sharp(g)
-    if not result <= sharp:
-        raise InternalConsistencyError(
-            "reversal-kernel set is not inside the translated-copy intersection"
-        )
-    if not _normal_under_generators(lmlt(g), result):
-        raise InternalConsistencyError("reversal-kernel set is not normal")
-    return result
+    return frozenset(f for f, r in pairs if r == ident)
 
 
 def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -> frozenset:
@@ -210,45 +183,22 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     return frozenset(found)
 
 
-def _nucleus_by_associativity(g: GyroTable, position: str) -> frozenset:
+def _nucleus(g: GyroTable, position: str) -> SubSet:
     t = g.table
     els = range(g.order)
     if position == "left":
-        return frozenset(
+        members = (
             a for a in els if all(t[a][t[b][c]] == t[t[a][b]][c] for b in els for c in els)
         )
-    if position == "middle":
-        return frozenset(
+    elif position == "middle":
+        members = (
             b for b in els if all(t[a][t[b][c]] == t[t[a][b]][c] for a in els for c in els)
         )
-    return frozenset(
-        c for c in els if all(t[a][t[b][c]] == t[t[a][b]][c] for a in els for b in els)
-    )
-
-
-def _nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
-    els = range(g.order)
-    if position == "left":
-        return frozenset(a for a in els if all(g.gyr(a, b).is_identity() for b in els))
-    if position == "middle":
-        return frozenset(b for b in els if all(g.gyr(a, b).is_identity() for a in els))
-    return frozenset(
-        c for c in els if all(g.gyr(a, b)(c) == c for a in els for b in els)
-    )
-
-
-def _nucleus(g: GyroTable, position: str) -> SubSet:
-    by_assoc = _nucleus_by_associativity(g, position)
-    by_gyr = _nucleus_by_gyrations(g, position)
-    if by_assoc != by_gyr:
-        raise InternalConsistencyError(
-            f"{position} nucleus: associativity and gyration forms disagree "
-            f"({sorted(by_assoc)} vs {sorted(by_gyr)})"
+    else:
+        members = (
+            c for c in els if all(t[a][t[b][c]] == t[t[a][b]][c] for a in els for b in els)
         )
-    nucleus = SubSet.of(g, by_assoc)
-    if not is_L_subgyrogroup(g, nucleus) or not is_subgroup(g, nucleus):
-        raise InternalConsistencyError(f"{position} nucleus is not an L-subgroup")
-    return nucleus
+    return SubSet.of(g, members)
 
 
 def left_nucleus(g: GyroTable) -> SubSet:
@@ -256,10 +206,7 @@ def left_nucleus(g: GyroTable) -> SubSet:
 
 
 def middle_nucleus(g: GyroTable) -> SubSet:
-    nucleus = _nucleus(g, "middle")
-    if nucleus.members != left_nucleus(g).members:
-        raise InternalConsistencyError("left and middle nuclei differ")
-    return nucleus
+    return _nucleus(g, "middle")
 
 
 def right_nucleus(g: GyroTable) -> SubSet:
@@ -269,16 +216,7 @@ def right_nucleus(g: GyroTable) -> SubSet:
 def radical(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> SubSet:
     """Elements whose translation lies in the reversal kernel of L(G).
 
-    Contained in the left nucleus, a subgroup, and normal; all asserted."""
-    from .normality import is_normal
-
+    It is a normal subgroup contained in the left nucleus; the sweep checks
+    ``radical-inside-left-nucleus`` and ``radical-normal`` confirm this."""
     core_set = lg_prime(g, cap=cap)
-    members = [a for a in g.elements() if g.left_translation(a) in core_set]
-    rad = SubSet.of(g, members)
-    if not rad.as_set() <= left_nucleus(g).as_set():
-        raise InternalConsistencyError("radical escapes the left nucleus")
-    if not is_subgroup(g, rad):
-        raise InternalConsistencyError("radical is not a subgroup")
-    if not is_normal(g, rad):
-        raise InternalConsistencyError("radical is not normal")
-    return rad
+    return SubSet.of(g, [a for a in g.elements() if g.left_translation(a) in core_set])

@@ -258,9 +258,6 @@ class _Search:
         if self.config.mode == MODE_FIRST_NONASSOCIATIVE:
             if table.is_group():
                 return
-            # re-verify from scratch before emitting
-            if not verify_axioms([list(r) for r in rows]).passed:
-                return
             self.found.append(table)
             self.stop = True
             return
@@ -381,20 +378,12 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
 def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     """All operation-preserving bijections (each fixes 0), sorted.
 
-    The result is verified to be a group under composition and to contain
-    every gyration of the table."""
+    They form a group containing every gyration of the table; the sweep
+    check ``automorphism-group-closure`` confirms both."""
     n = g.order
     if n > cap:
         raise ResourceCapError("aut_cap", f"order {n} exceeds automorphism cap {cap}")
-    found = list(_isomorphisms(g, g))
-    auts = set(found)
-    if not all(p * q in auts for p in auts for q in auts) or not all(
-        p.inverse() in auts for p in auts
-    ):
-        raise InternalConsistencyError("automorphisms do not form a group")
-    if any(g.gyr(a, b) not in auts for a in range(n) for b in range(n)):
-        raise InternalConsistencyError("a gyration is missing from the automorphisms")
-    return sorted(found)
+    return sorted(_isomorphisms(g, g))
 
 
 def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from gyrokit import cli, search
 from gyrokit.cli import analyze_object, main
 from gyrokit.commutator import commutator_subgyrogroup, nc_commutator
 from gyrokit.core import ResourceCapError
@@ -14,6 +16,7 @@ from gyrokit.gyrofile import (
 )
 from gyrokit.normality import is_normal
 from gyrokit.nuclei import left_nucleus, lg_prime, lg_sharp, lmlt, radical, right_nucleus
+from gyrokit.search import run_search
 from gyrokit.substructure import enumerate_subgyrogroups
 
 
@@ -221,6 +224,31 @@ class TestHuntCommand:
         assert main(["hunt", "--orders", "8", "--time-budget", "1e-9"]) == 3
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "TIME BUDGET EXCEEDED: results are partial"
+
+    def test_time_budget_spans_all_orders(self, monkeypatch, capsys):
+        # a clock that stands still inside each search and advances 0.6 s
+        # after it: order 5 gets the 0.4 s order 4 left, order 6 is skipped
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(monotonic=lambda: clock.now)
+        monkeypatch.setattr(cli, "time", fake_time)
+        monkeypatch.setattr(search, "time", fake_time)
+        budgets = []
+
+        def timed_search(config):
+            budgets.append((config.order, config.time_budget))
+            result = run_search(config)
+            clock.now += 0.6
+            return result
+
+        monkeypatch.setattr(cli, "run_search", timed_search)
+        assert main(["hunt", "--orders", "4", "5", "6", "--time-budget", "1.0"]) == 3
+        assert budgets == [(4, 1.0), (5, pytest.approx(0.4))]
+        out = capsys.readouterr().out
+        assert "search-5-0" in out and "search-6" not in out
+        assert out.splitlines()[-1] == "TIME BUDGET EXCEEDED: results are partial"
+
+    def test_nonpositive_time_budget_is_usage_error(self):
+        assert main(["hunt", "--orders", "4", "--time-budget", "0"]) == 1
 
 
 class TestUsage:

@@ -1,0 +1,35 @@
+"""Byte-stable output.
+
+The sha256 of three outputs is pinned: the theorem sweep over the acceptance
+corpus, the sweep over the order-8 census, and ``analyze_object`` on the
+nonassociative order-8 table as JSON with sorted keys.  A change that moves
+any byte of these outputs changes what gyrokit reports and has to re-pin the
+digest on purpose.
+"""
+
+import hashlib
+import json
+
+from gyrokit.cli import analyze_object
+from gyrokit.sweep import run_theorem_sweep
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_over_corpus(corpus):
+    rendered = run_theorem_sweep(sorted(corpus.items())).render()
+    assert rendered.splitlines()[-1] == "summary: checks=757 pass=757 fail=0 findings=30"
+    assert sha256(rendered) == "c91030f32e0db5cb9d636b985a2e9f787f8f48e2dd4ce977c87003753e73db1f"
+
+
+def test_sweep_over_census8(census8):
+    rendered = run_theorem_sweep([(f"census8-{i}", t) for i, t in enumerate(census8)]).render()
+    assert rendered.splitlines()[-1] == "summary: checks=559 pass=559 fail=0 findings=28"
+    assert sha256(rendered) == "7aa9124706825e58f57841295b1bfa51a0371b65e1f48f083023805bcd44cd92"
+
+
+def test_analyze_na8(nonassoc8):
+    text = json.dumps(analyze_object(nonassoc8), sort_keys=True)
+    assert sha256(text) == "0631291333899103835f5800757b965e9740f4c89904557ba97ce33e1aa87559"

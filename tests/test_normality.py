@@ -17,7 +17,7 @@ from gyrokit.normality import (
     try_quotient,
 )
 from gyrokit.nuclei import left_nucleus
-from gyrokit.substructure import enumerate_subgyrogroups, is_subgroup
+from gyrokit.substructure import enumerate_subgyrogroups, is_subgroup, is_subgyrogroup
 
 
 class TestTryQuotient:
@@ -90,6 +90,23 @@ class TestHoms:
                     continue
                 proj = try_quotient(g, s).projection
                 assert kernel(proj).members == s.members
+                assert is_normal(g, kernel(proj))
+                assert is_subgyrogroup(proj.codomain, image(proj))
+
+    def test_projections_commute_with_gyrations(self, census8, nonassoc8):
+        # check_hom tests the operation only; a homomorphism also carries
+        # gyr[a, b] to gyr[phi a, phi b]
+        for g in [*census8, direct_product(nonassoc8, cyclic(2))]:
+            els = g.elements()
+            for s in enumerate_subgyrogroups(g):
+                if not is_normal(g, s):
+                    continue
+                proj = try_quotient(g, s).projection
+                q, f = proj.codomain, proj.map
+                for a in els:
+                    for b in els:
+                        gy_g, gy_q = g.gyr(a, b), q.gyr(f[a], f[b])
+                        assert all(f[gy_g(c)] == gy_q(f[c]) for c in els), (s.members, a, b)
 
     def test_first_isomorphism(self, corpus):
         phi = Hom(cyclic(4), cyclic(2), (0, 1, 0, 1))

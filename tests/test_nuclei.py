@@ -1,3 +1,4 @@
+import nuclei_oracle
 import pytest
 
 from gyrokit.catalog import cyclic, sym3
@@ -166,6 +167,15 @@ class TestLgPrime:
         for g in corpus.values():
             assert lg_prime(g) <= lg_sharp(g) <= frozenset(left_translations(g))
 
+    def test_normal_subgroups_of_lmlt_on_census(self, census8):
+        for g in census8:
+            group = lmlt(g)
+            for perms in (lg_sharp(g), lg_prime(g)):
+                assert Perm.identity(g.order) in perms and perms <= group.elements
+                assert all(p * q in perms for p in perms for q in perms)
+                assert all(p.inverse() in perms for p in perms)
+                assert all(x * p * x.inverse() in perms for x in group.elements for p in perms)
+
 
 class TestNuclei:
     def test_groups_have_full_nuclei(self, groups):
@@ -206,6 +216,12 @@ class TestNuclei:
     def test_group_iff_left_nucleus_full(self, corpus):
         for g in corpus.values():
             assert g.is_group() == (len(left_nucleus(g)) == g.order)
+
+    def test_gyration_characterization_on_census(self, census8):
+        nuclei = {"left": left_nucleus, "middle": middle_nucleus, "right": right_nucleus}
+        for g in census8:
+            for position, nucleus in nuclei.items():
+                assert nucleus(g).as_set() == nuclei_oracle.nucleus_by_gyrations(g, position)
 
     def test_census_nuclei_proper_for_nonassociative(self, census8):
         for g in census8:

@@ -1,7 +1,7 @@
 from gyrokit import sweep
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
-from gyrokit.core import InternalConsistencyError
+from gyrokit.core import InternalConsistencyError, Perm
 from gyrokit.gyrofile import save_table
 from gyrokit.sweep import run_theorem_sweep, sweep_table
 
@@ -74,3 +74,22 @@ class TestSweep:
         for name, g in named:
             save_table(tmp_path / f"{name}.gyro", g)
         assert main(["sweep-theorems", str(tmp_path)]) == 2
+
+    def test_non_normal_reversal_kernel_fails_its_check(self, monkeypatch):
+        # {id, L_2} is a subgroup of lmlt(s3) inside lg_sharp, but the
+        # transposition 2 has non-normal translations: only the folded
+        # normality test can catch it, and the oracle check disagrees too
+        s3 = sym3()
+        clean = sweep_table("s3", s3)
+        monkeypatch.setattr(
+            sweep, "lg_prime", lambda g: frozenset([Perm.identity(6), g.left_translation(2)])
+        )
+        rec = sweep_table("s3", s3)
+        failed = [line for line in rec.lines if ":: FAIL" in line]
+        assert failed == [
+            "s3 :: translation-subgroup-chain :: FAIL",
+            "s3 :: reversal-kernel-word-oracle :: FAIL",
+        ]
+        assert [line.split(" :: ")[1] for line in rec.lines] == [
+            line.split(" :: ")[1] for line in clean.lines
+        ]
