@@ -147,6 +147,20 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+def _automorphism_failure(rows, g: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Why the map ``g`` is not an automorphism of ``rows``: ``()`` if it is
+    not a bijection, else the first ``(x, y)`` in row-major order with
+    ``g[x (+) y] != g[x] (+) g[y]``; ``None`` if it is an automorphism."""
+    if sorted(g) != list(range(len(rows))):
+        return ()
+    for x, rx in enumerate(rows):
+        gx = rows[g[x]]
+        for y, xy in enumerate(rx):
+            if g[xy] != gx[g[y]]:
+                return (x, y)
+    return None
+
+
 def verify_axioms(table) -> AxiomReport:
     """Check whether a candidate n x n table defines a gyrogroup with identity 0.
 
@@ -155,6 +169,12 @@ def verify_axioms(table) -> AxiomReport:
     constructing each gyration via the gyrator identity and testing that it
     is a bijection, that it preserves the operation, and that the left
     gyroassociative law holds; G4 compares gyrations for all pairs.
+
+    Whether a gyration is a bijection preserving the operation depends on
+    the gyration alone, so each of the d distinct gyrations is tested once
+    and its outcome reported for every pair (a, b) that has it, with the
+    same witness a per-pair test would find.  The cost is O(n^3 + d*n^2)
+    rather than O(n^4); d is 2 on a passing order-64 table.
     """
     rows = _normalize_rows(table)
     n = len(rows)
@@ -192,26 +212,22 @@ def verify_axioms(table) -> AxiomReport:
             row_g.append(tuple(rneg[ra[rb[c]]] for c in range(n)))
         gyrs.append(row_g)
 
+    failures: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for a in range(n):
         ra = rows[a]
         for b in range(n):
             g = gyrs[a][b]
-            if sorted(g) != ident:
+            if g in failures:
+                failure = failures[g]
+            else:
+                failure = failures[g] = _automorphism_failure(rows, g)
+            if failure == ():
                 violations.append(Violation("G3", (a, b), "gyration is not a bijection"))
                 continue
-            ok = True
-            for x in range(n):
-                rx = rows[x]
-                gx = rows[g[x]]
-                for y in range(n):
-                    if g[rx[y]] != gx[g[y]]:
-                        violations.append(
-                            Violation("G3", (a, b, x, y), "gyration does not preserve the operation")
-                        )
-                        ok = False
-                        break
-                if not ok:
-                    break
+            if failure is not None:
+                violations.append(
+                    Violation("G3", (a, b) + failure, "gyration does not preserve the operation")
+                )
             rb = rows[b]
             rab = rows[ra[b]]
             for c in range(n):

@@ -537,7 +537,9 @@ def _sweep_prime_index(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
 
 
 def sweep_table(name: str, g: GyroTable) -> _Recorder:
-    """Every check on one table; an internal inconsistency ends them in a FAIL."""
+    """Every check on one table.  An internal inconsistency, or a library call
+    rejecting what an earlier call built (a ``ValueError``), ends them in a
+    FAIL line."""
     r = _Recorder(name)
     try:
         lattice = enumerate_subgyrogroups(g)
@@ -548,7 +550,7 @@ def sweep_table(name: str, g: GyroTable) -> _Recorder:
         _sweep_commutators(r, g, normals)
         _sweep_nuclei(r, g)
         _sweep_prime_index(r, g, lattice)
-    except InternalConsistencyError as exc:
+    except (InternalConsistencyError, ValueError) as exc:
         r.check("internal-consistency", False, str(exc))
     return r
 

@@ -1,8 +1,11 @@
+import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+
+from axioms_oracle import verify_axioms_per_pair
 
 from gyrokit.core import (
     AxiomError,
@@ -13,11 +16,63 @@ from gyrokit.core import (
     direct_product,
     verify_axioms,
 )
-from gyrokit.catalog import cyclic, sym3
+from gyrokit.catalog import cyclic, klein_four, sym3
 
 
 def z4_rows():
     return [[(a + b) % 4 for b in range(4)] for a in range(4)]
+
+
+def row_swap(table, a, b1, b2):
+    rows = [list(r) for r in table]
+    rows[a][b1], rows[a][b2] = rows[a][b2], rows[a][b1]
+    return rows
+
+
+def row_swap_mutants(table, rng, count):
+    """Swaps of two nonzero entries of one row, outside row and column 0:
+    rows stay permutations, so every G3/G4 scan runs."""
+    n = len(table)
+    out = []
+    while len(out) < count:
+        a = rng.randrange(1, n)
+        b1, b2 = rng.sample(range(1, n), 2)
+        if table[a][b1] and table[a][b2]:
+            out.append(row_swap(table, a, b1, b2))
+    return out
+
+
+def gyration_from_rows(rows, a, b):
+    """gyr[a, b] c = -(a + b) + (a + (b + c)), with -x the first left inverse."""
+    n = len(rows)
+    ab = rows[a][b]
+    neg_ab = next(x for x in range(n) if rows[x][ab] == 0)
+    return [rows[neg_ab][rows[a][rows[b][c]]] for c in range(n)]
+
+
+def assert_witness_reproduces(rows, v):
+    n = len(rows)
+    w = v.witness
+    if v.axiom == "ROW-BIJ":
+        assert sorted(rows[w[0]]) != list(range(n))
+    elif v.axiom == "G1":
+        assert rows[0][w[0]] != w[0]
+    elif v.axiom == "G2":
+        assert all(rows[b][w[0]] != 0 for b in range(n))
+    elif v.axiom == "G3" and len(w) == 2:
+        assert sorted(gyration_from_rows(rows, *w)) != list(range(n))
+    elif v.axiom == "G3" and len(w) == 4:
+        a, b, x, y = w
+        gy = gyration_from_rows(rows, a, b)
+        assert gy[rows[x][y]] != rows[gy[x]][gy[y]]
+    elif v.axiom == "G3":
+        a, b, c = w
+        gy = gyration_from_rows(rows, a, b)
+        assert rows[a][rows[b][c]] != rows[rows[a][b]][gy[c]]
+    else:
+        assert v.axiom == "G4"
+        a, b = w
+        assert gyration_from_rows(rows, rows[a][b], b) != gyration_from_rows(rows, a, b)
 
 
 class TestVerifyAxioms:
@@ -78,14 +133,22 @@ class TestVerifyAxioms:
         assert not report.passed
         assert any(v.axiom in ("G3", "G4") for v in report.violations)
 
-    def test_violation_witnesses_reproduce(self):
-        rows = z4_rows()
-        rows[2][3] = 1  # duplicates 1 in row 2
-        report = verify_axioms(rows)
-        for v in report.violations:
-            if v.axiom == "ROW-BIJ":
-                (a,) = v.witness
-                assert sorted(rows[a]) != list(range(4))
+    def test_violation_witnesses_reproduce(self, nonassoc8):
+        duplicate = z4_rows()
+        duplicate[2][3] = 0  # duplicates 0 in row 2
+        tables = [
+            duplicate,
+            [[1, 0, 2, 3], [0, 1, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],  # G1
+            [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 2, 1, 0]],  # G2
+            # several pairs share a gyration, and with it one (x, y) witness
+            *row_swap_mutants(nonassoc8.table, random.Random("witnesses"), 6),
+        ]
+        seen = set()
+        for rows in tables:
+            for v in verify_axioms(rows).violations:
+                assert_witness_reproduces(rows, v)
+                seen.add((v.axiom, len(v.witness)))
+        assert {("ROW-BIJ", 1), ("G1", 1), ("G2", 1), ("G3", 4), ("G3", 3), ("G4", 2)} <= seen
 
 
 class TestMutationDetection:
@@ -94,6 +157,63 @@ class TestMutationDetection:
         rows = z4_rows()
         rows[a][b] = (rows[a][b] + delta) % 4
         assert not verify_axioms(rows).passed
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
+    def test_row_swap_on_nonassociative_table_is_detected(self, nonassoc8, a, b1, b2):
+        # na8 has more than one distinct gyration, so the swap must be caught
+        # through gyrations that several pairs share; column b1 repeats a
+        # value afterwards, so no gyrogroup (a loop) has the swapped table
+        rows = nonassoc8.table
+        assume(b1 != b2 and rows[a][b1] and rows[a][b2])
+        assert not verify_axioms(row_swap(rows, a, b1, b2)).passed
+
+
+class TestVerifyAxiomsAgainstOracle:
+    """The whole report, violation order included, equals the per-pair check's."""
+
+    def tables(self, census8, groups, nonassoc8):
+        out = [t.table for t in census8] + [t.table for t in groups.values()]
+        out += [direct_product(nonassoc8, cyclic(2)).table]
+        out += [direct_product(nonassoc8, klein_four()).table]
+        return out
+
+    def test_passing_tables(self, census8, groups, nonassoc8):
+        tables = self.tables(census8, groups, nonassoc8)
+        assert len(tables) == 27
+        for rows in tables:
+            report = verify_axioms(rows)
+            assert report.passed
+            assert report == verify_axioms_per_pair(rows)
+
+    def test_seeded_mutants(self, census8, groups, nonassoc8):
+        rng = random.Random("verify-axioms-oracle")
+        failing = 0
+        for rows in self.tables(census8, groups, nonassoc8):
+            n = len(rows)
+            if n == 1:
+                continue
+            mutants = []
+            for _ in range(2):
+                cell = [list(r) for r in rows]
+                a, b = rng.randrange(n), rng.randrange(n)
+                cell[a][b] = (cell[a][b] + rng.randrange(1, n)) % n
+                mutants.append(cell)
+            for _ in range(3):
+                # any row and columns, so G1 and G2 failures come up too
+                a = rng.randrange(n)
+                b1, b2 = rng.sample(range(n), 2)
+                mutants.append(row_swap(rows, a, b1, b2))
+            for m in mutants:
+                report = verify_axioms(m)
+                assert report == verify_axioms_per_pair(m)
+                failing += not report.passed
+        assert failing > 100
+
+    def test_order_64_and_row_swaps(self, nonassoc8):
+        base = direct_product(nonassoc8, cyclic(8)).table
+        tables = [base, *row_swap_mutants(base, random.Random("order-64"), 2)]
+        for rows in tables:
+            assert verify_axioms(rows) == verify_axioms_per_pair(rows)
 
 
 class TestGyroTableBasics:

@@ -1,8 +1,9 @@
 """Byte-stable output.
 
-The sha256 of three outputs is pinned: the theorem sweep over the acceptance
-corpus, the sweep over the order-8 census, and ``analyze_object`` on the
-nonassociative order-8 table as JSON with sorted keys.  A change that moves
+The sha256 of four outputs is pinned: the theorem sweep over the acceptance
+corpus, the sweep over the order-8 census, ``analyze_object`` on the
+nonassociative order-8 table as JSON with sorted keys, and ``gyrokit verify``
+on a row-swap mutant of na8xV4.  A change that moves
 any byte of these outputs changes what gyrokit reports and has to re-pin the
 digest on purpose.
 """
@@ -10,7 +11,10 @@ digest on purpose.
 import hashlib
 import json
 
-from gyrokit.cli import analyze_object
+from gyrokit.catalog import klein_four
+from gyrokit.cli import analyze_object, main
+from gyrokit.core import direct_product
+from gyrokit.gyrofile import save_table
 from gyrokit.sweep import run_theorem_sweep
 
 
@@ -33,3 +37,19 @@ def test_sweep_over_census8(census8):
 def test_analyze_na8(nonassoc8):
     text = json.dumps(analyze_object(nonassoc8), sort_keys=True)
     assert sha256(text) == "0631291333899103835f5800757b965e9740f4c89904557ba97ce33e1aa87559"
+
+
+def test_verify_row_swap_mutant_of_na8xv4(nonassoc8, tmp_path, capsys):
+    # swap two nonzero entries of one row, outside row and column 0: rows
+    # stay permutations, so every G1-G4 scan runs and reports witnesses
+    rows = [list(r) for r in direct_product(nonassoc8, klein_four()).table]
+    a, b1, b2 = 5, 9, 22
+    assert rows[a][b1] and rows[a][b2]
+    rows[a][b1], rows[a][b2] = rows[a][b2], rows[a][b1]
+    path = tmp_path / "mutant.gyro"
+    save_table(path, rows)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL order=32\n")
+    assert sha256(out) == "a83969d4f0476f6441ec9b98c6bbd5d35937b2175d82ba4d652df81662cba22f"

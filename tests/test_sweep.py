@@ -1,3 +1,5 @@
+import pytest
+
 from gyrokit import sweep
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
@@ -51,14 +53,15 @@ class TestSweep:
         assert "reversal-kernel-word-oracle" in check_ids
         assert "ladder-invariance-iff-normal" in check_ids
 
-    def test_internal_consistency_error_isolated_per_table(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("error", [InternalConsistencyError, ValueError])
+    def test_internal_consistency_error_isolated_per_table(self, error, monkeypatch, tmp_path):
         named = [("s3", sym3()), ("z4", cyclic(4)), ("z6", cyclic(6))]
         clean = run_theorem_sweep(named)
         real = sweep.automorphisms
 
         def broken_on_z4(g, *args, **kwargs):
             if g.order == 4:
-                raise InternalConsistencyError("planted")
+                raise error("planted")
             return real(g, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "automorphisms", broken_on_z4)
