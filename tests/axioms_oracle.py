@@ -5,6 +5,9 @@ automorphism property once.
 This is the original check: it tests G3's automorphism property separately
 for every pair (a, b), so it costs O(n^4).  Its report, including every
 violation, witness and their order, is what ``verify_axioms`` must return.
+It keeps the G3 "gyration is not a bijection" branch, which the library
+dropped because it cannot fire once rows are permutations and every element
+has a left inverse.
 """
 
 from __future__ import annotations

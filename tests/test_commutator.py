@@ -1,9 +1,10 @@
 import pytest
 
+from commutator_oracle import check_universal_property
+
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.core import ResourceCapError, direct_product
 from gyrokit.commutator import (
-    check_universal_property,
     commutator,
     commutator_subgyrogroup,
     hunt_commutator_normality,

@@ -1,9 +1,9 @@
 """Byte-stable output.
 
-The sha256 of four outputs is pinned: the theorem sweep over the acceptance
+The sha256 of five outputs is pinned: the theorem sweep over the acceptance
 corpus, the sweep over the order-8 census, ``analyze_object`` on the
-nonassociative order-8 table as JSON with sorted keys, and ``gyrokit verify``
-on a row-swap mutant of na8xV4.  A change that moves
+nonassociative order-8 table and on na8xV4 as JSON with sorted keys, and
+``gyrokit verify`` on a row-swap mutant of na8xV4.  A change that moves
 any byte of these outputs changes what gyrokit reports and has to re-pin the
 digest on purpose.
 """
@@ -37,6 +37,12 @@ def test_sweep_over_census8(census8):
 def test_analyze_na8(nonassoc8):
     text = json.dumps(analyze_object(nonassoc8), sort_keys=True)
     assert sha256(text) == "0631291333899103835f5800757b965e9740f4c89904557ba97ce33e1aa87559"
+
+
+def test_analyze_na8xv4(nonassoc8):
+    # 158 subgyrogroups, so the whole lattice and its normal filter are pinned
+    text = json.dumps(analyze_object(direct_product(nonassoc8, klein_four())), sort_keys=True)
+    assert sha256(text) == "0b9fc2c9446e8f6402793b0e73891c25b0f7fd9bdc603722608d5d6b3bb42f5f"
 
 
 def test_verify_row_swap_mutant_of_na8xv4(nonassoc8, tmp_path, capsys):

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
-from gyrokit.catalog import cyclic, sym3
-from gyrokit.core import ResourceCapError
+from lattice_oracle import enumerate_subgyrogroups_pairwise, generate_by_rounds
+from test_search import relabel
+
+from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.core import ResourceCapError, direct_product
 from gyrokit.substructure import (
     NotPartition,
     SubSet,
@@ -184,6 +189,47 @@ class TestLattice:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             enumerate_subgyrogroups(cyclic(4), cap=2)
+
+
+class TestLatticeAgainstOracle:
+    """Cyclic extension and the semi-naive closure against the pairwise fixed
+    point and the round-by-round closure of ``lattice_oracle``, over the
+    order-8 census, every group of order <= 8 and na8 x Z2, na8 x V4 and
+    na8 x Z8, each in its own labels and in three seeded relabellings."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, groups, nonassoc8):
+        bases = (
+            [(f"census8-{i}", t) for i, t in enumerate(census8)]
+            + sorted(groups.items())
+            + [
+                ("na8xZ2", direct_product(nonassoc8, cyclic(2))),
+                ("na8xV4", direct_product(nonassoc8, klein_four())),
+                ("na8xZ8", direct_product(nonassoc8, cyclic(8))),
+            ]
+        )
+        rng = random.Random(6)
+        out = []
+        for name, g in bases:
+            out.append((name, g))
+            for k in range(3):
+                rest = list(range(1, g.order))
+                rng.shuffle(rest)
+                out.append((f"{name}-relabelled-{k}", relabel(g, (0,) + tuple(rest))))
+        return out
+
+    def test_lattice_matches(self, tables):
+        for name, g in tables:
+            got = [s.members for s in enumerate_subgyrogroups(g)]
+            assert got == [s.members for s in enumerate_subgyrogroups_pairwise(g)], name
+
+    def test_generate_matches(self, tables):
+        rng = random.Random(7)
+        for name, g in tables:
+            for _ in range(30):
+                seed = rng.sample(range(g.order), rng.randint(1, min(4, g.order)))
+                want = generate_by_rounds(g, seed).members
+                assert generate(g, seed).members == want, (name, seed)
 
 
 class TestSubSet:
