@@ -36,7 +36,6 @@ from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
 DEFAULT_PAIR_CAP = 10**6
-DEFAULT_ORACLE_WORD_LEN = 6
 
 
 @dataclass(frozen=True)
@@ -155,32 +154,6 @@ def lg_prime(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:
         frontier = new
     ident = Perm.identity(g.order)
     return frozenset(f for f, r in pairs if r == ident)
-
-
-def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -> frozenset:
-    """Independent bounded oracle: enumerate all translation words up to the
-    given length and keep forward products whose reversed product is the
-    identity.  Used to validate the doubled-closure construction."""
-    translations = left_translations(g)
-    ident = Perm.identity(g.order)
-    found = set()
-    frontier = [(la, la) for la in translations]  # (forward, reversed)
-    for f, r in frontier:
-        if r == ident:
-            found.add(f)
-    for _ in range(max_len - 1):
-        new = []
-        for f, r in frontier:
-            for la in translations:
-                nf = f * la  # append letter: forward grows on the right
-                nr = la * r  # reversed product grows on the left
-                new.append((nf, nr))
-                if nr == ident:
-                    found.add(nf)
-        frontier = new
-        # dedupe pairs to keep the frontier from exploding
-        frontier = list(dict.fromkeys(frontier))
-    return frozenset(found)
 
 
 def _nucleus(g: GyroTable, position: str) -> SubSet:

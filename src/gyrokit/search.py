@@ -15,14 +15,18 @@ pruned by facts every gyrogroup table satisfies:
 
 Every surviving leaf is re-verified from scratch with the full axiom check,
 so the pruning only needs to be sound, never exact.  Optional symmetry
-breaking discards prefixes that are provably not the lexicographically least
-relabeling of any completion; each isomorphism class keeps at least its
-minimal table, and canonical-form deduplication (inside the time budget)
-runs afterwards regardless.
+breaking discards a prefix when some relabeling fixing 0 makes its placed
+rows lexicographically smaller, so it is not the least relabeling of any
+completion; each isomorphism class keeps at least its minimal table, and
+canonical-form deduplication (inside the time budget) runs afterwards
+regardless.
 
 Isomorphism uses two algorithms: one backtracking search, whose first
 isomorphism answers ``are_isomorphic`` and whose full list from a table to
-itself is ``automorphisms``; and the branch-and-bound ``canonical_form``.
+itself is ``automorphisms``; and one branch-and-bound over relabelings,
+``_smaller_relabelings``.  The symmetry cut asks whether it yields anything
+on the rows placed so far; ``canonical_form`` takes its last answer on the
+whole table.
 """
 
 from __future__ import annotations
@@ -180,72 +184,6 @@ class _Search:
                         return False
         return True
 
-    def _prefix_lex_minimal(self, k: int) -> bool:
-        """False iff some relabeling fixing 0 makes the assigned region of
-        the table lexicographically smaller, comparing only cells that are
-        determined on both sides.  Keeps at least the minimal table of every
-        isomorphism class."""
-        n, rows = self.n, self.rows
-        fwd: list[int | None] = [None] * n  # original -> new
-        bwd: list[int | None] = [None] * n  # new -> original
-        fwd[0] = 0
-        bwd[0] = 0
-
-        def smaller_from(x: int, y: int) -> bool:
-            if x > k:
-                return False  # comparison ran past the determined region
-            if y == self.n:
-                return smaller_from(x + 1, 0)
-            a = bwd[x]
-            if a is None:
-                for cand in range(1, k + 1):
-                    if fwd[cand] is None:
-                        fwd[cand] = x
-                        bwd[x] = cand
-                        if smaller_from(x, y):
-                            fwd[cand] = None
-                            bwd[x] = None
-                            return True
-                        fwd[cand] = None
-                        bwd[x] = None
-                return False
-            if rows[a] is None:
-                return False  # pinned to an unassigned row: cell undetermined
-            b = bwd[y]
-            if b is None:
-                for cand in range(1, n):
-                    if fwd[cand] is None:
-                        fwd[cand] = y
-                        bwd[y] = cand
-                        if smaller_from(x, y):
-                            fwd[cand] = None
-                            bwd[y] = None
-                            return True
-                        fwd[cand] = None
-                        bwd[y] = None
-                return False
-            w = rows[a][b]
-            t = rows[x][y]
-            v = fwd[w]
-            if v is not None:
-                if v < t:
-                    return True
-                if v > t:
-                    return False
-                return smaller_from(x, y + 1)
-            if any(bwd[u] is None for u in range(t)):
-                return True  # map w below t and win immediately
-            if bwd[t] is None:
-                fwd[w] = t
-                bwd[t] = w
-                result = smaller_from(x, y + 1)
-                fwd[w] = None
-                bwd[t] = None
-                return result
-            return False
-
-        return not smaller_from(1, 0)
-
     # -- the tree -------------------------------------------------------------
 
     def _leaf(self):
@@ -284,7 +222,8 @@ class _Search:
                 self.forced[forced_row] = self.invs[a]
             try:
                 if self._partial_ok(a) and (
-                    not self.config.symmetry_breaking or self._prefix_lex_minimal(a)
+                    not self.config.symmetry_breaking
+                    or next(_smaller_relabelings(self.rows, a), None) is None
                 ):
                     self._dfs(a + 1)
             finally:
@@ -386,51 +325,84 @@ def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     return sorted(_isomorphisms(g, g))
 
 
-def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
-    """The lexicographically least relabeling of the table fixing 0.
-
-    Two tables are isomorphic iff their canonical forms are identical.
+def _smaller_relabelings(rows, k: int):
+    """Yield each relabeling fixing 0 that makes rows 1..k smaller than the
+    best so far, as its cells in row-major order; the identity labeling is
+    the first incumbent.  Rows 0..k must be placed; later rows may be None.
 
     Branch-and-bound over first-appearance labels (after McKay, Meynert and
     Myrvold, J. Combin. Des. 15, 2007).  Row 0 is the identity row in every
-    relabeling, so rows 1..n-1 are scanned row-major as it is built.  A
-    value with no label yet gets the next free label k, the least value its
-    cell takes in any completion.  A row or column label no element has yet
-    branches over the unlabeled elements; a branch is cut once a cell
-    exceeds the best table on a tied prefix."""
-    n = g.order
-    if n > cap:
-        raise ResourceCapError("canon_cap", f"order {n} exceeds canonical-form cap {cap}")
-    t = g.table
-    cells = (n - 1) * n
+    relabeling, so rows 1..k are scanned row-major as they are built.  A
+    value with no label yet gets the next free label, the least value its
+    cell takes in any completion.  A row label no element has yet branches
+    over the unlabeled placed rows, a column label over every unlabeled
+    element.  A branch is cut once a cell exceeds the incumbent on a tied
+    prefix, and it stops comparing at a row that is not placed: only a
+    prefix already smaller there is yielded."""
+    n = len(rows)
+    cells = k * n
+    best = [v for row in rows[1 : k + 1] for v in row]
     cur = [0] * cells
-    best: list[int] | None = None
+    old = [0]  # old[j] is the element labeled j
+    label = [0] + [-1] * (n - 1)  # label[e] is the label of element e, or -1
 
-    def scan(pos: int, old: list[int], tied: bool):
-        # old[k] is the element labeled k; tied: cells < pos equal best's
+    def scan(pos: int, tied: bool):
+        # tied: cells < pos equal best's
         nonlocal best
-        new = {e: k for k, e in enumerate(old)}
+        mark = len(old)
         while pos < cells:
             x, y = divmod(pos, n)
-            if x + 1 >= len(old) or y >= len(old):
-                for e in range(1, n):
-                    if e not in new:
-                        scan(pos, old + [e], tied)
+            j = len(old)
+            if x + 1 >= j or y >= j:
+                for e in range(1, k + 1 if x + 1 >= j else n):
+                    if label[e] < 0:
+                        label[e] = j
+                        old.append(e)
+                        yield from scan(pos, tied)
+                        old.pop()
+                        label[e] = -1
                         tied = True  # best now shares the cells < pos
-                return
-            e = t[old[x + 1]][old[y]]
-            if e not in new:
-                new[e] = len(old)
+                break
+            a = old[x + 1]
+            if a > k:
+                break
+            e = rows[a][old[y]]
+            v = label[e]
+            if v < 0:
+                v = label[e] = j
                 old.append(e)
-            v = new[e]
             if tied:
                 if v > best[pos]:
-                    return
+                    break
                 tied = v == best[pos]
             cur[pos] = v
             pos += 1
-        best = cur[:]
+        # tied still holds after a branch or a cut, so only a smaller prefix
+        # that ran to the end or to an unplaced row gets here untied
+        if not tied:
+            best = cur[:pos] + [-1] * (cells - pos)  # -1 ends every later tie
+            yield cur[:pos]
+        for e in old[mark:]:
+            label[e] = -1
+        del old[mark:]
 
-    scan(0, [0], False)
-    rows = [tuple(range(n))] + [tuple(best[r : r + n]) for r in range(0, cells, n)]
+    yield from scan(0, True)
+
+
+def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
+    """The lexicographically least relabeling of the table fixing 0.
+
+    Two tables are isomorphic iff their canonical forms are identical.  It
+    is the last table ``_smaller_relabelings`` yields over rows 1..n-1, or
+    the table itself if none is smaller; the search's symmetry cut runs the
+    same routine on the rows placed so far."""
+    n = g.order
+    if n > cap:
+        raise ResourceCapError("canon_cap", f"order {n} exceeds canonical-form cap {cap}")
+    best = None
+    for best in _smaller_relabelings(g.table, n - 1):
+        pass
+    if best is None:
+        return g
+    rows = [tuple(range(n))] + [tuple(best[r : r + n]) for r in range(0, len(best), n)]
     return GyroTable(rows, check=False)

@@ -114,8 +114,11 @@ def generate(g: GyroTable, seed: Iterable[int]) -> SubSet:
 
 
 def is_subgyrogroup(g: GyroTable, subset) -> bool:
-    """0 present and closed under the operation and negation."""
+    """0 present and closed under the operation and negation.  A member
+    outside 0..n-1 raises ValueError."""
     s = _members(subset)
+    if not all(0 <= a < g.order for a in s):
+        raise ValueError(f"members out of range 0..{g.order - 1}: {sorted(s)}")
     if 0 not in s:
         return False
     return all(g.inv[a] in s for a in s) and all(g.table[a][b] in s for a in s for b in s)

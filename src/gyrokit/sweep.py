@@ -49,7 +49,6 @@ from .nuclei import (
     right_nucleus,
     left_translations,
     lg_prime,
-    lg_prime_word_oracle,
     lg_sharp,
     lmlt,
     is_twisted_subgroup,
@@ -66,6 +65,8 @@ from .prime_index import (
     smallest_prime_precondition,
 )
 from .search import automorphisms
+
+DEFAULT_ORACLE_WORD_LEN = 6
 
 
 @dataclass
@@ -127,6 +128,33 @@ def _normal_subgroup_of_lmlt(group: PermGroup, perms: frozenset) -> bool:
         and all(p.inverse() in perms for p in perms)
         and all(x * p * x.inverse() in perms for x in group.generators for p in perms)
     )
+
+
+def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -> frozenset:
+    """Independent bounded oracle: enumerate all translation words up to the
+    given length and keep forward products whose reversed product is the
+    identity.  The check ``reversal-kernel-word-oracle`` compares it with
+    the doubled closure of ``nuclei.lg_prime``."""
+    translations = left_translations(g)
+    ident = Perm.identity(g.order)
+    found = set()
+    frontier = [(la, la) for la in translations]  # (forward, reversed)
+    for f, r in frontier:
+        if r == ident:
+            found.add(f)
+    for _ in range(max_len - 1):
+        new = []
+        for f, r in frontier:
+            for la in translations:
+                nf = f * la  # append letter: forward grows on the right
+                nr = la * r  # reversed product grows on the left
+                new.append((nf, nr))
+                if nr == ident:
+                    found.add(nf)
+        frontier = new
+        # dedupe pairs to keep the frontier from exploding
+        frontier = list(dict.fromkeys(frontier))
+    return frozenset(found)
 
 
 def _int_multiples(g: GyroTable, a: int, window: int) -> dict[int, int]:

@@ -19,7 +19,6 @@ from gyrokit.nuclei import (
     left_nucleus,
     left_translations,
     lg_prime,
-    lg_prime_word_oracle,
     lg_sharp,
     lmlt,
     middle_nucleus,
@@ -48,6 +47,7 @@ from gyrokit.substructure import (
     is_subgroup,
     left_cosets,
 )
+from gyrokit.sweep import lg_prime_word_oracle
 
 MUTATIONS_PER_TABLE = 20
 MUTATION_SEED = 0x5EED

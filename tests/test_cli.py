@@ -157,6 +157,15 @@ class TestQuotientClosureIndex:
     def test_index_not_subgyrogroup_exit_1(self, corpus_dir, capsys):
         assert main(["index", str(corpus_dir / "z6.gyro"), "--set", "0,1"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, members",
+        [("index", "0,2,-2"), ("quotient", "0,2,-2"), ("index", "0,2,4"), ("quotient", "0,2,4")],
+    )
+    def test_out_of_range_members_exit_1(self, corpus_dir, capsys, command, members):
+        assert main([command, str(corpus_dir / "z4.gyro"), "--set", members]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: members out of range 0..3: [")
+
 
 class TestIsoCommand:
     def test_not_isomorphic(self, corpus_dir, capsys):

@@ -9,7 +9,6 @@ from gyrokit.nuclei import (
     left_nucleus,
     left_translations,
     lg_prime,
-    lg_prime_word_oracle,
     lg_sharp,
     lmlt,
     middle_nucleus,
@@ -23,6 +22,7 @@ from gyrokit.substructure import (
     left_coset,
     right_coset,
 )
+from gyrokit.sweep import lg_prime_word_oracle
 
 
 class TestLeftTranslations:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import isomorphism_oracle as oracle
 import pytest
+import search_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,17 @@ from gyrokit.search import (
 )
 
 KNOWN_GROUP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
+# (nodes, leaves) of the exhaustive search with symmetry breaking
+EXHAUSTIVE_COUNTS = {
+    1: (0, 1),
+    2: (1, 1),
+    3: (2, 1),
+    4: (5, 2),
+    5: (5, 1),
+    6: (25, 2),
+    7: (39, 1),
+    8: (549, 11),
+}
 
 
 def relabel(g: GyroTable, sigma: tuple) -> GyroTable:
@@ -113,6 +125,36 @@ class TestEnumerate:
         names = ["z8", "z4xz2", "z2xz2xz2", "d4", "q8"]
         for name in names:
             assert any(are_isomorphic(groups[name], t)[0] for t in group_tables)
+
+    @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_COUNTS))
+    def test_exhaustive_nodes_and_leaves(self, n):
+        result = run_search(SearchConfig(order=n))
+        assert result.complete
+        assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[n]
+
+    def test_first_nonassociative_nodes_and_leaves(self):
+        result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
+        assert (result.nodes, result.leaves) == (8, 2)
+
+    def test_symmetry_cut_agrees_with_oracle(self, monkeypatch):
+        # every call of the shared routine in exhaustive orders 1-8, the cut's
+        # and canonical_form's, against the recursive cut it replaced
+        smaller_relabelings = search._smaller_relabelings
+        verdicts = []
+
+        def checked(rows, k):
+            smaller = smaller_relabelings(rows, k)
+            first = next(smaller, None)
+            verdicts.append((first is None, search_oracle.prefix_lex_minimal(rows, k)))
+            if first is not None:
+                yield first
+                yield from smaller
+
+        monkeypatch.setattr(search, "_smaller_relabelings", checked)
+        for n in range(1, 9):
+            run_search(SearchConfig(order=n))
+        assert {new for new, _ in verdicts} == {True, False}
+        assert [new for new, _ in verdicts] == [old for _, old in verdicts]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

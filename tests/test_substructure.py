@@ -7,6 +7,7 @@ from test_search import relabel
 
 from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.core import ResourceCapError, direct_product
+from gyrokit.normality import try_quotient
 from gyrokit.substructure import (
     NotPartition,
     SubSet,
@@ -112,6 +113,13 @@ class TestPredicates:
     def test_requires_subgyrogroup(self):
         with pytest.raises(ValueError):
             is_subgroup(cyclic(4), [0, 1])
+
+    @pytest.mark.parametrize("members", [[0, 2, -2], [0, 2, 4]])
+    def test_out_of_range_members_rejected(self, members):
+        z4 = cyclic(4)
+        for check in (is_subgyrogroup, is_subgroup, left_cosets, index, try_quotient):
+            with pytest.raises(ValueError, match=r"out of range 0\.\.3: \[-?\d"):
+                check(z4, members)
 
 
 class TestCosets:
