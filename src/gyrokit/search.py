@@ -15,11 +15,10 @@ pruned by facts every gyrogroup table satisfies:
 
 Every surviving leaf is re-verified from scratch with the full axiom check,
 so the pruning only needs to be sound, never exact.  Optional symmetry
-breaking discards a prefix when some relabeling fixing 0 makes its placed
-rows lexicographically smaller, so it is not the least relabeling of any
-completion; each isomorphism class keeps at least its minimal table, and
-canonical-form deduplication (inside the time budget) runs afterwards
-regardless.
+breaking discards prefixes that are provably not the lexicographically least
+relabeling of any completion; each isomorphism class keeps at least its
+minimal table, and canonical-form deduplication (inside the time budget)
+runs afterwards regardless.
 
 Isomorphism uses two algorithms: one backtracking search, whose first
 isomorphism answers ``are_isomorphic`` and whose full list from a table to
@@ -332,13 +331,15 @@ def _smaller_relabelings(rows, k: int):
 
     Branch-and-bound over first-appearance labels (after McKay, Meynert and
     Myrvold, J. Combin. Des. 15, 2007).  Row 0 is the identity row in every
-    relabeling, so rows 1..k are scanned row-major as they are built.  A
-    value with no label yet gets the next free label, the least value its
-    cell takes in any completion.  A row label no element has yet branches
-    over the unlabeled placed rows, a column label over every unlabeled
-    element.  A branch is cut once a cell exceeds the incumbent on a tied
-    prefix, and it stops comparing at a row that is not placed: only a
-    prefix already smaller there is yielded."""
+    relabeling, so rows 1..k are compared row-major as they are built.
+    Label 1 branches over the placed rows.  Row 1 is then scanned cell by
+    cell: a column label no element has yet branches over the unlabeled
+    elements, and a value with no label yet gets the next free label, the
+    least value its cell takes in any completion.  Row 1 is a permutation,
+    so after it every element has a label and each later row is compared
+    whole.  A branch is cut once it exceeds the incumbent on a tied prefix,
+    and it stops comparing at a row that is not placed: only a prefix
+    already smaller there is yielded."""
     n = len(rows)
     cells = k * n
     best = [v for row in rows[1 : k + 1] for v in row]
@@ -346,47 +347,65 @@ def _smaller_relabelings(rows, k: int):
     old = [0]  # old[j] is the element labeled j
     label = [0] + [-1] * (n - 1)  # label[e] is the label of element e, or -1
 
-    def scan(pos: int, tied: bool):
-        # tied: cells < pos equal best's
+    def scan(y: int, tied: bool):
+        # row 1 from column y on; tied: cells < y equal best's
         nonlocal best
         mark = len(old)
-        while pos < cells:
-            x, y = divmod(pos, n)
+        row = rows[old[1]]
+        while y < n:
             j = len(old)
-            if x + 1 >= j or y >= j:
-                for e in range(1, k + 1 if x + 1 >= j else n):
+            if y == j:
+                for e in range(1, n):
                     if label[e] < 0:
                         label[e] = j
                         old.append(e)
-                        yield from scan(pos, tied)
+                        yield from scan(y, tied)
                         old.pop()
                         label[e] = -1
-                        tied = True  # best now shares the cells < pos
+                        tied = True  # best now shares the cells < y
                 break
-            a = old[x + 1]
-            if a > k:
-                break
-            e = rows[a][old[y]]
+            e = row[old[y]]
             v = label[e]
             if v < 0:
                 v = label[e] = j
                 old.append(e)
             if tied:
-                if v > best[pos]:
+                if v > best[y]:
                     break
-                tied = v == best[pos]
-            cur[pos] = v
-            pos += 1
-        # tied still holds after a branch or a cut, so only a smaller prefix
-        # that ran to the end or to an unplaced row gets here untied
-        if not tied:
-            best = cur[:pos] + [-1] * (cells - pos)  # -1 ends every later tie
-            yield cur[:pos]
+                tied = v == best[y]
+            cur[y] = v
+            y += 1
+        else:
+            pos = n
+            for x in range(2, k + 1):
+                a = old[x]
+                if a > k:
+                    break
+                row = rows[a]
+                new = [label[row[e]] for e in old]
+                end = pos + n
+                if tied:
+                    ref = best[pos:end]
+                    if new > ref:
+                        break
+                    tied = new == ref
+                cur[pos:end] = new
+                pos = end
+            # a cut leaves tied set, so only a smaller prefix that ran to
+            # row k or to an unplaced row gets here untied
+            if not tied:
+                best = cur[:pos] + [-1] * (cells - pos)  # -1 ends every later tie
+                yield cur[:pos]
         for e in old[mark:]:
             label[e] = -1
         del old[mark:]
 
-    yield from scan(0, True)
+    for a in range(1, k + 1):
+        label[a] = 1
+        old.append(a)
+        yield from scan(0, True)
+        old.pop()
+        label[a] = -1
 
 
 def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
