@@ -21,7 +21,7 @@ from .core import (
     ResourceCapError,
     verify_axioms,
 )
-from .gyrofile import GyroParseError, format_gyro, load_rows, save_table
+from .gyrofile import GyroParseError, format_gyro, load_rows, load_table, save_table
 from .substructure import NotPartition, enumerate_subgyrogroups, index
 from .normality import NotNormal, is_normal, normal_closure, try_quotient
 from .commutator import commutator_subgyrogroup, hunt_commutator_normality, nc_commutator
@@ -39,11 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROPERTY = 2
 EXIT_CAP = 3
-
-
-def _load(path: str) -> GyroTable:
-    rows = load_rows(path)
-    return GyroTable(rows)
 
 
 def _parse_set(raw: str) -> list[int]:
@@ -92,7 +87,7 @@ def analyze_object(g: GyroTable) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    g = _load(args.path)
+    g = load_table(args.path)
     obj = analyze_object(g)
     if args.json:
         print(json.dumps(obj, sort_keys=True))
@@ -106,37 +101,28 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    g = _load(args.path)
-    try:
-        q = try_quotient(g, _parse_set(args.set))
-    except NotNormal as exc:
-        print(f"not normal: {exc}")
-        return EXIT_PROPERTY
+    g = load_table(args.path)
+    q = try_quotient(g, _parse_set(args.set))
     print(format_gyro(q.table), end="")
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
-    g = _load(args.path)
+    g = load_table(args.path)
     closure = normal_closure(g, _parse_set(args.set))
     print(" ".join(str(m) for m in closure.members))
     return EXIT_OK
 
 
 def cmd_index(args) -> int:
-    g = _load(args.path)
-    try:
-        k = index(g, _parse_set(args.set))
-    except NotPartition as exc:
-        print(f"cosets do not partition: {exc}")
-        return EXIT_PROPERTY
-    print(k)
+    g = load_table(args.path)
+    print(index(g, _parse_set(args.set)))
     return EXIT_OK
 
 
 def cmd_iso(args) -> int:
-    g = _load(args.path1)
-    h = _load(args.path2)
+    g = load_table(args.path1)
+    h = load_table(args.path2)
     ok, witness = are_isomorphic(g, h)
     if ok:
         print(f"isomorphic witness={list(witness.images)}")
@@ -177,7 +163,7 @@ def _collect_corpus(dir_path: str) -> list[tuple[str, GyroTable]]:
     paths = sorted(Path(dir_path).glob("*.gyro"))
     if not paths:
         raise GyroParseError(f"no .gyro files in {dir_path}")
-    return [(p.name, GyroTable(load_rows(p))) for p in paths]
+    return [(p.name, load_table(p)) for p in paths]
 
 
 def cmd_sweep(args) -> int:

@@ -306,6 +306,12 @@ class GyroTable:
         self._gyr[a][b] = p  # idempotent fill
         return p
 
+    def gyrations(self) -> frozenset:
+        """The distinct gyrations gyr[a, b] over all pairs, recomputed on
+        each call from the per-cell memo."""
+        n = self.order
+        return frozenset(self.gyr(a, b) for a in range(n) for b in range(n))
+
     def coadd(self, a: int, b: int) -> int:
         """The dual operation a (+) gyr[a, -b] b."""
         return self.table[a][self.gyr(a, self.neg(b))(b)]

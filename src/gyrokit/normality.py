@@ -29,6 +29,7 @@ from .substructure import (
     SubSet,
     _members,
     _require_subgyrogroup,
+    is_gyration_invariant,
     left_coset,
     right_coset,
 )
@@ -234,11 +235,7 @@ def check_sufficient_normality(g: GyroTable, subset) -> bool:
     h = _require_subgyrogroup(g, subset)
     ident = tuple(range(g.order))
     cond1 = all(g.gyr(x, a).images == ident for x in h for a in g.elements())
-    cond2 = all(
-        frozenset(g.gyr(a, b)(x) for x in h) <= h
-        for a in g.elements()
-        for b in g.elements()
-    )
+    cond2 = is_gyration_invariant(g, h)
     cond3 = all(left_coset(g, h, a) == right_coset(g, h, a) for a in g.elements())
     return cond1 and cond2 and cond3
 

@@ -2,18 +2,19 @@
 
 Left translations L_a embed the gyrogroup into the symmetric group on its
 carrier; lmlt(G) is the group they generate, materialized as an explicit
-element set by breadth-first closure.  Within it live three distinguished
-sets:
+element set by the breadth-first closure of ``PermGroup.generated``, the
+module's one closure.  Within it live three distinguished sets:
 
   * L(G) itself, a twisted subgroup (1 in X, inverse-closed, xyx-closed);
   * the intersection of all translated copies L_a L(G), which coincides
     with the translations of the left nucleus;
   * the set of forward translation products whose reversed product is the
-    identity, computed by closing pairs (L_a, L_a^-1) under componentwise
-    composition: a word maps to (forward product, inverse of the reversed
-    product), word concatenation is exactly componentwise composition, so
-    the pairs with identity second coordinate are precisely the forward
-    products of words whose reversal collapses.
+    identity, computed as one ``PermGroup`` on 2n points generated by
+    L_a (+) L_a^-1, with L_a acting on 0..n-1 and L_a^-1 on n..2n-1: a word
+    maps to its forward product on the first half and the inverse of its
+    reversed product on the second, word concatenation is exactly
+    composition, so the elements whose second half is the identity carry
+    precisely the forward products of words whose reversal collapses.
 
 The radical is the preimage of that last set under a -> L_a.  Nuclei are
 computed from the associativity definition.
@@ -35,7 +36,6 @@ from .core import GyroTable, Perm, ResourceCapError
 from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
-DEFAULT_PAIR_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class PermGroup:
     degree: int
     generators: tuple[Perm, ...]
     elements: frozenset[Perm]
-    cap: int
 
     @classmethod
     def generated(cls, generators, cap: int = DEFAULT_PERM_CAP) -> "PermGroup":
@@ -70,7 +69,7 @@ class PermGroup:
                                 f"closure exceeded {cap} elements ({len(els)} so far)",
                             )
             frontier = new
-        return cls(degree, gens, frozenset(els), cap)
+        return cls(degree, gens, frozenset(els))
 
     @property
     def order(self) -> int:
@@ -128,32 +127,24 @@ def lg_sharp(g: GyroTable) -> frozenset:
     return result
 
 
-def lg_prime(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:
+def lg_prime(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:
     """Forward products of translation words whose reversed product is the
-    identity, via the doubled closure of {(L_a, L_a^-1)}.
+    identity: the first halves of the elements of the group generated by
+    L_a (+) L_a^-1 on 2n points whose second half is the identity.
 
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
     ``translation-subgroup-chain`` confirms this and
     ``reversal-kernel-word-oracle`` compares it with the word oracle."""
-    translations = left_translations(g)
-    seeds = [(la, la.inverse()) for la in translations]
-    pairs = set(seeds)
-    frontier = list(pairs)
-    while frontier:
-        new = []
-        for f1, r1 in seeds:
-            for f2, r2 in frontier:
-                pair = (f1 * f2, r1 * r2)
-                if pair not in pairs:
-                    pairs.add(pair)
-                    new.append(pair)
-                    if len(pairs) > cap:
-                        raise ResourceCapError(
-                            "pair_cap", f"doubled closure exceeded {cap} pairs"
-                        )
-        frontier = new
-    ident = Perm.identity(g.order)
-    return frozenset(f for f, r in pairs if r == ident)
+    n = g.order
+    doubled = PermGroup.generated(
+        (
+            Perm(la.images + tuple(n + x for x in la.inverse().images))
+            for la in left_translations(g)
+        ),
+        cap=cap,
+    )
+    ident = tuple(range(n, 2 * n))
+    return frozenset(Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident)
 
 
 def _nucleus(g: GyroTable, position: str) -> SubSet:
@@ -186,7 +177,7 @@ def right_nucleus(g: GyroTable) -> SubSet:
     return _nucleus(g, "right")
 
 
-def radical(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> SubSet:
+def radical(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> SubSet:
     """Elements whose translation lies in the reversal kernel of L(G).
 
     It is a normal subgroup contained in the left nucleus; the sweep checks

@@ -24,6 +24,7 @@ from .core import GyroTable
 from .substructure import (
     CosetFamily,
     _require_subgyrogroup,
+    is_gyration_invariant,
     left_coset,
     left_cosets,
 )
@@ -129,14 +130,16 @@ def equivalence_report(g: GyroTable, subset) -> EquivalenceReport:
 def coset_ladder(g: GyroTable, subset, a: int) -> CosetFamily:
     """The cosets 0+H, a+H, ..., (p-1)a+H, sorted by least member.
 
-    They are distinct and cover the carrier, so the family equals
+    Refused with ValueError unless ``check_condition_multiples`` holds; the
+    other two conditions are equivalent to it at prime index, and the sweep
+    check ``prime-index-conditions-agree`` compares all three.  The cosets
+    are then distinct and cover the carrier, so the family equals
     ``left_cosets``; the sweep check ``prime-index-ladder-matches-cosets``
     and the tests compare the two."""
     h, p = _prime_index_setup(g, subset)
     if a in h:
         raise ValueError(f"{a} lies in the subgyrogroup")
-    report = equivalence_report(g, subset)
-    if not (report.condition_p or report.condition_n or report.condition_multiples):
+    if not check_condition_multiples(g, h):
         raise ValueError("multiple-membership conditions fail; no ladder")
     ladder = sorted(
         (tuple(sorted(left_coset(g, h, g.int_multiple(i, a)))) for i in range(p)),
@@ -162,19 +165,15 @@ def gyration_invariant_witnesses(g: GyroTable, subset) -> list[int]:
     """All outside elements y whose ladder cosets i.y + H are invariant
     under every gyration (recorded as data, least first)."""
     h, p = _prime_index_setup(g, subset)
-    gyrations = [g.gyr(a, b) for a in g.elements() for b in g.elements()]
-    out = []
-    for y in g.elements():
-        if y in h:
-            continue
-        cosets = [left_coset(g, h, g.int_multiple(i, y)) for i in range(p)]
-        if all(
-            frozenset(gy(x) for x in coset) <= coset
-            for coset in cosets
-            for gy in gyrations
-        ):
-            out.append(y)
-    return out
+    return [
+        y
+        for y in g.elements()
+        if y not in h
+        and all(
+            is_gyration_invariant(g, left_coset(g, h, g.int_multiple(i, y)))
+            for i in range(p)
+        )
+    ]
 
 
 def normality_by_gyration_invariance(g: GyroTable, subset) -> tuple[bool, int | None]:
@@ -201,8 +200,4 @@ def index_two_normality(g: GyroTable, subset) -> bool:
     h, p = _prime_index_setup(g, subset)
     if p != 2:
         raise ValueError(f"index is {p}, not 2")
-    return all(
-        frozenset(g.gyr(a, b)(x) for x in h) <= h
-        for a in g.elements()
-        for b in g.elements()
-    )
+    return is_gyration_invariant(g, h)

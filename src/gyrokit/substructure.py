@@ -113,12 +113,17 @@ def generate(g: GyroTable, seed: Iterable[int]) -> SubSet:
     return SubSet.of(g, _extend(g, {0}, seed))
 
 
-def is_subgyrogroup(g: GyroTable, subset) -> bool:
-    """0 present and closed under the operation and negation.  A member
-    outside 0..n-1 raises ValueError."""
+def _in_range(g: GyroTable, subset) -> frozenset:
     s = _members(subset)
     if not all(0 <= a < g.order for a in s):
         raise ValueError(f"members out of range 0..{g.order - 1}: {sorted(s)}")
+    return s
+
+
+def is_subgyrogroup(g: GyroTable, subset) -> bool:
+    """0 present and closed under the operation and negation.  A member
+    outside 0..n-1 raises ValueError."""
+    s = _in_range(g, subset)
     if 0 not in s:
         return False
     return all(g.inv[a] in s for a in s) and all(g.table[a][b] in s for a in s for b in s)
@@ -146,12 +151,25 @@ def is_subgroup(g: GyroTable, subset) -> bool:
     return all(t[t[a][b]][c] == t[a][t[b][c]] for a in h for b in h for c in h)
 
 
+def is_gyration_invariant(g: GyroTable, subset) -> bool:
+    """Every gyration maps S into S.  S may be any subset; a member outside
+    0..n-1 raises ValueError."""
+    s = _in_range(g, subset)
+    return all(gy(x) in s for gy in g.gyrations() for x in s)
+
+
 def left_coset(g: GyroTable, subset, a: int) -> frozenset:
-    return frozenset(g.table[a][x] for x in _members(subset))
+    """a + S; a member of S or an a outside 0..n-1 raises ValueError."""
+    s = _in_range(g, subset)
+    _in_range(g, (a,))
+    return frozenset(g.table[a][x] for x in s)
 
 
 def right_coset(g: GyroTable, subset, a: int) -> frozenset:
-    return frozenset(g.table[x][a] for x in _members(subset))
+    """S + a; a member of S or an a outside 0..n-1 raises ValueError."""
+    s = _in_range(g, subset)
+    _in_range(g, (a,))
+    return frozenset(g.table[x][a] for x in s)
 
 
 def left_cosets(g: GyroTable, subset) -> CosetFamily:

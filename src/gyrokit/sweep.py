@@ -23,6 +23,7 @@ from .substructure import (
     SubSet,
     enumerate_subgyrogroups,
     generate,
+    is_gyration_invariant,
     is_L_subgyrogroup,
     is_subgroup,
     is_subgyrogroup,
@@ -55,7 +56,6 @@ from .nuclei import (
     radical,
 )
 from .prime_index import (
-    check_condition_n,
     coset_ladder,
     equivalence_report,
     gyration_invariant_witnesses,
@@ -134,7 +134,7 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     """Independent bounded oracle: enumerate all translation words up to the
     given length and keep forward products whose reversed product is the
     identity.  The check ``reversal-kernel-word-oracle`` compares it with
-    the doubled closure of ``nuclei.lg_prime``."""
+    ``nuclei.lg_prime``, the group closure on 2n points."""
     translations = left_translations(g)
     ident = Perm.identity(g.order)
     found = set()
@@ -253,13 +253,12 @@ def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
     )
 
     auts = automorphisms(g)
-    gyrations = {g.gyr(a, b) for a in els for b in els}
     aut_set = set(auts)
     r.check(
         "automorphism-group-closure",
         all(p * q in aut_set for p in auts for q in auts)
         and all(p.inverse() in aut_set for p in auts)
-        and gyrations <= aut_set,
+        and g.gyrations() <= aut_set,
     )
     dset = derived.as_set()
     r.check(
@@ -328,14 +327,7 @@ def _sweep_nuclei(r: _Recorder, g: GyroTable):
         ),
     )
     nl_set = nl.as_set()
-    r.check(
-        "left-nucleus-gyration-invariant",
-        all(
-            frozenset(g.gyr(a, b)(x) for x in nl_set) <= nl_set
-            for a in els
-            for b in els
-        ),
-    )
+    r.check("left-nucleus-gyration-invariant", is_gyration_invariant(g, nl_set))
     r.check(
         "left-nucleus-coset-symmetry",
         all(left_coset(g, nl_set, a) == right_coset(g, nl_set, a) for a in els),
@@ -345,14 +337,7 @@ def _sweep_nuclei(r: _Recorder, g: GyroTable):
     rad = radical(g)
     rad_set = rad.as_set()
     r.check("radical-inside-left-nucleus", rad_set <= nl_set)
-    r.check(
-        "radical-gyration-invariant",
-        all(
-            frozenset(g.gyr(a, b)(x) for x in rad_set) <= rad_set
-            for a in els
-            for b in els
-        ),
-    )
+    r.check("radical-gyration-invariant", is_gyration_invariant(g, rad_set))
     r.check(
         "radical-coset-symmetry",
         all(left_coset(g, rad_set, a) == right_coset(g, rad_set, a) for a in els),
@@ -528,8 +513,7 @@ def _sweep_prime_index(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
                 ok_ladder = False
         smallest = smallest_prime_precondition(g, s)
         if smallest:
-            ok_n, _ = check_condition_n(g, s)
-            if not ok_n:
+            if not rep.condition_n:
                 ok_smallest = False
             found, witness = normality_by_gyration_invariance(g, s)
             if found != is_normal(g, s):

@@ -1,14 +1,20 @@
-"""The gyration characterization of the nuclei, kept as an independent
-oracle for ``gyrokit.nuclei``, which computes them from associativity.
+"""Independent oracles for ``gyrokit.nuclei``.
 
-An element a is in the left nucleus iff every gyr[a, b] is the identity, in
-the middle nucleus iff every gyr[b, a] is, and in the right nucleus iff every
-gyration fixes it.
+The gyration characterization of the nuclei, which the library computes
+from associativity: an element a is in the left nucleus iff every gyr[a, b]
+is the identity, in the middle nucleus iff every gyr[b, a] is, and in the
+right nucleus iff every gyration fixes it.
+
+The pair closure of the reversal kernel, which the library computes as one
+permutation group on 2n points.
 """
 
 from __future__ import annotations
 
-from gyrokit.core import GyroTable
+from gyrokit.core import GyroTable, Perm, ResourceCapError
+from gyrokit.nuclei import left_translations
+
+DEFAULT_PAIR_CAP = 10**6
 
 
 def nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
@@ -20,3 +26,27 @@ def nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
     return frozenset(
         c for c in els if all(g.gyr(a, b)(c) == c for a in els for b in els)
     )
+
+
+def lg_prime_by_pairs(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:
+    """Forward products of translation words whose reversed product is the
+    identity, via the doubled closure of {(L_a, L_a^-1)}."""
+    translations = left_translations(g)
+    seeds = [(la, la.inverse()) for la in translations]
+    pairs = set(seeds)
+    frontier = list(pairs)
+    while frontier:
+        new = []
+        for f1, r1 in seeds:
+            for f2, r2 in frontier:
+                pair = (f1 * f2, r1 * r2)
+                if pair not in pairs:
+                    pairs.add(pair)
+                    new.append(pair)
+                    if len(pairs) > cap:
+                        raise ResourceCapError(
+                            "pair_cap", f"doubled closure exceeded {cap} pairs"
+                        )
+        frontier = new
+    ident = Perm.identity(g.order)
+    return frozenset(f for f, r in pairs if r == ident)

@@ -157,6 +157,11 @@ class TestQuotientClosureIndex:
     def test_index_not_subgyrogroup_exit_1(self, corpus_dir, capsys):
         assert main(["index", str(corpus_dir / "z6.gyro"), "--set", "0,1"]) == 1
 
+    def test_index_overlapping_cosets_exit_2(self, corpus_dir, capsys):
+        # {0, 4} is a subgyrogroup of na8 whose left cosets overlap
+        assert main(["index", str(corpus_dir / "na8.gyro"), "--set", "0,4"]) == 2
+        assert capsys.readouterr().out.startswith("cosets do not partition: ")
+
     @pytest.mark.parametrize(
         "command, members",
         [("index", "0,2,-2"), ("quotient", "0,2,-2"), ("index", "0,2,4"), ("quotient", "0,2,4")],

@@ -293,6 +293,14 @@ class TestGyrations:
                     for c in g.elements():
                         assert g.add(a, g.add(b, c)) == g.add(g.add(a, b), gy(c))
 
+    def test_gyrations_are_the_distinct_pair_gyrations(self, groups, nonassoc8):
+        for g in groups.values():
+            assert g.gyrations() == {Perm.identity(g.order)}
+        els = nonassoc8.elements()
+        gyrations = nonassoc8.gyrations()
+        assert gyrations == {nonassoc8.gyr(a, b) for a in els for b in els}
+        assert len(gyrations) == 2
+
     def test_gyr_cache_idempotent(self):
         z4 = cyclic(4)
         first = z4.gyr(1, 2)

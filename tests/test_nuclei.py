@@ -1,8 +1,8 @@
 import nuclei_oracle
 import pytest
 
-from gyrokit.catalog import cyclic, sym3
-from gyrokit.core import Perm, ResourceCapError
+from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.core import Perm, ResourceCapError, direct_product
 from gyrokit.nuclei import (
     PermGroup,
     is_twisted_subgroup,
@@ -166,6 +166,17 @@ class TestLgPrime:
     def test_chain(self, corpus):
         for g in corpus.values():
             assert lg_prime(g) <= lg_sharp(g) <= frozenset(left_translations(g))
+
+    def test_matches_pair_closure(self, census8, groups, nonassoc8):
+        products = [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four())]
+        for g in [*census8, *groups.values(), *products]:
+            assert lg_prime(g) == nuclei_oracle.lg_prime_by_pairs(g)
+
+    @pytest.mark.parametrize("fn", [lg_prime, radical])
+    def test_cap(self, nonassoc8, fn):
+        with pytest.raises(ResourceCapError) as exc:
+            fn(nonassoc8, cap=10)
+        assert exc.value.cap_name == "perm_cap"
 
     def test_normal_subgroups_of_lmlt_on_census(self, census8):
         for g in census8:

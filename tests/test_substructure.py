@@ -14,11 +14,13 @@ from gyrokit.substructure import (
     enumerate_subgyrogroups,
     generate,
     index,
+    is_gyration_invariant,
     is_L_subgyrogroup,
     is_subgroup,
     is_subgyrogroup,
     left_coset,
     left_cosets,
+    right_coset,
 )
 
 
@@ -117,7 +119,14 @@ class TestPredicates:
     @pytest.mark.parametrize("members", [[0, 2, -2], [0, 2, 4]])
     def test_out_of_range_members_rejected(self, members):
         z4 = cyclic(4)
-        for check in (is_subgyrogroup, is_subgroup, left_cosets, index, try_quotient):
+        for check in (
+            is_subgyrogroup,
+            is_subgroup,
+            is_gyration_invariant,
+            left_cosets,
+            index,
+            try_quotient,
+        ):
             with pytest.raises(ValueError, match=r"out of range 0\.\.3: \[-?\d"):
                 check(z4, members)
 
@@ -160,6 +169,31 @@ class TestCosets:
         for g in corpus.values():
             for s in enumerate_subgyrogroups(g):
                 assert left_coset(g, s, 0) == s.as_set()
+
+    @pytest.mark.parametrize("coset", [left_coset, right_coset])
+    @pytest.mark.parametrize("members, a", [([0, -1], 1), ([0, 1], -1), ([0, 5], 1)])
+    def test_out_of_range_rejected(self, coset, members, a):
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3: \["):
+            coset(cyclic(4), members, a)
+
+
+class TestGyrationInvariance:
+    def test_matches_all_pairs_definition(self, census8, groups, nonassoc8):
+        # every lattice member and every left coset a + S, against the
+        # definition over all n^2 pairs (a, b)
+        outcomes = set()
+        for g in [*census8, *groups.values(), direct_product(nonassoc8, cyclic(2))]:
+            els = g.elements()
+            for s in enumerate_subgyrogroups(g):
+                for subset in {s.as_set()} | {left_coset(g, s, a) for a in els}:
+                    want = all(
+                        frozenset(g.gyr(a, b)(x) for x in subset) <= subset
+                        for a in els
+                        for b in els
+                    )
+                    assert is_gyration_invariant(g, subset) == want, (g, sorted(subset))
+                    outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestLattice:
