@@ -161,11 +161,10 @@ def smallest_prime_precondition(g: GyroTable, subset) -> bool:
     return g.order > 1 and p == least_prime_factor(g.order)
 
 
-def gyration_invariant_witnesses(g: GyroTable, subset) -> list[int]:
-    """All outside elements y whose ladder cosets i.y + H are invariant
-    under every gyration (recorded as data, least first)."""
-    h, p = _prime_index_setup(g, subset)
-    return [
+def _invariant_ladders(g: GyroTable, h: frozenset, p: int):
+    """Outside elements y whose ladder cosets i.y + H (0 <= i < p) are all
+    invariant under every gyration, least first, generated lazily."""
+    return (
         y
         for y in g.elements()
         if y not in h
@@ -173,7 +172,13 @@ def gyration_invariant_witnesses(g: GyroTable, subset) -> list[int]:
             is_gyration_invariant(g, left_coset(g, h, g.int_multiple(i, y)))
             for i in range(p)
         )
-    ]
+    )
+
+
+def gyration_invariant_witnesses(g: GyroTable, subset) -> list[int]:
+    """All outside elements y whose ladder cosets i.y + H are invariant
+    under every gyration (recorded as data, least first)."""
+    return list(_invariant_ladders(g, *_prime_index_setup(g, subset)))
 
 
 def normality_by_gyration_invariance(g: GyroTable, subset) -> tuple[bool, int | None]:
@@ -181,15 +186,14 @@ def normality_by_gyration_invariance(g: GyroTable, subset) -> tuple[bool, int | 
 
     Requires the index to be the smallest prime dividing the order; the
     sweep check ``ladder-invariance-iff-normal`` compares the answer with
-    the congruence normality decision."""
-    _, p = _prime_index_setup(g, subset)
+    the congruence normality decision.  The witness is the least one."""
+    h, p = _prime_index_setup(g, subset)
     if g.order == 1 or p != least_prime_factor(g.order):
         raise ValueError(
             f"index {p} is not the smallest prime factor of {g.order}; criterion not applicable"
         )
-    witnesses = gyration_invariant_witnesses(g, subset)
-    found = bool(witnesses)
-    return found, witnesses[0] if found else None
+    witness = next(_invariant_ladders(g, h, p), None)
+    return witness is not None, witness
 
 
 def index_two_normality(g: GyroTable, subset) -> bool:

@@ -7,11 +7,16 @@ pruned by facts every gyrogroup table satisfies:
 
   * column entries are distinct (right translations are bijections too);
   * a (+) 0 = a, so column 0 of row a is a;
-  * the row of -a is the inverse permutation of the row of a, which forces
-    one later row outright whenever a row places its 0;
-  * on fully determined data, every gyration in translation form
-    L(a+b)^-1 . La . Lb must preserve the operation and satisfy the left
-    loop property.
+  * the row of -a is the inverse permutation of the row of a;
+  * gyrogroups are left Bol loops (Kiechle, Theory of K-Loops, LNM 1778,
+    2002): La Lb La = L(a+(b+a)), so every pair of placed rows, b = 0
+    included, determines a third.
+
+The last two force rows: each placement checks the rows it determines
+against the rows already placed and records them for later indices, and a
+forced index is assigned only its forced row.  A row forced twice must be
+the same row both times, and a forced row may not clash with a placed
+column.  Each node undoes only the forced entries it added.
 
 Every surviving leaf is re-verified from scratch with the full axiom check,
 so the pruning only needs to be sound, never exact.  Optional symmetry
@@ -92,7 +97,6 @@ class _Search:
         n = config.order
         self.n = n
         self.rows: list[tuple | None] = [tuple(range(n))] + [None] * (n - 1)
-        self.invs: list[tuple | None] = [self.rows[0]] + [None] * (n - 1)
         self.col_used = [set((c,)) for c in range(n)]  # row 0 pre-placed
         self.forced: dict[int, tuple] = {}
         self.deadline = None
@@ -133,54 +137,38 @@ class _Search:
 
         yield from extend(1)
 
-    # -- pruning checks -------------------------------------------------------
+    # -- forced rows ----------------------------------------------------------
 
-    def _pair_ok(self, a: int, p: tuple) -> tuple | None:
-        """Inverse-pairing constraints for placing row p at index a.
+    def _force(self, c: int, q: tuple, a: int, added: list[int]) -> bool:
+        """Require row c to be q, rows 0..a being placed.  A placed row is
+        compared; a later one is recorded in ``forced`` unless it already
+        is, and its index goes on ``added`` for the caller to undo.  False
+        on a contradiction: a different row, or a column clash."""
+        if c <= a:
+            return self.rows[c] == q
+        f = self.forced.get(c)
+        if f is not None:
+            return f == q
+        col_used = self.col_used
+        if any(q[z] in col_used[z] for z in range(1, self.n)):
+            return False
+        self.forced[c] = q
+        added.append(c)
+        return True
 
-        Returns the row index that this placement forces (or -1 for none),
-        or None when the placement is inconsistent."""
-        c = p.index(0)  # the left inverse of c is a; row c must be p^-1
-        if c < a:
-            if self.rows[c] != _inverse_tuple(p):
-                return None
-            return -1
-        if c == a:
-            if p != _inverse_tuple(p):
-                return None
-            return -1
-        if c in self.forced and self.forced[c] != _inverse_tuple(p):
-            return None
-        return c
-
-    def _partial_ok(self, k: int) -> bool:
-        """Translation-form gyration checks over rows 0..k."""
-        n, rows, invs = self.n, self.rows, self.invs
-        for x in range(1, k + 1):
-            rx = rows[x]
-            for y in range(1, k + 1):
-                t = rx[y]
-                if t > k:
-                    continue
-                ry = rows[y]
-                qt = invs[t]
-                g = [qt[rx[ry[c]]] for c in range(n)]
-                # left loop property against row t (+) y when available
-                u = rows[t][y]
-                if u <= k:
-                    qu = invs[u]
-                    rt = rows[t]
-                    if any(qu[rt[c]] != qt[rx[c]] for c in range(n)):
-                        return False
-                # the gyration must preserve the operation where determined
-                for v in range(k + 1):
-                    gv = g[v]
-                    if gv > k:
-                        continue
-                    rv = rows[v]
-                    rgv = rows[gv]
-                    if any(g[rv[w]] != rgv[g[w]] for w in range(n)):
-                        return False
+    def _propagate(self, a: int, added: list[int]) -> bool:
+        """Force the rows that placing row a determines: the inverse of
+        L_a at the index of -a, and L_x L_y L_x at x + (y + x) for each
+        placed pair with a in {x, y} (the left Bol identity)."""
+        rows, n = self.rows, self.n
+        p = rows[a]
+        if not self._force(p.index(0), _inverse_tuple(p), a, added):
+            return False
+        for x, y in [(a, y) for y in range(a + 1)] + [(x, a) for x in range(1, a)]:
+            rx, ry = rows[x], rows[y]
+            q = tuple(rx[ry[rx[z]]] for z in range(n))
+            if not self._force(q[0], q, a, added):
+                return False
         return True
 
     # -- the tree -------------------------------------------------------------
@@ -210,28 +198,22 @@ class _Search:
             return
         self.nodes += 1
         for p in self._row_candidates(a):
-            forced_row = self._pair_ok(a, p)
-            if forced_row is None:
-                continue
             self.rows[a] = p
-            self.invs[a] = _inverse_tuple(p)
             for c in range(1, self.n):
                 self.col_used[c].add(p[c])
-            if forced_row >= 0:
-                self.forced[forced_row] = self.invs[a]
+            added: list[int] = []
             try:
-                if self._partial_ok(a) and (
+                if self._propagate(a, added) and (
                     not self.config.symmetry_breaking
                     or next(_smaller_relabelings(self.rows, a), None) is None
                 ):
                     self._dfs(a + 1)
             finally:
-                if forced_row >= 0:
-                    del self.forced[forced_row]
+                for c in added:
+                    del self.forced[c]
                 for c in range(1, self.n):
                     self.col_used[c].discard(p[c])
                 self.rows[a] = None
-                self.invs[a] = None
             if self.stop:
                 return
 

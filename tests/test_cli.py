@@ -196,6 +196,14 @@ class TestSearchCommand:
         for p in out_dir.glob("*.gyro"):
             load_table(p)  # parses and passes axioms
 
+    def test_writes_order_nine_classes(self, tmp_path, capsys):
+        out_dir = tmp_path / "nine"
+        assert main(["search", "9", "--out", str(out_dir)]) == 0
+        files = sorted(out_dir.glob("*.gyro"))
+        assert [p.name for p in files] == ["9-0.gyro", "9-1.gyro"]
+        for p in files:
+            assert load_table(p).order == 9
+
     def test_first_nonassociative(self, tmp_path, capsys):
         out_dir = tmp_path / "na"
         code = main(

@@ -155,6 +155,8 @@ class TestGyrationInvariance:
                 ys = gyration_invariant_witnesses(g, s)
                 assert ys == sorted(ys)
                 assert all(y not in s.as_set() for y in ys)
+                least = ys[0] if ys else None
+                assert normality_by_gyration_invariance(g, s) == (bool(ys), least)
 
 
 class TestIndexTwo:

@@ -26,10 +26,10 @@ EXHAUSTIVE_COUNTS = {
     2: (1, 1),
     3: (2, 1),
     4: (5, 2),
-    5: (5, 1),
-    6: (25, 2),
-    7: (39, 1),
-    8: (549, 11),
+    5: (4, 1),
+    6: (14, 2),
+    7: (6, 1),
+    8: (55, 11),
 }
 
 
@@ -132,6 +132,23 @@ class TestEnumerate:
         assert result.complete
         assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[n]
 
+    def test_order_nine(self):
+        result = run_search(SearchConfig(order=9))
+        assert result.complete
+        assert (result.nodes, result.leaves) == (16, 2)
+        assert len(result.tables) == 2
+        assert all(verify_axioms(t.table).passed for t in result.tables)
+
+    def test_placed_row_forces_its_inverse_and_square(self):
+        # row 1 of Z4 forces row 3 = L1^-1 and, by the Bol identity with
+        # b = 0, row 1 + 1 = 2 to be L1 L1
+        s = search._Search(SearchConfig(order=4))
+        s.rows[1] = (1, 2, 3, 0)
+        added = []
+        assert s._propagate(1, added)
+        assert s.forced == {2: (2, 3, 0, 1), 3: (3, 0, 1, 2)}
+        assert sorted(added) == [2, 3]
+
     def test_first_nonassociative_nodes_and_leaves(self):
         result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
         assert (result.nodes, result.leaves) == (8, 2)
@@ -155,6 +172,24 @@ class TestEnumerate:
             run_search(SearchConfig(order=n))
         assert {new for new, _ in verdicts} == {True, False}
         assert [new for new, _ in verdicts] == [old for _, old in verdicts]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_canonical_tables_agree_with_oracle(self, n):
+        want = search_oracle._Search(SearchConfig(order=n)).run()
+        got = run_search(SearchConfig(order=n))
+        assert want.complete and got.complete
+        assert [t.table for t in got.tables] == [t.table for t in want.tables]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labelled_leaves_agree_with_oracle(self, n):
+        # every verified labelled table, in the order the DFS reaches it
+        config = SearchConfig(order=n, symmetry_breaking=False)
+        want = search_oracle._Search(config)
+        got = search._Search(config)
+        want.run()
+        got.run()
+        assert want.found
+        assert [t.table for t in got.found] == [t.table for t in want.found]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
