@@ -8,7 +8,7 @@ derived from the table via the gyrator identity
 
 and memoized per cell.  All values are immutable after construction except
 that cache and the per-table memo of quotients filled by
-``normality.try_quotient``; both fills are idempotent (safe for concurrent
+``normality._quotient``; both fills are idempotent (safe for concurrent
 readers).
 """
 
@@ -77,7 +77,7 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         imgs = self.images
-        return Perm._unchecked(tuple(imgs[i] for i in other.images))
+        return Perm._unchecked(tuple([imgs[i] for i in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
@@ -274,7 +274,7 @@ class GyroTable:
         self.table = rows
         self.inv = tuple(inv)
         self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
-        # frozenset(N) -> normality.Quotient, filled by try_quotient
+        # frozenset(N) -> normality.Quotient, or None when N is not normal
         self._quotients: dict = {}
 
     # -- basic operations ---------------------------------------------------

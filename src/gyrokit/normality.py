@@ -1,14 +1,20 @@
-"""Normality via generated congruences.
+"""Normality by the left-coset partition.
 
 A subgyrogroup N is normal exactly when it is the kernel of a homomorphism.
 Gyrogroups are loops and gyration is a term in (+) and negation, so the
 normal subgyrogroups are exactly the 0-classes of loop congruences (Bruck,
-A Survey of Binary Systems, 1958).  One union-find routine computes the
-least congruence Cg(S x {0}) identifying a set S with 0, closed under every
-left and right translation in O(n^2) pair visits (Freese, "Computing
-congruences efficiently", Algebra Universalis 59, 2008).  Its 0-class is
-the normal closure of S; N is normal iff that class is N, and the quotient
-is then read off the classes and memoised per table.
+A Survey of Binary Systems, 1958), and the quotient G/N is the set of left
+cosets a+N (Suksumran and Wiboonton, "Isomorphism theorems for gyrogroups
+and L-subgyrogroups", J. Geom. Symmetry Phys. 37, 2015).  So N is normal
+iff its left cosets partition the carrier and (+) is well defined on them:
+one O(n^2) scan of the table, with no closure (``_coset_classes``).  The
+quotient is then read off the classes and memoised per table.
+
+A union-find routine computes the least congruence Cg(S x {0}) identifying
+a set S with 0, closed under every left and right translation in O(n^2)
+pair visits (Freese, "Computing congruences efficiently", Algebra
+Universalis 59, 2008).  Its 0-class is the normal closure of S; it also
+names the witness when N is not normal.
 
 Each function computes its answer once.  The facts that answer must satisfy
 (the quotient table passes the axioms, the projection is a homomorphism
@@ -143,61 +149,119 @@ def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     return [find(x) for x in g.elements()]
 
 
-def try_quotient(g: GyroTable, subset) -> Quotient:
-    """Build the quotient by N or raise NotNormal with a witness.
+def _coset_classes(g: GyroTable, n_set: frozenset) -> list[int] | None:
+    """The class index of each element in the left-coset partition by N,
+    classes numbered by least member, or None if N is not normal.
 
-    Normal subgyrogroups are exactly the 0-classes of congruences
-    (Bruck, A Survey of Binary Systems, 1958), so N is normal iff the
-    0-class of Cg(N x {0}) is N itself.  Otherwise ``NotNormal`` carries
-    the step ``"congruence"`` and the least element outside N that the
-    closure forces into the class of 0.  On success the classes are the
-    cosets, their least members the representatives, and the quotient
-    table and projection are read off the classes.  Quotients are memoised
-    per table by N; a rejection is recomputed on every call.  The sweep
-    check ``quotient-kernel-roundtrip`` verifies each quotient it uses."""
+    Scanning a = 0, 1, ..., each a not yet in a class opens the class a+N;
+    a coset that meets an earlier one means the cosets do not partition.
+    Otherwise a is the least member of its class, and the partition is
+    accepted iff it is (+)-compatible: the class of x+y depends only on the
+    classes of x and y.  One pass over the table, O(n^2).
+
+    Why this is exact:
+
+    * If N is the 0-class of a congruence, L_a maps the class of 0 onto the
+      class of a: x ~ 0 gives a+x ~ a+0 = a, and y ~ a gives
+      -a+y ~ -a+a = 0 with y = a+(-a+y) by left cancellation.  So the
+      classes are exactly the cosets a+N, and they are (+)-compatible.
+    * Conversely, let a partition of a finite loop be (+)-compatible.  Each
+      L_a maps classes into classes and is a bijection, so the map it
+      induces on the finitely many classes is onto, hence a permutation;
+      likewise each R_a.  Then x+z ~ x'+z' with x ~ x' forces z ~ z', and
+      the same on the right, so the partition also respects both
+      divisions: it is a loop congruence, and its 0-class is 0+N = N."""
+    table = g.table
+    ci = [-1] * g.order
+    reps: list[int] = []
+    for a in g.elements():
+        if ci[a] >= 0:
+            continue
+        k = len(reps)
+        row = table[a]
+        for m in n_set:
+            x = row[m]
+            if ci[x] >= 0:
+                return None
+            ci[x] = k
+        reps.append(a)
+    qt = [[ci[table[r][s]] for s in reps] for r in reps]
+    expected = [[qrow[c] for c in ci] for qrow in qt]
+    for x, row in enumerate(table):
+        if [ci[v] for v in row] != expected[ci[x]]:
+            return None
+    return ci
+
+
+def _quotient(g: GyroTable, subset) -> Quotient | None:
+    """The quotient by N if N is normal, else None; memoised per table
+    either way.  A non-subgyrogroup raises ValueError."""
     key = _members(subset)
-    cached = g._quotients.get(key)
-    if cached is not None:
-        return cached
+    try:
+        return g._quotients[key]
+    except KeyError:
+        pass
     n_set = _require_subgyrogroup(g, key)
-
-    root = _zero_congruence(g, n_set)
-    zero_class = frozenset(x for x in g.elements() if root[x] == 0)
-    if zero_class != n_set:
-        x = min(zero_class - n_set)
-        raise NotNormal(
-            "congruence", (x,), f"the congruence generated by N identifies {x} with 0"
+    ci = _coset_classes(g, n_set)
+    quotient = None
+    if ci is not None:
+        k = max(ci) + 1
+        cosets: list[list[int]] = [[] for _ in range(k)]
+        for x, c in enumerate(ci):
+            cosets[c].append(x)
+        reps = [c[0] for c in cosets]
+        family = CosetFamily(
+            parent=g,
+            subgroup_members=tuple(sorted(n_set)),
+            cosets=tuple(tuple(c) for c in cosets),
+            representatives=tuple(reps),
         )
-
-    reps = sorted(set(root))
-    index_of = {r: i for i, r in enumerate(reps)}
-    ci = [index_of[r] for r in root]
-    family = CosetFamily(
-        parent=g,
-        subgroup_members=tuple(sorted(n_set)),
-        cosets=tuple(tuple(x for x in g.elements() if root[x] == r) for r in reps),
-        representatives=tuple(reps),
-    )
-    k = len(reps)
-    table = [[ci[g.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    quotient_table = GyroTable(table, check=False)
-    quotient = Quotient(
-        parent=g,
-        normal_members=family.subgroup_members,
-        cosets=family,
-        table=quotient_table,
-        projection=Hom(g, quotient_table, tuple(ci)),
-    )
+        table = [[ci[g.table[r][s]] for s in reps] for r in reps]
+        quotient_table = GyroTable(table, check=False)
+        quotient = Quotient(
+            parent=g,
+            normal_members=family.subgroup_members,
+            cosets=family,
+            table=quotient_table,
+            projection=Hom(g, quotient_table, tuple(ci)),
+        )
     g._quotients[n_set] = quotient
     return quotient
 
 
+def try_quotient(g: GyroTable, subset) -> Quotient:
+    """Build the quotient by N or raise NotNormal with a witness.
+
+    N is normal iff its left cosets partition the carrier compatibly with
+    (+) (``_coset_classes``, one O(n^2) scan).  The cosets are then the
+    classes, their least members the representatives, and the quotient
+    table and projection are read off the classes.  Quotients and
+    rejections are memoised per table by N.  On a rejection the union-find
+    closure Cg(N x {0}) names the witness: ``NotNormal`` carries the step
+    ``"congruence"`` and the least element outside N that the closure
+    forces into the class of 0.  The sweep check
+    ``quotient-kernel-roundtrip`` verifies each quotient it uses."""
+    n_set = _members(subset)
+    quotient = _quotient(g, n_set)
+    if quotient is not None:
+        return quotient
+    root = _zero_congruence(g, n_set)
+    outside = [x for x in g.elements() if root[x] == 0 and x not in n_set]
+    if not outside:
+        raise InternalConsistencyError(
+            f"the coset test rejects {sorted(n_set)}, but it is the 0-class of its congruence"
+        )
+    x = outside[0]
+    raise NotNormal(
+        "congruence", (x,), f"the congruence generated by N identifies {x} with 0"
+    )
+
+
 def is_normal(g: GyroTable, subset) -> bool:
-    try:
-        try_quotient(g, subset)
-        return True
-    except NotNormal:
-        return False
+    """Whether the subgyrogroup N is normal, by the coset test of
+    ``try_quotient``; a rejection costs one O(n^2) scan and no closure.
+    A non-subgyrogroup raises ValueError."""
+    return _quotient(g, subset) is not None
 
 
 def intersect_normals(g: GyroTable, normals: Sequence) -> SubSet:

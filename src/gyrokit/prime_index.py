@@ -60,16 +60,11 @@ def _prime_index_setup(g: GyroTable, subset) -> tuple[frozenset, int]:
     return h, p
 
 
-def check_condition_p(g: GyroTable, subset) -> bool:
-    """p.a in H for every a outside H, p the (prime) index."""
-    h, p = _prime_index_setup(g, subset)
+def _condition_p(g: GyroTable, h: frozenset, p: int) -> bool:
     return all(g.int_multiple(p, a) in h for a in g.elements() if a not in h)
 
 
-def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
-    """For each outside a, the least n in 1..|G| with n.a in H and no prime
-    divisor below p; returns (all found, witness map)."""
-    h, p = _prime_index_setup(g, subset)
+def _condition_n(g: GyroTable, h: frozenset, p: int) -> tuple[bool, dict[int, int]]:
     witnesses: dict[int, int] = {}
     for a in g.elements():
         if a in h:
@@ -86,15 +81,29 @@ def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
     return True, witnesses
 
 
-def check_condition_multiples(g: GyroTable, subset) -> bool:
-    """a, 2a, ..., (p-1)a all outside H for every a outside H."""
-    h, p = _prime_index_setup(g, subset)
+def _condition_multiples(g: GyroTable, h: frozenset, p: int) -> bool:
     return all(
         g.int_multiple(i, a) not in h
         for a in g.elements()
         if a not in h
         for i in range(1, p)
     )
+
+
+def check_condition_p(g: GyroTable, subset) -> bool:
+    """p.a in H for every a outside H, p the (prime) index."""
+    return _condition_p(g, *_prime_index_setup(g, subset))
+
+
+def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
+    """For each outside a, the least n in 1..|G| with n.a in H and no prime
+    divisor below p; returns (all found, witness map)."""
+    return _condition_n(g, *_prime_index_setup(g, subset))
+
+
+def check_condition_multiples(g: GyroTable, subset) -> bool:
+    """a, 2a, ..., (p-1)a all outside H for every a outside H."""
+    return _condition_multiples(g, *_prime_index_setup(g, subset))
 
 
 @dataclass(frozen=True)
@@ -118,10 +127,10 @@ class EquivalenceReport:
 
 def equivalence_report(g: GyroTable, subset) -> EquivalenceReport:
     """Evaluate all three conditions and flag any disagreement."""
-    _, p = _prime_index_setup(g, subset)
-    cond_p = check_condition_p(g, subset)
-    cond_n, witnesses = check_condition_n(g, subset)
-    cond_m = check_condition_multiples(g, subset)
+    h, p = _prime_index_setup(g, subset)
+    cond_p = _condition_p(g, h, p)
+    cond_n, witnesses = _condition_n(g, h, p)
+    cond_m = _condition_multiples(g, h, p)
     return EquivalenceReport(
         p, cond_p, cond_n, cond_m, tuple(sorted(witnesses.items()))
     )
@@ -139,7 +148,7 @@ def coset_ladder(g: GyroTable, subset, a: int) -> CosetFamily:
     h, p = _prime_index_setup(g, subset)
     if a in h:
         raise ValueError(f"{a} lies in the subgyrogroup")
-    if not check_condition_multiples(g, h):
+    if not _condition_multiples(g, h, p):
         raise ValueError("multiple-membership conditions fail; no ladder")
     ladder = sorted(
         (tuple(sorted(left_coset(g, h, g.int_multiple(i, a)))) for i in range(p)),

@@ -1,11 +1,12 @@
 import pytest
 
 import normality_oracle as oracle
-from gyrokit.catalog import cyclic, sym3
+from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.core import direct_product, verify_axioms
 from gyrokit.normality import (
     Hom,
     NotNormal,
+    _zero_congruence,
     check_hom,
     check_sufficient_normality,
     image,
@@ -57,6 +58,14 @@ class TestTryQuotient:
         for g in corpus.values():
             assert is_normal(g, [0])
             assert is_normal(g, range(g.order))
+
+    def test_non_subgyrogroup_rejected(self):
+        s3 = sym3()
+        for subset in ([0, 3], [0, 2, 3], [1], [0, 6], [0, -1]):
+            # twice, so a rejection is not memoised as a verdict
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    is_normal(s3, subset)
 
 
 class TestHoms:
@@ -239,9 +248,10 @@ class TestGyrocommutativeQuotientWitness:
 
 
 class TestCongruenceAgainstOracle:
-    """The congruence method against the five-step quotient decision and
-    the lattice-filter closure over every subgyrogroup of the order-8
-    census, the acceptance corpus and na8 x Z2."""
+    """The coset test and the congruence closure against the five-step
+    quotient decision and the lattice-filter closure over every
+    subgyrogroup of the order-8 census, the acceptance corpus and na8 x Z2;
+    the normality decisions also over na8 x V4."""
 
     @pytest.fixture(scope="class")
     def tables(self, census8, corpus, nonassoc8):
@@ -250,8 +260,22 @@ class TestCongruenceAgainstOracle:
         named.append(("na8xZ2", direct_product(nonassoc8, cyclic(2))))
         return named
 
-    def test_quotients_match(self, tables):
-        for name, g in tables:
+    @pytest.fixture(scope="class")
+    def decision_tables(self, tables, nonassoc8):
+        # the lattice-filter closure oracle takes about 40 s on na8 x V4, so
+        # the closures are compared on the smaller tables only
+        return [*tables, ("na8xV4", direct_product(nonassoc8, klein_four()))]
+
+    def test_coset_test_matches_congruence(self, decision_tables):
+        # the union-find closure stays the reference for the coset test
+        for name, g in decision_tables:
+            for s in enumerate_subgyrogroups(g):
+                root = _zero_congruence(g, s.members)
+                zero_class = {x for x in g.elements() if root[x] == 0}
+                assert is_normal(g, s) == (zero_class == s.as_set()), (name, s.members)
+
+    def test_quotients_match(self, decision_tables):
+        for name, g in decision_tables:
             for s in enumerate_subgyrogroups(g):
                 try:
                     want = oracle.try_quotient(g, s)
