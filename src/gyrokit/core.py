@@ -7,9 +7,10 @@ derived from the table via the gyrator identity
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
 and memoized per cell.  All values are immutable after construction except
-that cache and the per-table memo of quotients filled by
-``normality._quotient``; both fills are idempotent (safe for concurrent
-readers).
+that cache and one per-table memo, ``_memo``, of structures derived from the
+table; each key is filled by the module that owns it (``"gyrations"`` here,
+``("cosets", H)`` by ``substructure``, ``("quotient", N)`` by
+``normality``).  Every fill is idempotent (safe for concurrent readers).
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ class GyroTable:
     identity row, unique left inverses) is enforced in either case.
     """
 
-    __slots__ = ("order", "table", "inv", "_gyr", "_quotients")
+    __slots__ = ("order", "table", "inv", "_gyr", "_memo")
 
     def __init__(self, table, *, check: bool = True):
         rows = _normalize_rows(table)
@@ -274,8 +275,8 @@ class GyroTable:
         self.table = rows
         self.inv = tuple(inv)
         self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
-        # frozenset(N) -> normality.Quotient, or None when N is not normal
-        self._quotients: dict = {}
+        # derived structures, one key per owner; see the module docstring
+        self._memo: dict = {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -307,10 +308,12 @@ class GyroTable:
         return p
 
     def gyrations(self) -> frozenset:
-        """The distinct gyrations gyr[a, b] over all pairs, recomputed on
-        each call from the per-cell memo."""
-        n = self.order
-        return frozenset(self.gyr(a, b) for a in range(n) for b in range(n))
+        """The distinct gyrations gyr[a, b] over all pairs, built once from
+        the per-cell memo and memoised per table."""
+        if "gyrations" not in self._memo:
+            els = self.elements()
+            self._memo["gyrations"] = frozenset(self.gyr(a, b) for a in els for b in els)
+        return self._memo["gyrations"]
 
     def coadd(self, a: int, b: int) -> int:
         """The dual operation a (+) gyr[a, -b] b."""

@@ -6,8 +6,10 @@ normal subgyrogroups are exactly the 0-classes of loop congruences (Bruck,
 A Survey of Binary Systems, 1958), and the quotient G/N is the set of left
 cosets a+N (Suksumran and Wiboonton, "Isomorphism theorems for gyrogroups
 and L-subgyrogroups", J. Geom. Symmetry Phys. 37, 2015).  So N is normal
-iff its left cosets partition the carrier and (+) is well defined on them:
-one O(n^2) scan of the table, with no closure (``_coset_classes``).  The
+iff its left cosets partition the carrier and (+) is well defined on them.
+The cosets come from the one opening scan of ``substructure``, which
+``left_cosets`` also uses; ``_coset_classes`` adds the compatibility scan,
+O(n^2) over the table, with no closure, and proves the test exact.  The
 quotient is then read off the classes and memoised per table.
 
 A union-find routine computes the least congruence Cg(S x {0}) identifying
@@ -34,6 +36,7 @@ from .substructure import (
     CosetFamily,
     SubSet,
     _members,
+    _open_cosets,
     _require_subgyrogroup,
     is_gyration_invariant,
     left_coset,
@@ -149,15 +152,15 @@ def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     return [find(x) for x in g.elements()]
 
 
-def _coset_classes(g: GyroTable, n_set: frozenset) -> list[int] | None:
-    """The class index of each element in the left-coset partition by N,
-    classes numbered by least member, or None if N is not normal.
+def _coset_classes(g: GyroTable, n_set: frozenset) -> tuple[CosetFamily, list[int], list] | None:
+    """The left cosets of N, the class index of each element and the
+    quotient table, or None if N is not normal.
 
-    Scanning a = 0, 1, ..., each a not yet in a class opens the class a+N;
-    a coset that meets an earlier one means the cosets do not partition.
-    Otherwise a is the least member of its class, and the partition is
-    accepted iff it is (+)-compatible: the class of x+y depends only on the
-    classes of x and y.  One pass over the table, O(n^2).
+    The cosets come from ``substructure._open_cosets``, which returns None
+    when two of them overlap.  The partition is then accepted iff it is
+    (+)-compatible: the class of x+y depends only on the classes of x and y
+    (with y in N this puts x+N in the class of x, so the column check of
+    ``left_cosets`` is implied).  One pass over the table, O(n^2).
 
     Why this is exact:
 
@@ -171,53 +174,31 @@ def _coset_classes(g: GyroTable, n_set: frozenset) -> list[int] | None:
       likewise each R_a.  Then x+z ~ x'+z' with x ~ x' forces z ~ z', and
       the same on the right, so the partition also respects both
       divisions: it is a loop congruence, and its 0-class is 0+N = N."""
+    scan = _open_cosets(g, n_set)
+    if scan is None:
+        return None
+    family, ci = scan
     table = g.table
-    ci = [-1] * g.order
-    reps: list[int] = []
-    for a in g.elements():
-        if ci[a] >= 0:
-            continue
-        k = len(reps)
-        row = table[a]
-        for m in n_set:
-            x = row[m]
-            if ci[x] >= 0:
-                return None
-            ci[x] = k
-        reps.append(a)
+    reps = family.representatives
     qt = [[ci[table[r][s]] for s in reps] for r in reps]
     expected = [[qrow[c] for c in ci] for qrow in qt]
     for x, row in enumerate(table):
         if [ci[v] for v in row] != expected[ci[x]]:
             return None
-    return ci
+    return family, ci, qt
 
 
 def _quotient(g: GyroTable, subset) -> Quotient | None:
     """The quotient by N if N is normal, else None; memoised per table
     either way.  A non-subgyrogroup raises ValueError."""
-    key = _members(subset)
-    try:
-        return g._quotients[key]
-    except KeyError:
-        pass
-    n_set = _require_subgyrogroup(g, key)
-    ci = _coset_classes(g, n_set)
+    key = ("quotient", _members(subset))
+    if key in g._memo:
+        return g._memo[key]
+    scan = _coset_classes(g, _require_subgyrogroup(g, key[1]))
     quotient = None
-    if ci is not None:
-        k = max(ci) + 1
-        cosets: list[list[int]] = [[] for _ in range(k)]
-        for x, c in enumerate(ci):
-            cosets[c].append(x)
-        reps = [c[0] for c in cosets]
-        family = CosetFamily(
-            parent=g,
-            subgroup_members=tuple(sorted(n_set)),
-            cosets=tuple(tuple(c) for c in cosets),
-            representatives=tuple(reps),
-        )
-        table = [[ci[g.table[r][s]] for s in reps] for r in reps]
-        quotient_table = GyroTable(table, check=False)
+    if scan is not None:
+        family, ci, qt = scan
+        quotient_table = GyroTable(qt, check=False)
         quotient = Quotient(
             parent=g,
             normal_members=family.subgroup_members,
@@ -225,7 +206,7 @@ def _quotient(g: GyroTable, subset) -> Quotient | None:
             table=quotient_table,
             projection=Hom(g, quotient_table, tuple(ci)),
         )
-    g._quotients[n_set] = quotient
+    g._memo[key] = quotient  # idempotent fill
     return quotient
 
 
@@ -233,10 +214,9 @@ def try_quotient(g: GyroTable, subset) -> Quotient:
     """Build the quotient by N or raise NotNormal with a witness.
 
     N is normal iff its left cosets partition the carrier compatibly with
-    (+) (``_coset_classes``, one O(n^2) scan).  The cosets are then the
-    classes, their least members the representatives, and the quotient
-    table and projection are read off the classes.  Quotients and
-    rejections are memoised per table by N.  On a rejection the union-find
+    (+) (``_coset_classes``, one O(n^2) scan); the quotient table and the
+    projection are read off the classes.  Quotients and rejections are
+    memoised per table by N.  On a rejection the union-find
     closure Cg(N x {0}) names the witness: ``NotNormal`` carries the step
     ``"congruence"`` and the least element outside N that the closure
     forces into the class of 0.  The sweep check

@@ -9,9 +9,10 @@ H is equivalent to the existence of an outside element y whose coset ladder
 i.y + H is invariant under every gyration; index 2 plus gyration invariance
 of H itself already forces normality.
 
-These functions compute their answers once.  The sweep checks the theorems
-against the congruence normality decision and the coset family
-(``prime-index-ladder-matches-cosets``,
+Each function reads the index p from the family of ``left_cosets``, which
+is memoised per table, so calling several of them on one H lays out its
+cosets once.  The sweep checks the theorems against the congruence
+normality decision and the coset family (``prime-index-ladder-matches-cosets``,
 ``smallest-prime-implies-divisor-condition``,
 ``ladder-invariance-iff-normal``, ``index-two-theorem``).
 """
@@ -23,22 +24,11 @@ from dataclasses import dataclass
 from .core import GyroTable
 from .substructure import (
     CosetFamily,
-    _require_subgyrogroup,
+    _members,
     is_gyration_invariant,
     left_coset,
     left_cosets,
 )
-
-
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def least_prime_factor(m: int) -> int:
@@ -52,19 +42,28 @@ def least_prime_factor(m: int) -> int:
     return m
 
 
+def is_prime(m: int) -> bool:
+    return m >= 2 and least_prime_factor(m) == m
+
+
 def _prime_index_setup(g: GyroTable, subset) -> tuple[frozenset, int]:
-    h = _require_subgyrogroup(g, subset)
+    h = _members(subset)
     p = len(left_cosets(g, h).cosets)
     if not is_prime(p):
         raise ValueError(f"index {p} is not prime")
     return h, p
 
 
-def _condition_p(g: GyroTable, h: frozenset, p: int) -> bool:
+def check_condition_p(g: GyroTable, subset) -> bool:
+    """p.a in H for every a outside H, p the (prime) index."""
+    h, p = _prime_index_setup(g, subset)
     return all(g.int_multiple(p, a) in h for a in g.elements() if a not in h)
 
 
-def _condition_n(g: GyroTable, h: frozenset, p: int) -> tuple[bool, dict[int, int]]:
+def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
+    """For each outside a, the least n in 1..|G| with n.a in H and no prime
+    divisor below p; returns (all found, witness map)."""
+    h, p = _prime_index_setup(g, subset)
     witnesses: dict[int, int] = {}
     for a in g.elements():
         if a in h:
@@ -81,29 +80,15 @@ def _condition_n(g: GyroTable, h: frozenset, p: int) -> tuple[bool, dict[int, in
     return True, witnesses
 
 
-def _condition_multiples(g: GyroTable, h: frozenset, p: int) -> bool:
+def check_condition_multiples(g: GyroTable, subset) -> bool:
+    """a, 2a, ..., (p-1)a all outside H for every a outside H."""
+    h, p = _prime_index_setup(g, subset)
     return all(
         g.int_multiple(i, a) not in h
         for a in g.elements()
         if a not in h
         for i in range(1, p)
     )
-
-
-def check_condition_p(g: GyroTable, subset) -> bool:
-    """p.a in H for every a outside H, p the (prime) index."""
-    return _condition_p(g, *_prime_index_setup(g, subset))
-
-
-def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
-    """For each outside a, the least n in 1..|G| with n.a in H and no prime
-    divisor below p; returns (all found, witness map)."""
-    return _condition_n(g, *_prime_index_setup(g, subset))
-
-
-def check_condition_multiples(g: GyroTable, subset) -> bool:
-    """a, 2a, ..., (p-1)a all outside H for every a outside H."""
-    return _condition_multiples(g, *_prime_index_setup(g, subset))
 
 
 @dataclass(frozen=True)
@@ -128,9 +113,9 @@ class EquivalenceReport:
 def equivalence_report(g: GyroTable, subset) -> EquivalenceReport:
     """Evaluate all three conditions and flag any disagreement."""
     h, p = _prime_index_setup(g, subset)
-    cond_p = _condition_p(g, h, p)
-    cond_n, witnesses = _condition_n(g, h, p)
-    cond_m = _condition_multiples(g, h, p)
+    cond_p = check_condition_p(g, h)
+    cond_n, witnesses = check_condition_n(g, h)
+    cond_m = check_condition_multiples(g, h)
     return EquivalenceReport(
         p, cond_p, cond_n, cond_m, tuple(sorted(witnesses.items()))
     )
@@ -148,18 +133,13 @@ def coset_ladder(g: GyroTable, subset, a: int) -> CosetFamily:
     h, p = _prime_index_setup(g, subset)
     if a in h:
         raise ValueError(f"{a} lies in the subgyrogroup")
-    if not _condition_multiples(g, h, p):
+    if not check_condition_multiples(g, h):
         raise ValueError("multiple-membership conditions fail; no ladder")
     ladder = sorted(
         (tuple(sorted(left_coset(g, h, g.int_multiple(i, a)))) for i in range(p)),
         key=lambda c: c[0],
     )
-    return CosetFamily(
-        parent=g,
-        subgroup_members=tuple(sorted(h)),
-        cosets=tuple(ladder),
-        representatives=tuple(c[0] for c in ladder),
-    )
+    return CosetFamily(g, tuple(sorted(h)), tuple(ladder), tuple(c[0] for c in ladder))
 
 
 def smallest_prime_precondition(g: GyroTable, subset) -> bool:

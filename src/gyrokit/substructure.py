@@ -6,6 +6,10 @@ gyr[a, b] c = -(a+b) + (a + (b+c)) stays inside.  Left cosets of an
 arbitrary subgyrogroup need not partition the carrier, so ``left_cosets``
 raises ``NotPartition`` with an overlapping pair instead of guessing.
 
+One opening scan, ``_open_cosets``, lays out the left cosets for both
+``left_cosets`` and the normality test; ``left_cosets`` adds a check that
+every a+H lies in the class of a, O(n*|H|) in all, and memoises its answer.
+
 One semi-naive closure, ``_extend``, serves both ``generate`` and the
 lattice: it extends an already closed set by a seed and forms only the sums
 and negatives that involve an element it added.  The lattice is built by
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GyroTable, ResourceCapError
+from .core import GyroTable, InternalConsistencyError, ResourceCapError
 
 DEFAULT_LATTICE_CAP = 64
 
@@ -172,26 +176,58 @@ def right_coset(g: GyroTable, subset, a: int) -> frozenset:
     return frozenset(g.table[x][a] for x in s)
 
 
-def left_cosets(g: GyroTable, subset) -> CosetFamily:
-    """All left cosets a + H; raises NotPartition when they overlap."""
-    h = _require_subgyrogroup(g, subset)
-    seen: dict[frozenset, tuple] = {}
-    membership: dict[int, frozenset] = {}
+def _open_cosets(g: GyroTable, h) -> tuple[CosetFamily, list[int]] | None:
+    """The one opening scan: each a = 0, 1, ... not yet in a class opens the
+    class a+H, so a is its least member.  Returns the opened cosets and each
+    element's class index, or None when an opened coset meets an earlier one.
+    Whether every other a+H is the class of a is left to the caller."""
+    table = g.table
+    ci = [-1] * g.order
+    cosets: list[tuple[int, ...]] = []
     for a in g.elements():
-        coset = left_coset(g, h, a)
+        if ci[a] >= 0:
+            continue
+        coset = tuple(sorted(table[a][m] for m in h))
         for x in coset:
-            prev = membership.get(x)
-            if prev is not None and prev != coset:
-                raise NotPartition(tuple(sorted(prev)), tuple(sorted(coset)))
-            membership[x] = coset
-        seen[coset] = tuple(sorted(coset))
-    cosets = sorted(seen.values(), key=lambda c: c[0])
-    return CosetFamily(
-        parent=g,
-        subgroup_members=tuple(sorted(h)),
-        cosets=tuple(cosets),
-        representatives=tuple(c[0] for c in cosets),
-    )
+            if ci[x] >= 0:
+                return None
+            ci[x] = len(cosets)
+        cosets.append(coset)
+    return CosetFamily(g, tuple(sorted(h)), tuple(cosets), tuple(c[0] for c in cosets)), ci
+
+
+def _overlap(g: GyroTable, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The overlap when the left cosets of H do not partition: the least a
+    whose a+H meets an earlier, different coset, and the earlier coset that
+    holds the least such member (unique: below a, cosets that meet agree)."""
+    table = g.table
+    owner: list[tuple[int, ...] | None] = [None] * g.order
+    for a in g.elements():
+        coset = tuple(sorted(table[a][m] for m in h))
+        for x in coset:
+            if owner[x] not in (None, coset):
+                return owner[x], coset
+            owner[x] = coset
+    raise InternalConsistencyError(f"the left cosets of {sorted(h)} partition")
+
+
+def left_cosets(g: GyroTable, subset) -> CosetFamily:
+    """All left cosets a + H; raises NotPartition when they overlap.
+
+    The opening scan, then a check, one column m of H at a time, that every
+    a + H lies in the class of a.  The family or the overlapping pair is
+    memoised per table; a non-subgyrogroup raises ValueError, unstored."""
+    key = ("cosets", _members(subset))
+    found = g._memo.get(key)
+    if found is None:
+        h = _require_subgyrogroup(g, key[1])
+        found, ci = _open_cosets(g, h) or (None, None)
+        if ci is None or not all([ci[row[m]] for row in g.table] == ci for m in h):
+            found = _overlap(g, h)
+        g._memo[key] = found  # idempotent fill
+    if isinstance(found, CosetFamily):
+        return found
+    raise NotPartition(*found)
 
 
 def index(g: GyroTable, subset) -> int:

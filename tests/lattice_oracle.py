@@ -1,11 +1,15 @@
-"""The pairwise-join lattice and the round-by-round closure, kept as
-independent oracles for ``gyrokit.substructure.enumerate_subgyrogroups``
-and ``generate``, which use cyclic extension and a semi-naive closure.
+"""The pairwise-join lattice, the round-by-round closure and the
+dict-of-frozensets coset partition, kept as independent oracles for
+``gyrokit.substructure.enumerate_subgyrogroups``, ``generate`` and
+``left_cosets``, which use cyclic extension, a semi-naive closure and one
+opening scan with a column check.
 
 This is the original code: the closure re-multiplies the whole closed set
-every round, and the lattice joins every pair of subgyrogroups found so far
-until nothing new appears.  Its member lists, in their order, are what the
-library must return.
+every round, the lattice joins every pair of subgyrogroups found so far
+until nothing new appears, and the partition builds every coset a+H as a
+set.  Its member lists and coset families, in their order, are what the
+library must return; where the cosets overlap, both raise ``NotPartition``
+with an overlapping pair, though not always the same pair.
 """
 
 from __future__ import annotations
@@ -13,7 +17,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from gyrokit.core import GyroTable, ResourceCapError
-from gyrokit.substructure import DEFAULT_LATTICE_CAP, SubSet
+from gyrokit.substructure import (
+    DEFAULT_LATTICE_CAP,
+    CosetFamily,
+    NotPartition,
+    SubSet,
+    _require_subgyrogroup,
+    left_coset,
+)
 
 
 def generate_by_rounds(g: GyroTable, seed: Iterable[int]) -> SubSet:
@@ -64,3 +75,25 @@ def enumerate_subgyrogroups_pairwise(g: GyroTable, cap: int = DEFAULT_LATTICE_CA
                     found.add(join)
                     changed = True
     return [SubSet(g, ms) for ms in sorted(found, key=lambda ms: (len(ms), ms))]
+
+
+def left_cosets(g: GyroTable, subset) -> CosetFamily:
+    """All left cosets a + H; raises NotPartition when they overlap."""
+    h = _require_subgyrogroup(g, subset)
+    seen: dict[frozenset, tuple] = {}
+    membership: dict[int, frozenset] = {}
+    for a in g.elements():
+        coset = left_coset(g, h, a)
+        for x in coset:
+            prev = membership.get(x)
+            if prev is not None and prev != coset:
+                raise NotPartition(tuple(sorted(prev)), tuple(sorted(coset)))
+            membership[x] = coset
+        seen[coset] = tuple(sorted(coset))
+    cosets = sorted(seen.values(), key=lambda c: c[0])
+    return CosetFamily(
+        parent=g,
+        subgroup_members=tuple(sorted(h)),
+        cosets=tuple(cosets),
+        representatives=tuple(c[0] for c in cosets),
+    )

@@ -6,12 +6,16 @@ partition, confirms the coset operation and the induced gyrations are
 independent of representatives, and verifies the induced table against the
 axioms.  ``normal_closure`` filters the enumerated subgyrogroup lattice
 through that decision and intersects.  Neither shares code with the
-congruence method the library uses.
+coset test and congruence method the library uses: the partition comes
+from the dict-of-frozensets ``left_cosets`` of ``lattice_oracle``, not from
+the library's opening scan.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+from lattice_oracle import left_cosets
 
 from gyrokit.core import GyroTable, InternalConsistencyError, verify_axioms
 from gyrokit.normality import Hom, NotNormal, Quotient, check_hom
@@ -21,7 +25,6 @@ from gyrokit.substructure import (
     SubSet,
     _require_subgyrogroup,
     enumerate_subgyrogroups,
-    left_cosets,
 )
 
 

@@ -301,6 +301,12 @@ class TestGyrations:
         assert gyrations == {nonassoc8.gyr(a, b) for a in els for b in els}
         assert len(gyrations) == 2
 
+    def test_gyrations_memoised(self, nonassoc8):
+        els = nonassoc8.elements()
+        first = nonassoc8.gyrations()
+        assert nonassoc8.gyrations() is first
+        assert first == {nonassoc8.gyr(a, b) for a in els for b in els}
+
     def test_gyr_cache_idempotent(self):
         z4 = cyclic(4)
         first = z4.gyr(1, 2)

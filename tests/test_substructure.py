@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+import lattice_oracle
 from lattice_oracle import enumerate_subgyrogroups_pairwise, generate_by_rounds
 from test_search import relabel
 
 from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.core import ResourceCapError, direct_product
-from gyrokit.normality import try_quotient
+from gyrokit.normality import is_normal, try_quotient
+from gyrokit.search import SearchConfig, run_search
 from gyrokit.substructure import (
+    CosetFamily,
     NotPartition,
     SubSet,
     enumerate_subgyrogroups,
@@ -175,6 +178,94 @@ class TestCosets:
     def test_out_of_range_rejected(self, coset, members, a):
         with pytest.raises(ValueError, match=r"out of range 0\.\.3: \["):
             coset(cyclic(4), members, a)
+
+
+def overlap_by_rule(g, h):
+    """The documented witness, by brute force: the least a whose a + H meets
+    an earlier, different coset, and the earlier coset holding the least
+    member they share."""
+    cosets = [tuple(sorted(g.table[a][m] for m in h)) for a in g.elements()]
+    for a, coset in enumerate(cosets):
+        hits = [(x, c) for c in cosets[:a] if c != coset for x in coset if x in c]
+        if hits:
+            least = min(x for x, _ in hits)
+            earlier = {c for x, c in hits if x == least}
+            assert len(earlier) == 1
+            return earlier.pop(), coset
+    return None
+
+
+class TestCosetsAgainstOracle:
+    """The opening scan and column check of ``left_cosets`` against the
+    dict-of-frozensets partition of ``lattice_oracle`` on every lattice
+    member of the census of orders 1-8, every group of order <= 8, na8 x Z2
+    and na8 x V4."""
+
+    def test_left_cosets_match(self, census8, groups, nonassoc8):
+        census = [t for n in range(1, 8) for t in run_search(SearchConfig(order=n)).tables]
+        tables = [
+            *census,
+            *census8,
+            *groups.values(),
+            direct_product(nonassoc8, cyclic(2)),
+            direct_product(nonassoc8, klein_four()),
+        ]
+        verdicts = set()
+        for g in tables:
+            for s in enumerate_subgyrogroups(g):
+                try:
+                    want = lattice_oracle.left_cosets(g, s)
+                except NotPartition as exc:
+                    want = exc
+                try:
+                    got = left_cosets(g, s)
+                except NotPartition as exc:
+                    got = exc
+                verdicts.add(type(got))
+                assert type(got) is type(want), (g, s.members)
+                if isinstance(want, NotPartition):
+                    for pair in (want, got):
+                        a, b = set(pair.coset_a), set(pair.coset_b)
+                        assert a != b and a & b
+                    pair = (got.coset_a, got.coset_b)
+                    assert pair == overlap_by_rule(g, s.members), (g, s.members)
+                else:
+                    assert got == want
+        assert verdicts == {CosetFamily, NotPartition}
+
+
+class TestCosetMemo:
+    def test_not_partition_same_pair_each_call(self, nonassoc8):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotPartition) as info:
+                left_cosets(nonassoc8, [0, 4])
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert [(e.coset_a, e.coset_b) for e in raised] == [((3, 7), (3, 6))] * 2
+
+    @pytest.mark.parametrize("members", [[0, 1], [1, 2], [0, 2, 4]])
+    def test_rejected_subsets_never_stored(self, members):
+        z4 = cyclic(4)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                left_cosets(z4, members)
+        assert z4._memo == {}
+
+    def test_subset_and_list_share_an_entry(self):
+        z6 = cyclic(6)
+        fam = left_cosets(z6, SubSet.of(z6, [0, 3]))
+        assert left_cosets(z6, [3, 0]) is fam
+        assert list(z6._memo) == [("cosets", frozenset({0, 3}))]
+
+    def test_normality_has_its_own_key(self):
+        s3 = sym3()
+        h = [0, 3, 4]
+        fam = left_cosets(s3, h)
+        assert is_normal(s3, h)
+        assert set(s3._memo) == {("cosets", frozenset(h)), ("quotient", frozenset(h))}
+        assert s3._memo[("cosets", frozenset(h))] is fam
+        assert try_quotient(s3, h).cosets == fam
 
 
 class TestGyrationInvariance:
