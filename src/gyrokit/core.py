@@ -16,6 +16,7 @@ table; each key is filled by the module that owns it (``"gyrations"`` here,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 DEFAULT_ORDER_CAP = 4096
@@ -130,8 +131,25 @@ class AxiomReport:
         return f"FAIL (order {self.order}): {head}{more}"
 
 
+class _Rows(tuple):
+    """A table as ``_normalize_rows`` returns it: a tuple of tuple rows of
+    ints in 0..n-1.  Its rows are immutable, so ``_normalize_rows`` hands an
+    instance back unchanged; a table built with ``check=True`` is normalised
+    once, not again by ``verify_axioms``.  ``GyroTable`` stores a plain
+    tuple: CPython indexes an exact tuple faster than a subclass."""
+
+    __slots__ = ()
+
+
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
-    """Coerce to a tuple of tuple rows; raise MalformedTableError otherwise."""
+    """Coerce to a tuple of tuple rows; raise MalformedTableError otherwise.
+
+    A row of plain ints is checked by its least and greatest entry; any
+    other row (an ``int`` subclass, or a bad entry) goes through the entries
+    one by one, which accepts ``int`` subclasses other than ``bool`` and
+    names the first bad entry."""
+    if type(table) is _Rows:
+        return table
     try:
         rows = tuple(tuple(row) for row in table)
     except TypeError as exc:
@@ -142,21 +160,33 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     for a, row in enumerate(rows):
         if len(row) != n:
             raise MalformedTableError(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise MalformedTableError(f"entry ({a},{b}) = {v!r} out of range 0..{n - 1}")
-    return rows
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    raise MalformedTableError(f"entry ({a},{b}) = {v!r} out of range 0..{n - 1}")
+    return _Rows(rows)
 
 
-def _automorphism_failure(rows, g: tuple[int, ...]) -> tuple[int, ...] | None:
+def _getter(perm: tuple[int, ...]):
+    """``seq -> (seq[perm[0]], seq[perm[1]], ...)``, that is seq composed
+    with perm, in C.  ``itemgetter`` of one index returns a scalar, so at
+    order 1, whose only permutation is the identity, it takes the whole
+    sequence instead."""
+    return itemgetter(*perm) if len(perm) > 1 else itemgetter(slice(None))
+
+
+def _automorphism_failure(rows, get, g: tuple[int, ...]) -> tuple[int, ...] | None:
     """Why the bijection ``g`` is not an automorphism of ``rows``: the first
     ``(x, y)`` in row-major order with ``g[x (+) y] != g[x] (+) g[y]``;
-    ``None`` if it is an automorphism."""
-    for x, rx in enumerate(rows):
-        gx = rows[g[x]]
-        for y, xy in enumerate(rx):
-            if g[xy] != gx[g[y]]:
-                return (x, y)
+    ``None`` if it is an automorphism.  ``get[x]`` is ``_getter(rows[x])``.
+
+    Row x compares g.L_x with L_(g x).g as two tuples; only the first row
+    that differs is scanned for y."""
+    after_g = _getter(g)
+    for x, gx in enumerate(g):
+        lhs, rhs = get[x](g), after_g(rows[gx])
+        if lhs != rhs:
+            return (x, next(y for y, (u, v) in enumerate(zip(lhs, rhs)) if u != v))
     return None
 
 
@@ -167,15 +197,35 @@ def verify_axioms(table) -> AxiomReport:
     are skipped since gyrations are then ill defined.  G3 is checked by
     constructing each gyration via the gyrator identity and testing that it
     preserves the operation and that the left gyroassociative law holds; G4
-    compares gyrations for all pairs.  Every gyration is a bijection: once
-    the rows are permutations and every element has a left inverse, it is a
-    composition of three rows.
+    compares gyrations for all pairs.  The report lists the violations in
+    the order of the per-pair check (``tests/axioms_oracle.py``): for each
+    pair (a, b) in row-major order, its automorphism witness (a, b, x, y),
+    then its gyroassociativity witness (a, b, c), each the least in its
+    scan; then the G4 pairs.
+
+    Every gyration is the composition of three rows,
+    gyr[a, b] = L_(-x) L_a L_b with x = a (+) b and -x the least left
+    inverse of x, each composition one ``itemgetter`` call in C.
 
     Whether a gyration preserves the operation depends on the gyration
-    alone, so each of the d distinct gyrations is tested once
-    and its outcome reported for every pair (a, b) that has it, with the
-    same witness a per-pair test would find.  The cost is O(n^3 + d*n^2)
-    rather than O(n^4); d is 2 on a passing order-64 table.
+    alone, so each of the d distinct gyrations is tested once (n row
+    comparisons) and its outcome reported for every pair that has it.
+
+    Left gyroassociativity reduces to one test per element.  Pair (a, b)
+    fails at c iff a (+) (b (+) c) != x (+) gyr[a, b] c, that is
+    y != L_x L_(-x) y for y = L_a L_b c.  The rows are permutations here,
+    so c -> y is onto 0..n-1: the pair fails iff L_x L_(-x) is not the
+    identity, which depends on x alone.  So ``cancels[x]`` compares
+    L_x L_(-x) with the identity once per x, and the c scan that finds the
+    least witness runs only for the pairs with a (+) b = x and not
+    ``cancels[x]``.  When every distinct gyration is an automorphism and
+    every x cancels, no pair has a G3 violation and the per-pair loop is
+    skipped.
+
+    The cost is O(n^2) interpreted steps (one per pair, to build and
+    compare gyrations) plus O(n^3 + d*n^2) element copies and comparisons
+    in C; d is 2 on a passing order-64 table.  A failing pair adds its
+    witness scan, at most n steps.
     """
     rows = _normalize_rows(table)
     n = len(rows)
@@ -192,51 +242,49 @@ def verify_axioms(table) -> AxiomReport:
         if rows[0][a] != a:
             violations.append(Violation("G1", (a,), f"0+{a} = {rows[0][a]} != {a}"))
 
+    # linv[a]: the least b with b (+) a = 0; each row holds one 0
     linv: list[int | None] = [None] * n
+    for b in reversed(range(n)):
+        linv[rows[b].index(0)] = b
     for a in range(n):
-        bs = [b for b in range(n) if rows[b][a] == 0]
-        if not bs:
+        if linv[a] is None:
             violations.append(Violation("G2", (a,), f"no left inverse for {a}"))
-        else:
-            linv[a] = bs[0]
     if any(v.axiom == "G2" for v in violations):
         return AxiomReport(n, tuple(violations))
 
-    # All gyrations via the gyrator identity.
-    gyrs: list[list[tuple[int, ...]]] = []
-    for a in range(n):
-        ra = rows[a]
-        row_g = []
-        for b in range(n):
-            rb = rows[b]
-            rneg = rows[linv[ra[b]]]
-            row_g.append(tuple(rneg[ra[rb[c]]] for c in range(n)))
-        gyrs.append(row_g)
+    get = [_getter(row) for row in rows]
+    # gyrs lists the distinct gyrations in order of first appearance, each
+    # hashed once; gid[a][b] is the index of gyr[a, b] in it
+    number: dict[tuple[int, ...], int] = {}
+    neg_rows = [rows[i] for i in linv]
+    gid = [
+        [number.setdefault(get_b(get_a(neg_rows[x])), len(number)) for get_b, x in zip(get, ra)]
+        for get_a, ra in zip(get, rows)
+    ]
+    gyrs = list(number)
+    failures = [_automorphism_failure(rows, get, g) for g in gyrs]
+    identity = tuple(ident)
+    cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
 
-    failures: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            g = gyrs[a][b]
-            if g in failures:
-                failure = failures[g]
-            else:
-                failure = failures[g] = _automorphism_failure(rows, g)
-            if failure is not None:
-                violations.append(
-                    Violation("G3", (a, b) + failure, "gyration does not preserve the operation")
-                )
-            rb = rows[b]
-            rab = rows[ra[b]]
-            for c in range(n):
-                if ra[rb[c]] != rab[g[c]]:
-                    violations.append(Violation("G3", (a, b, c), "left gyroassociativity fails"))
-                    break
+    if not all(cancels) or any(f is not None for f in failures):
+        for a, ra in enumerate(rows):
+            for b, x in enumerate(ra):
+                k = gid[a][b]
+                if failures[k] is not None:
+                    violations.append(
+                        Violation("G3", (a, b) + failures[k], "gyration does not preserve the operation")
+                    )
+                if not cancels[x]:
+                    g, rb, rx = gyrs[k], rows[b], rows[x]
+                    for c in range(n):
+                        if ra[rb[c]] != rx[g[c]]:
+                            violations.append(Violation("G3", (a, b, c), "left gyroassociativity fails"))
+                            break
 
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            if gyrs[ra[b]][b] != gyrs[a][b]:
+    for a, ra in enumerate(rows):
+        ga = gid[a]
+        for b, x in enumerate(ra):
+            if gid[x][b] != ga[b]:
                 violations.append(Violation("G4", (a, b), "left loop property fails"))
 
     return AxiomReport(n, tuple(violations))
@@ -261,18 +309,24 @@ class GyroTable:
                 raise AxiomError(report)
         n = len(rows)
         ident = list(range(n))
+        # permutation rows with their 0s in distinct columns: every element
+        # has exactly one left inverse, the row whose 0 is in its column
+        zeros = [row.index(0) if sorted(row) == ident else None for row in rows]
+        if None in zeros or sorted(zeros) != ident:
+            # name the first bad row or element in a row-by-row scan
+            for a in range(n):
+                if sorted(rows[a]) != ident:
+                    raise MalformedTableError(f"row {a} is not a permutation")
+                k = sum(row[a] == 0 for row in rows)
+                if k != 1:
+                    raise MalformedTableError(f"element {a} has {k} left inverses")
         inv = [0] * n
-        for a in range(n):
-            if sorted(rows[a]) != ident:
-                raise MalformedTableError(f"row {a} is not a permutation")
-            bs = [b for b in range(n) if rows[b][a] == 0]
-            if len(bs) != 1:
-                raise MalformedTableError(f"element {a} has {len(bs)} left inverses")
-            inv[a] = bs[0]
+        for b, z in enumerate(zeros):
+            inv[z] = b
         if rows[0] != tuple(ident):
             raise MalformedTableError("index 0 is not a left identity")
         self.order = n
-        self.table = rows
+        self.table = tuple(rows)
         self.inv = tuple(inv)
         self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
         # derived structures, one key per owner; see the module docstring
@@ -303,7 +357,7 @@ class GyroTable:
         rows = self.table
         ra, rb = rows[a], rows[b]
         rneg = rows[self.inv[ra[b]]]
-        p = Perm._unchecked(tuple(rneg[ra[rb[c]]] for c in range(self.order)))
+        p = Perm._unchecked(_getter(rb)(_getter(ra)(rneg)))
         self._gyr[a][b] = p  # idempotent fill
         return p
 

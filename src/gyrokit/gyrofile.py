@@ -3,8 +3,9 @@
 ASCII with LF line endings.  Lines starting with '#' are comments; blank
 lines are ignored.  The first significant line is exactly ``gyro 1``, the
 second is the order n >= 1, followed by n rows of n space-separated
-integers in 0..n-1; row a column b holds a (+) b.  Index 0 must be the left
-identity, which is validated on load, never assumed.  An order above
+integers in 0..n-1; row a column b holds a (+) b.  Every number is written
+in ASCII decimal digits only (no sign, no underscore).  Index 0 must be the
+left identity, which is validated on load, never assumed.  An order above
 ``DEFAULT_ORDER_CAP`` is refused before any row is read.
 """
 
@@ -17,6 +18,16 @@ from .core import DEFAULT_ORDER_CAP, GyroTable, ResourceCapError
 
 class GyroParseError(ValueError):
     """The text is not a well-formed .gyro file."""
+
+
+def _decimals(toks: list[str]) -> list[int]:
+    """The numbers the tokens spell in ASCII decimal digits.  ValueError for
+    anything else, including what int() alone would take: '+1', '-0', '1_0'
+    and non-ASCII digits."""
+    digits = "".join(toks)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not ASCII decimal digits: {digits!r}")
+    return list(map(int, toks))
 
 
 def parse_gyro(text: str) -> list[list[int]]:
@@ -32,7 +43,7 @@ def parse_gyro(text: str) -> list[list[int]]:
     if len(lines) < 2:
         raise GyroParseError("missing order line")
     try:
-        n = int(lines[1])
+        n = _decimals([lines[1]])[0]
     except ValueError:
         raise GyroParseError(f"bad order line {lines[1]!r}") from None
     if n < 1:
@@ -47,14 +58,14 @@ def parse_gyro(text: str) -> list[list[int]]:
     rows = []
     for i, line in enumerate(body):
         try:
-            row = [int(tok) for tok in line.split()]
+            row = _decimals(line.split())
         except ValueError:
             raise GyroParseError(f"row {i}: non-integer entry in {line!r}") from None
         if len(row) != n:
             raise GyroParseError(f"row {i}: expected {n} entries, found {len(row)}")
-        for v in row:
-            if not 0 <= v < n:
-                raise GyroParseError(f"row {i}: entry {v} out of range 0..{n - 1}")
+        if max(row) >= n:
+            v = next(v for v in row if v >= n)
+            raise GyroParseError(f"row {i}: entry {v} out of range 0..{n - 1}")
         rows.append(row)
     return rows
 

@@ -50,8 +50,22 @@ class TestGyroFormat:
             parse_gyro("gyro 1\n2\n0 1\n1\n")
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(GyroParseError):
+        with pytest.raises(GyroParseError, match=r"^row 0: entry 2 out of range 0\.\.1$"):
             parse_gyro("gyro 1\n2\n0 2\n2 0\n")
+        with pytest.raises(GyroParseError, match=r"^row 1: entry 3 out of range 0\.\.2$"):
+            parse_gyro("gyro 1\n3\n0 1 2\n1 3 4\n2 0 1\n")
+
+    @pytest.mark.parametrize("order", ["+2", "0_2", "\u0662", "-1", "2.0"])
+    def test_non_decimal_order_rejected(self, order):
+        with pytest.raises(GyroParseError) as exc_info:
+            parse_gyro(f"gyro 1\n{order}\n0 1\n1 0\n")
+        assert str(exc_info.value) == f"bad order line {order!r}"
+
+    @pytest.mark.parametrize("line", ["1 0_0", "+1 0", "1 -0", "1 -1", "1 \u0660", "1 0.0"])
+    def test_non_decimal_entry_rejected(self, line):
+        with pytest.raises(GyroParseError) as exc_info:
+            parse_gyro(f"gyro 1\n2\n0 1\n{line}\n")
+        assert str(exc_info.value) == f"row 1: non-integer entry in {line!r}"
 
     def test_load_validates_axioms(self, tmp_path):
         p = tmp_path / "bad.gyro"
@@ -71,6 +85,12 @@ class TestVerifyCommand:
         p = tmp_path / "broken.gyro"
         p.write_text("gyro 1\n2\n0 1\n1\n")
         assert main(["verify", str(p)]) == 1
+
+    def test_non_decimal_entry_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "underscore.gyro"
+        p.write_text("gyro 1\n2\n0 1\n1 0_0\n")
+        assert main(["verify", str(p)]) == 1
+        assert capsys.readouterr().out == "error: row 1: non-integer entry in '1 0_0'\n"
 
     def test_axiom_violation_exit_2(self, tmp_path, capsys):
         p = tmp_path / "violating.gyro"

@@ -1,8 +1,9 @@
 import random
+from enum import IntEnum
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from axioms_oracle import verify_axioms_per_pair
@@ -119,6 +120,29 @@ class TestVerifyAxioms:
         with pytest.raises(MalformedTableError):
             verify_axioms([])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, True], [1, 0]], "entry (0,1) = True out of range 0..1"),
+            ([[0, 1], [1.0, 0]], "entry (1,0) = 1.0 out of range 0..1"),
+            ([[0, 1], [1, -1]], "entry (1,1) = -1 out of range 0..1"),
+        ],
+    )
+    def test_bad_entry_named(self, rows, message):
+        for build in (verify_axioms, GyroTable):
+            with pytest.raises(MalformedTableError) as exc_info:
+                build(rows)
+            assert str(exc_info.value) == message
+
+    def test_int_subclass_entries_accepted(self):
+        class Z2(IntEnum):
+            ZERO = 0
+            ONE = 1
+
+        rows = [[Z2.ZERO, Z2.ONE], [Z2.ONE, Z2.ZERO]]
+        assert verify_axioms(rows).passed
+        assert GyroTable(rows).neg(1) == 1
+
     def test_g3_failure_on_latin_square_without_gyroassociativity(self):
         # the lexicographically least 5x5 Latin square with identity first
         # row/column that is not a group table
@@ -209,6 +233,35 @@ class TestVerifyAxiomsAgainstOracle:
                 failing += not report.passed
         assert failing > 100
 
+    def test_orders_one_and_two(self):
+        tables = [
+            [[0]],
+            [[0, 1], [1, 0]],
+            [[1, 0], [0, 1]],  # G1
+            [[0, 1], [0, 1]],  # G2
+            [[0, 0], [1, 0]],  # ROW-BIJ
+        ]
+        for rows in tables:
+            assert verify_axioms(rows) == verify_axioms_per_pair(rows)
+        assert verify_axioms([[0]]).passed and verify_axioms([[0, 1], [1, 0]]).passed
+
+    def test_gyroassociativity_fails_exactly_where_a_row_does_not_cancel(self):
+        # G1 and G2 hold; L_x L_(-x) is the identity for x = 0, 1 but not
+        # for x = 2, whose left inverse is 2
+        rows = [[0, 1, 2], [1, 0, 2], [1, 2, 0]]
+        n = len(rows)
+        not_cancelling = [
+            x
+            for x in range(n)
+            if any(rows[x][rows[b][y]] != y for y in range(n) for b in range(n) if rows[b][x] == 0)
+        ]
+        assert not_cancelling == [2]
+        report = verify_axioms(rows)
+        assert report == verify_axioms_per_pair(rows)
+        assert not any(v.axiom in ("G1", "G2") for v in report.violations)
+        pairs = {v.witness[:2] for v in report.violations if v.axiom == "G3" and len(v.witness) == 3}
+        assert pairs == {(a, b) for a in range(n) for b in range(n) if rows[a][b] == 2}
+
     def test_order_64_and_row_swaps(self, nonassoc8):
         base = direct_product(nonassoc8, cyclic(8)).table
         tables = [base, *row_swap_mutants(base, random.Random("order-64"), 2)]
@@ -247,6 +300,21 @@ class TestGyroTableBasics:
                 assert g.add(g.neg(a), a) == 0
                 assert g.add(a, g.neg(a)) == 0
                 assert g.neg(g.neg(a)) == a
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+            # element 0 is met before row 2, which is no permutation either
+            ([[0, 1, 2], [0, 2, 1], [1, 1, 0]], "element 0 has 2 left inverses"),
+            ([[0, 1, 2], [2, 0, 1], [1, 0, 2]], "element 1 has 2 left inverses"),
+            ([[1, 0], [0, 1]], "index 0 is not a left identity"),
+        ],
+    )
+    def test_unchecked_construction_refuses_malformed(self, rows, message):
+        with pytest.raises(MalformedTableError) as exc_info:
+            GyroTable(rows, check=False)
+        assert str(exc_info.value) == message
 
     def test_trivial_table_accepted(self):
         t = GyroTable([[0]])
@@ -436,7 +504,28 @@ class TestConcurrentReads:
         assert results[0] == expected
 
 
+@st.composite
+def zero_placed_tables(draw):
+    """Orders 1-6: each row b a permutation with its 0 moved to column
+    z[b], for a permutation z, so every element has a left inverse (G2) and
+    G1, G3 and G4 all run.  Half the draws keep row 0 the identity."""
+    n = draw(st.integers(1, 6))
+    z = draw(st.permutations(range(n)))
+    identity_first = draw(st.booleans())
+    if identity_first:
+        i = z.index(0)
+        z[0], z[i] = z[i], z[0]
+    rows = []
+    for b in range(n):
+        row = list(range(n)) if b == 0 and identity_first else draw(st.permutations(range(n)))
+        i = row.index(0)
+        row[i], row[z[b]] = row[z[b]], row[i]
+        rows.append(row)
+    return rows
+
+
 class TestVerifyAxiomsFuzz:
+    @settings(deadline=None)
     @given(
         st.integers(2, 5).flatmap(
             lambda n: st.lists(
@@ -451,6 +540,14 @@ class TestVerifyAxiomsFuzz:
         second = verify_axioms(rows)
         assert first == second
         assert first.passed == (not first.violations)
+        assert first == verify_axioms_per_pair(rows)
+
+    @settings(deadline=None)
+    @given(zero_placed_tables())
+    def test_zero_placed_tables_match_oracle(self, rows):
+        report = verify_axioms(rows)
+        assert not any(v.axiom == "G2" for v in report.violations)
+        assert report == verify_axioms_per_pair(rows)
 
     @given(st.integers(2, 5))
     def test_cyclic_tables_always_pass(self, n):
