@@ -43,8 +43,6 @@ def dihedral4() -> GyroTable:
 def quaternion8() -> GyroTable:
     """Unit quaternions {1, i, j, k, -1, -i, -j, -k} in that index order."""
     # axis products: (axis, axis) -> (axis, sign); axis 0 is the scalar 1
-    table = {}
-    axes = [(1, 2, 3, 1), (2, 3, 1, 1)]  # i*j = k, j*k = i (cyclic)
     prod = {(1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
             (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1)}
 

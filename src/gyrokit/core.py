@@ -8,9 +8,10 @@ derived from the table via the gyrator identity
 
 and memoized per cell.  All values are immutable after construction except
 that cache and one per-table memo, ``_memo``, of structures derived from the
-table; each key is filled by the module that owns it (``"gyrations"`` here,
-``("cosets", H)`` by ``substructure``, ``("quotient", N)`` by
-``normality``).  Every fill is idempotent (safe for concurrent readers).
+table; each key is filled by the module that owns it (``"gyrations"`` and
+``("cycle", a)`` here, ``("cosets", H)`` by ``substructure``,
+``("quotient", N)`` by ``normality``).  Every fill is idempotent (safe for
+concurrent readers).
 """
 
 from __future__ import annotations
@@ -374,14 +375,29 @@ class GyroTable:
         return self.table[a][self.gyr(a, self.neg(b))(b)]
 
     def int_multiple(self, m: int, a: int) -> int:
-        """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a)."""
+        """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a).
+
+        For m >= 0 the recursion says m.a = L_a^m(0).  L_a is a permutation,
+        so the orbit of 0 under it is a cycle 0, L_a(0), L_a^2(0), ... of some
+        length k, and L_a^m(0) is entry m mod k of that cycle.  The cycle is
+        memoised per element under ``("cycle", a)``, so a call with m >= 0
+        after the first is one lookup.  Negative m goes through ``neg``.
+        This is the definition, not a law of multiples, so the sweep check
+        ``integral-multiple-laws`` still tests the laws.  An a outside
+        0..n-1 raises ValueError before any cycle is read or stored."""
+        cyc = self._memo.get(("cycle", a))
+        if cyc is None:
+            if not 0 <= a < self.order:
+                raise ValueError(f"element {a} out of range 0..{self.order - 1}")
+            row = self.table[a]
+            cycle, x = [0], row[0]
+            while x != 0:
+                cycle.append(x)
+                x = row[x]
+            cyc = self._memo[("cycle", a)] = tuple(cycle)
         if m < 0:
             return self.int_multiple(-m, self.neg(a))
-        acc = 0
-        row = self.table[a]
-        for _ in range(m):
-            acc = row[acc]
-        return acc
+        return cyc[m % len(cyc)]
 
     def left_translation(self, a: int) -> Perm:
         """The permutation x -> a (+) x, i.e. row a of the table."""

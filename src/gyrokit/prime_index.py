@@ -124,13 +124,16 @@ def equivalence_report(g: GyroTable, subset) -> EquivalenceReport:
 def coset_ladder(g: GyroTable, subset, a: int) -> CosetFamily:
     """The cosets 0+H, a+H, ..., (p-1)a+H, sorted by least member.
 
-    Refused with ValueError unless ``check_condition_multiples`` holds; the
-    other two conditions are equivalent to it at prime index, and the sweep
-    check ``prime-index-conditions-agree`` compares all three.  The cosets
+    Refused with ValueError for an a outside 0..n-1 or inside H, and
+    unless ``check_condition_multiples`` holds; the other two conditions
+    are equivalent to it at prime index, and the sweep check
+    ``prime-index-conditions-agree`` compares all three.  The cosets
     are then distinct and cover the carrier, so the family equals
     ``left_cosets``; the sweep check ``prime-index-ladder-matches-cosets``
     and the tests compare the two."""
     h, p = _prime_index_setup(g, subset)
+    if not 0 <= a < g.order:
+        raise ValueError(f"element {a} out of range 0..{g.order - 1}")
     if a in h:
         raise ValueError(f"{a} lies in the subgyrogroup")
     if not check_condition_multiples(g, h):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GyroTable, InternalConsistencyError, Perm, verify_axioms
+from .core import GyroTable, InternalConsistencyError, Perm, _getter, verify_axioms
 from .substructure import (
     SubSet,
     enumerate_subgyrogroups,
@@ -108,25 +108,75 @@ class _Recorder:
 
 
 def _commutes_with_gyrations(phi: Hom) -> bool:
-    """phi(gyr[a, b] c) = gyr[phi a, phi b] phi c for all a, b, c."""
-    g, k, f = phi.domain, phi.codomain, phi.map
+    """phi(gyr[a, b] c) = gyr[phi a, phi b] phi c for all a, b, c.
+
+    For each pair the two sides, f.gyr[a, b] and gyr[f a, f b].f, are
+    composed in C (``core._getter``) and compared as tuples."""
+    g, k, f = phi.domain, phi.codomain, tuple(phi.map)
+    after_f = _getter(f)
     els = g.elements()
     for a in els:
         for b in els:
-            gy_g, gy_k = g.gyr(a, b), k.gyr(f[a], f[b])
-            if any(f[gy_g(c)] != gy_k(f[c]) for c in els):
+            if _getter(g.gyr(a, b).images)(f) != after_f(k.gyr(f[a], f[b]).images):
                 return False
     return True
+
+
+def _is_group(perms) -> bool:
+    """Whether a finite set of permutations of one degree is a group, in
+    O(|perms| * |gens|) products rather than all |perms|^2.
+
+    ``reached`` starts as {identity}.  Each member, in sorted order, that
+    is not yet reached becomes a generator, and ``reached`` is extended
+    breadth-first by left products with the generators: the new generator
+    times each element already reached, then every generator times each
+    element new in this round.  Each generator at least doubles
+    ``reached`` (a group grows by a whole coset), so there are at most
+    log2 |perms| generators.
+
+    Proof.  Every element of ``reached`` is a product of generators.  After
+    each round ``reached`` is closed under left products with every
+    generator so far: the round starts from the group of the earlier
+    generators, which they keep in place, multiplies all of it by the new
+    generator, and multiplies each element it adds by every generator.  A
+    finite set of permutations holding the identity and closed under left
+    products with the generators is the group they generate.  Every member
+    is a generator or reached before its turn, so ``reached`` ends as the
+    group the set generates, which equals the set iff the set is closed
+    under products.  Every product is checked for membership, so a product
+    outside the set returns False at once (a broken set never grows toward
+    the whole symmetric group); otherwise ``reached`` lies in the set plus
+    the identity and holds the set, and it equals the set iff their sizes
+    agree.  The empty set is not a group."""
+    members = sorted(perms)
+    if not members:
+        return False
+    ident = Perm.identity(members[0].degree)
+    reached = {ident}
+    gens: list[Perm] = []
+    for p in members:
+        if p in reached:
+            continue
+        gens.append(p)
+        frontier = [p * x for x in reached]
+        while frontier:
+            new = []
+            for y in frontier:
+                if y in reached:
+                    continue
+                if y not in perms:
+                    return False
+                reached.add(y)
+                new.append(y)
+            frontier = [s * y for y in new for s in gens]
+    return len(reached) == len(perms)
 
 
 def _normal_subgroup_of_lmlt(group: PermGroup, perms: frozenset) -> bool:
     """A subgroup of the permutation group, closed under conjugation by its
     generators."""
-    return (
-        bool(perms)
-        and all(p * q in perms for p in perms for q in perms)
-        and all(p.inverse() in perms for p in perms)
-        and all(x * p * x.inverse() in perms for x in group.generators for p in perms)
+    return _is_group(perms) and all(
+        x * p * x.inverse() in perms for x in group.generators for p in perms
     )
 
 
@@ -134,9 +184,12 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     """Independent bounded oracle: enumerate all translation words up to the
     given length and keep forward products whose reversed product is the
     identity.  The check ``reversal-kernel-word-oracle`` compares it with
-    ``nuclei.lg_prime``, the group closure on 2n points."""
-    translations = left_translations(g)
-    ident = Perm.identity(g.order)
+    ``nuclei.lg_prime``, the group closure on 2n points.
+
+    Words are composed on image tuples in C: ``_getter(q)(p)`` is p.q."""
+    translations = g.table  # row a is the images of L_a
+    after = [_getter(la) for la in translations]
+    ident = tuple(g.elements())
     found = set()
     frontier = [(la, la) for la in translations]  # (forward, reversed)
     for f, r in frontier:
@@ -145,16 +198,17 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     for _ in range(max_len - 1):
         new = []
         for f, r in frontier:
-            for la in translations:
-                nf = f * la  # append letter: forward grows on the right
-                nr = la * r  # reversed product grows on the left
+            after_r = _getter(r)
+            for la, after_la in zip(translations, after):
+                nf = after_la(f)  # f.L: forward grows on the right
+                nr = after_r(la)  # L.r: reversed grows on the left
                 new.append((nf, nr))
                 if nr == ident:
                     found.add(nf)
         frontier = new
         # dedupe pairs to keep the frontier from exploding
         frontier = list(dict.fromkeys(frontier))
-    return frozenset(found)
+    return frozenset(Perm._unchecked(f) for f in found)
 
 
 def _int_multiples(g: GyroTable, a: int, window: int) -> dict[int, int]:
@@ -253,12 +307,10 @@ def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
     )
 
     auts = automorphisms(g)
-    aut_set = set(auts)
+    aut_set = frozenset(auts)
     r.check(
         "automorphism-group-closure",
-        all(p * q in aut_set for p in auts for q in auts)
-        and all(p.inverse() in aut_set for p in auts)
-        and g.gyrations() <= aut_set,
+        _is_group(aut_set) and g.gyrations() <= aut_set,
     )
     dset = derived.as_set()
     r.check(

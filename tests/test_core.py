@@ -425,6 +425,43 @@ class TestIntegralMultiples:
             for a in g.elements():
                 assert g.int_multiple(g.order, a) == 0
 
+    @pytest.mark.parametrize("m", [0, 1, 5, -1, -5])
+    @pytest.mark.parametrize("a", [-1, -4, 4, 9])
+    def test_out_of_range_element_rejected(self, m, a):
+        z4 = cyclic(4)
+        for b in z4.elements():  # every in-range cycle memoised first
+            z4.int_multiple(1, b)
+        with pytest.raises(ValueError, match=f"element {a} out of range 0..3"):
+            z4.int_multiple(m, a)
+        assert ("cycle", a) not in z4._memo
+
+    def test_cycles_memoised_per_element(self):
+        z6 = cyclic(6)
+        assert z6.int_multiple(7, 2) == 2
+        assert z6._memo == {("cycle", 2): (0, 2, 4)}
+        assert z6.int_multiple(-1, 2) == 4
+        assert set(z6._memo) == {("cycle", 2), ("cycle", 4)}
+
+
+def int_multiple_by_loop(g: GyroTable, m: int, a: int) -> int:
+    """m.a by the recursion m.a = a (+) (m-1).a, one step at a time."""
+    if m < 0:
+        m, a = -m, g.neg(a)
+    acc, row = 0, g.table[a]
+    for _ in range(m):
+        acc = row[acc]
+    return acc
+
+
+class TestIntegralMultiplesAgainstLoop:
+    def test_census8_z2xz2xz2_and_na8xz2(self, census8, groups, nonassoc8):
+        tables = list(census8) + [groups["z2xz2xz2"], direct_product(nonassoc8, cyclic(2))]
+        for g in tables:
+            n = g.order
+            for a in g.elements():
+                for m in range(-3 * n, 3 * n + 1):
+                    assert g.int_multiple(m, a) == int_multiple_by_loop(g, m, a)
+
 
 class TestDirectProduct:
     def test_klein_four(self):

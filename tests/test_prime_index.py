@@ -88,6 +88,11 @@ class TestCosetLadder:
         with pytest.raises(ValueError):
             coset_ladder(cyclic(6), [0, 3], 3)
 
+    @pytest.mark.parametrize("a", [-1, -3, 4, 9])
+    def test_out_of_range_element_rejected(self, a):
+        with pytest.raises(ValueError, match=f"element {a} out of range 0..3"):
+            coset_ladder(cyclic(4), {0, 2}, a)
+
     def test_all_conditions_false_refused(self):
         # the order-2 subgroups of s3 sit at index 3 and fail all three
         # multiple-membership conditions, so no ladder exists
