@@ -10,8 +10,8 @@ and memoized per cell.  All values are immutable after construction except
 that cache and one per-table memo, ``_memo``, of structures derived from the
 table; each key is filled by the module that owns it (``"gyrations"`` and
 ``("cycle", a)`` here, ``("cosets", H)`` by ``substructure``,
-``("quotient", N)`` by ``normality``).  Every fill is idempotent (safe for
-concurrent readers).
+``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by
+``nuclei``).  Every fill is idempotent (safe for concurrent readers).
 """
 
 from __future__ import annotations
@@ -343,15 +343,25 @@ class GyroTable:
             raise IndexError(f"element out of range: ({a}, {b})")
         return self.table[a][b]
 
+    def _out_of_range(self, a: int) -> ValueError:
+        return ValueError(f"element {a} out of range 0..{self.order - 1}")
+
     def neg(self, a: int) -> int:
-        """The unique b with b + a = 0 (also a + b = 0 on a valid table)."""
+        """The unique b with b + a = 0 (also a + b = 0 on a valid table).
+        An a outside 0..n-1 raises ValueError."""
+        if not 0 <= a < self.order:
+            raise self._out_of_range(a)
         b = self.inv[a]
         if self.table[a][b] != 0:
             raise InternalConsistencyError(f"left inverse of {a} is not a right inverse")
         return b
 
     def gyr(self, a: int, b: int) -> Perm:
-        """The gyration generated by a and b, from the gyrator identity."""
+        """The gyration generated by a and b, from the gyrator identity.  An
+        a or b outside 0..n-1 raises ValueError before the cache is read."""
+        n = self.order
+        if not (0 <= a < n and 0 <= b < n):
+            raise self._out_of_range(b if 0 <= a < n else a)
         cached = self._gyr[a][b]
         if cached is not None:
             return cached
@@ -371,8 +381,10 @@ class GyroTable:
         return self._memo["gyrations"]
 
     def coadd(self, a: int, b: int) -> int:
-        """The dual operation a (+) gyr[a, -b] b."""
-        return self.table[a][self.gyr(a, self.neg(b))(b)]
+        """The dual operation a (+) gyr[a, -b] b.  An a or b outside 0..n-1
+        raises ValueError, from ``neg`` or ``gyr``."""
+        c = self.gyr(a, self.neg(b))(b)
+        return self.table[a][c]
 
     def int_multiple(self, m: int, a: int) -> int:
         """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a).
@@ -388,7 +400,7 @@ class GyroTable:
         cyc = self._memo.get(("cycle", a))
         if cyc is None:
             if not 0 <= a < self.order:
-                raise ValueError(f"element {a} out of range 0..{self.order - 1}")
+                raise self._out_of_range(a)
             row = self.table[a]
             cycle, x = [0], row[0]
             while x != 0:
@@ -400,7 +412,10 @@ class GyroTable:
         return cyc[m % len(cyc)]
 
     def left_translation(self, a: int) -> Perm:
-        """The permutation x -> a (+) x, i.e. row a of the table."""
+        """The permutation x -> a (+) x, i.e. row a of the table.  An a
+        outside 0..n-1 raises ValueError."""
+        if not 0 <= a < self.order:
+            raise self._out_of_range(a)
         return Perm._unchecked(self.table[a])
 
     # -- whole-table predicates ----------------------------------------------

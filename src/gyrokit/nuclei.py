@@ -19,12 +19,14 @@ module's one closure.  Within it live three distinguished sets:
 The radical is the preimage of that last set under a -> L_a.  Nuclei are
 computed from the associativity definition.
 
-Each function computes its answer once.  The sweep checks the facts that tie
-these sets together: ``left-middle-nuclei-identical`` and
-``nuclei-structure`` for the nuclei, ``translation-subgroup-chain`` for the
-second and third sets being subgroups normal in lmlt(G) with the second equal
-to the translations of the left nucleus, and the ``radical-*`` checks for the
-radical being a normal subgroup inside the left nucleus.  The tests compare
+Each function computes its answer once; ``lg_prime`` memoises it per
+table, so ``radical`` does not build the closure on 2n points again.  The
+sweep checks the facts that tie these sets together:
+``left-middle-nuclei-identical`` and ``nuclei-structure`` for the nuclei,
+``translation-subgroup-chain`` for the second and third sets being subgroups
+normal in lmlt(G) with the second equal to the translations of the left
+nucleus, and the ``radical-*`` checks for the radical being a normal
+subgroup inside the left nucleus.  The tests compare
 the nuclei with the gyration characterization.
 """
 
@@ -132,19 +134,34 @@ def lg_prime(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:
     identity: the first halves of the elements of the group generated by
     L_a (+) L_a^-1 on 2n points whose second half is the identity.
 
+    The closure on 2n points is built once per table; the answer is memoised
+    under ``"reversal kernel"`` with the closure's size, so ``radical`` and a
+    direct call share it.  A later call whose cap is below that size raises
+    ``ResourceCapError`` as the closure would, unless the closure added
+    nothing to its n generators (L_0 among them is the identity), for then
+    it has no element to exceed the cap with.
+
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
     ``translation-subgroup-chain`` confirms this and
     ``reversal-kernel-word-oracle`` compares it with the word oracle."""
-    n = g.order
-    doubled = PermGroup.generated(
-        (
-            Perm(la.images + tuple(n + x for x in la.inverse().images))
-            for la in left_translations(g)
-        ),
-        cap=cap,
-    )
-    ident = tuple(range(n, 2 * n))
-    return frozenset(Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident)
+    found = g._memo.get("reversal kernel")
+    if found is None:
+        n = g.order
+        doubled = PermGroup.generated(
+            (
+                Perm(la.images + tuple(n + x for x in la.inverse().images))
+                for la in left_translations(g)
+            ),
+            cap=cap,
+        )
+        ident = tuple(range(n, 2 * n))
+        kernel = frozenset(Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident)
+        size = doubled.order if doubled.order > n else 0
+        found = g._memo["reversal kernel"] = (size, kernel)  # idempotent fill
+    size, kernel = found
+    if size > cap:
+        raise ResourceCapError("perm_cap", f"closure exceeded {cap} elements ({size} in all)")
+    return kernel
 
 
 def _nucleus(g: GyroTable, position: str) -> SubSet:

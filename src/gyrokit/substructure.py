@@ -13,8 +13,19 @@ every a+H lies in the class of a, O(n*|H|) in all, and memoises its answer.
 One semi-naive closure, ``_extend``, serves both ``generate`` and the
 lattice: it extends an already closed set by a seed and forms only the sums
 and negatives that involve an element it added.  The lattice is built by
-cyclic extension (Neubuser, Numer. Math. 2, 1960).  The tests compare both
-with the round-by-round closure and the pairwise-join lattice they replace.
+cyclic extension (Neubuser, Numer. Math. 2, 1960) along canonical paths.
+Rank the distinct 1-generated subgyrogroups C_0, C_1, ... by size, then
+members, and give each element x the rank i with <x> = C_i.  The canonical
+path of a subgyrogroup H starts at {0} and each step joins the least-ranked
+C_i inside H that the current set does not contain; the ranks along it
+strictly increase, and every prefix is the canonical path of its own end.
+So the lattice is a tree: S, reached at rank ``last``, is extended only by
+C_j with j > last, and the join J = S v C_j is kept only when j is the least
+rank in J - S.  Each subgyrogroup is then closed exactly once, with no set
+of those found, and every other closure stops at the first round that adds
+an element of rank below j.  Nothing here uses associativity.  The tests
+compare the closure and the lattice with the round-by-round closure, the
+pairwise-join lattice and the found-set cyclic extension they replace.
 """
 
 from __future__ import annotations
@@ -83,17 +94,21 @@ def _members(subset) -> frozenset:
     return frozenset(subset)
 
 
-def _extend(g: GyroTable, closed, seed) -> frozenset:
+def _extend(g: GyroTable, closed, seed, rank, floor: int) -> frozenset | None:
     """The least subgyrogroup containing the subgyrogroup ``closed`` and the
-    seed.  Semi-naive: each round forms only the negatives of the elements
-    the previous round added and their sums, on either side, with every
-    element present; sums of two older elements are already inside."""
+    seed, or None as soon as the seed or a round adds an element x with
+    ``rank[x] < floor``.  Semi-naive: each round forms only the negatives of
+    the elements the previous round added and their sums, on either side,
+    with every element present; sums of two older elements are already
+    inside."""
     table, neg = g.table, g.inv
     out = set(closed)
     frontier = set(seed) - out
     out |= frontier
     members = list(out)
     while frontier:
+        if min(map(rank.__getitem__, frontier)) < floor:
+            return None
         fresh = set()
         for a in frontier:
             row = table[a]
@@ -110,11 +125,12 @@ def _extend(g: GyroTable, closed, seed) -> frozenset:
 def generate(g: GyroTable, seed: Iterable[int]) -> SubSet:
     """The least subgyrogroup containing the seed: ``{0}`` extended by the
     seed with the semi-naive closure the lattice uses, O(|result|^2)
-    lookups."""
+    lookups.  Every rank is 0 and the floor is 0, so the closure never
+    stops early."""
     seed = set(seed)
     if not seed:
         raise ValueError("seed must be nonempty")
-    return SubSet.of(g, _extend(g, {0}, seed))
+    return SubSet.of(g, _extend(g, {0}, seed, (0,) * g.order, 0))
 
 
 def _in_range(g: GyroTable, subset) -> frozenset:
@@ -237,26 +253,39 @@ def index(g: GyroTable, subset) -> int:
 
 def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> list[SubSet]:
     """Every subgyrogroup, sorted by size then members, by cyclic extension
-    (Neubuser, Numer. Math. 2, 1960).
+    along canonical paths (Neubuser, Numer. Math. 2, 1960).
 
-    Every subgyrogroup is reached from ``{0}`` by joining its 1-generated
-    subgyrogroups one at a time.  So each subgyrogroup S found is extended
-    by each 1-generated C not inside S, and the closure of S and C is queued
-    if it is new.  Each 1-generated subgyrogroup is computed once, and each
-    extension forms only the sums that involve an element outside S: at most
-    (#lattice x #1-generated) closures of O(n^2) lookups each."""
+    The distinct 1-generated subgyrogroups C_0, C_1, ... are sorted by size
+    then members, and rank[x] is the i with <x> = C_i.  Queue entries are
+    pairs (S, last), starting from ({0}, -1).  S is extended by each C_j
+    with j > last and C_j not inside S, and the join J is queued with j only
+    if no element of J - S has rank below j; ``_extend`` abandons the
+    closure at the first such element.
+
+    Exact: every subgyrogroup H is the join of the 1-generated subgyrogroups
+    of its members, so it has a canonical path from {0}, each step joining
+    the least-ranked C_i in H not yet inside.  The ranks along the path
+    strictly increase (the least rank outside a growing set cannot fall,
+    and rank i is inside once C_i is) and each prefix is the canonical path
+    of its end point, so H is queued from its predecessor on that path and
+    from no other entry: an accepted step from (S, last) by j is the last
+    step of the canonical path of J.  Each subgyrogroup is closed to completion once
+    and no set of those found is kept; the other closures stop early."""
     if g.order > cap:
         raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
     trivial = frozenset({0})
-    cyclics = {_extend(g, trivial, (a,)) for a in g.elements()}
-    found = {trivial}
-    queue = [trivial]
-    for s in queue:
-        for c in cyclics:
+    zeros = (0,) * g.order
+    cyclic_of = [_extend(g, trivial, (a,), zeros, 0) for a in g.elements()]
+    cyclics = sorted(set(cyclic_of), key=lambda c: (len(c), sorted(c)))
+    number = {c: i for i, c in enumerate(cyclics)}
+    rank = [number[c] for c in cyclic_of]
+    queue = [(trivial, -1)]
+    for s, last in queue:
+        for j in range(last + 1, len(cyclics)):
+            c = cyclics[j]
             if not c <= s:
-                join = _extend(g, s, c)
-                if join not in found:
-                    found.add(join)
-                    queue.append(join)
-    ordered = sorted((tuple(sorted(s)) for s in found), key=lambda ms: (len(ms), ms))
+                join = _extend(g, s, c, rank, j)
+                if join is not None:
+                    queue.append((join, j))
+    ordered = sorted((tuple(sorted(s)) for s, _ in queue), key=lambda ms: (len(ms), ms))
     return [SubSet(g, ms) for ms in ordered]

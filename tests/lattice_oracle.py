@@ -1,15 +1,17 @@
-"""The pairwise-join lattice, the round-by-round closure and the
-dict-of-frozensets coset partition, kept as independent oracles for
-``gyrokit.substructure.enumerate_subgyrogroups``, ``generate`` and
-``left_cosets``, which use cyclic extension, a semi-naive closure and one
-opening scan with a column check.
+"""The pairwise-join lattice, the found-set cyclic extension, the
+round-by-round closure and the dict-of-frozensets coset partition, kept as
+independent oracles for ``gyrokit.substructure.enumerate_subgyrogroups``,
+``generate`` and ``left_cosets``, which use canonical-path cyclic extension,
+a semi-naive closure and one opening scan with a column check.
 
-This is the original code: the closure re-multiplies the whole closed set
-every round, the lattice joins every pair of subgyrogroups found so far
-until nothing new appears, and the partition builds every coset a+H as a
-set.  Its member lists and coset families, in their order, are what the
-library must return; where the cosets overlap, both raise ``NotPartition``
-with an overlapping pair, though not always the same pair.
+This is earlier library code: the closure re-multiplies the whole closed set
+every round, the pairwise lattice joins every pair of subgyrogroups found so
+far until nothing new appears, the found-set lattice extends every
+subgyrogroup found by every 1-generated one and keeps the joins it has not
+seen, and the partition builds every coset a+H as a set.  Its member lists
+and coset families, in their order, are what the library must return; where
+the cosets overlap, both raise ``NotPartition`` with an overlapping pair,
+though not always the same pair.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from gyrokit.substructure import (
     CosetFamily,
     NotPartition,
     SubSet,
+    _extend,
     _require_subgyrogroup,
     left_coset,
 )
@@ -75,6 +78,29 @@ def enumerate_subgyrogroups_pairwise(g: GyroTable, cap: int = DEFAULT_LATTICE_CA
                     found.add(join)
                     changed = True
     return [SubSet(g, ms) for ms in sorted(found, key=lambda ms: (len(ms), ms))]
+
+
+def enumerate_subgyrogroups_found_set(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> list[SubSet]:
+    """Every subgyrogroup, by cyclic extension with a set of those found:
+    each subgyrogroup found is extended by each 1-generated one not inside
+    it, and the join is queued if it is new.  The joins use the library's
+    semi-naive closure with a floor that never fires."""
+    if g.order > cap:
+        raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
+    zeros = (0,) * g.order
+    trivial = frozenset({0})
+    cyclics = {_extend(g, trivial, (a,), zeros, 0) for a in g.elements()}
+    found = {trivial}
+    queue = [trivial]
+    for s in queue:
+        for c in cyclics:
+            if not c <= s:
+                join = _extend(g, s, c, zeros, 0)
+                if join not in found:
+                    found.add(join)
+                    queue.append(join)
+    ordered = sorted((tuple(sorted(s)) for s in found), key=lambda ms: (len(ms), ms))
+    return [SubSet(g, ms) for ms in ordered]
 
 
 def left_cosets(g: GyroTable, subset) -> CosetFamily:

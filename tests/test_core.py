@@ -285,6 +285,27 @@ class TestGyroTableBasics:
         with pytest.raises(IndexError):
             z4.add(4, 0)
 
+    @pytest.mark.parametrize("x", [-1, -4, 4, 9])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, x: g.neg(x),
+            lambda g, x: g.gyr(x, 1),
+            lambda g, x: g.gyr(1, x),
+            lambda g, x: g.coadd(x, 1),
+            lambda g, x: g.coadd(1, x),
+            lambda g, x: g.left_translation(x),
+        ],
+        ids=["neg", "gyr-a", "gyr-b", "coadd-a", "coadd-b", "left_translation"],
+    )
+    def test_accessors_refuse_out_of_range(self, call, x):
+        z4 = cyclic(4)
+        for a in z4.elements():  # every in-range gyration cached first
+            for b in z4.elements():
+                z4.gyr(a, b)
+        with pytest.raises(ValueError, match=f"^element {x} out of range 0..3$"):
+            call(z4, x)
+
     def test_s3_matches_permutation_composition(self):
         # oracle: recompute the composition of the underlying permutations
         s3 = sym3()

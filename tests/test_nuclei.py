@@ -1,8 +1,10 @@
 import nuclei_oracle
 import pytest
 
+from gyrokit import nuclei
 from gyrokit.catalog import cyclic, klein_four, sym3
-from gyrokit.core import Perm, ResourceCapError, direct_product
+from gyrokit.cli import analyze_object
+from gyrokit.core import GyroTable, Perm, ResourceCapError, direct_product
 from gyrokit.nuclei import (
     PermGroup,
     is_twisted_subgroup,
@@ -22,7 +24,7 @@ from gyrokit.substructure import (
     left_coset,
     right_coset,
 )
-from gyrokit.sweep import lg_prime_word_oracle
+from gyrokit.sweep import lg_prime_word_oracle, sweep_table
 
 
 class TestLeftTranslations:
@@ -177,6 +179,49 @@ class TestLgPrime:
         with pytest.raises(ResourceCapError) as exc:
             fn(nonassoc8, cap=10)
         assert exc.value.cap_name == "perm_cap"
+
+    def closure_degrees(self, monkeypatch):
+        """The degree of every ``PermGroup`` built from now on."""
+        generated = PermGroup.generated.__func__
+        degrees = []
+
+        def counted(cls, generators, cap=nuclei.DEFAULT_PERM_CAP):
+            group = generated(cls, generators, cap)
+            degrees.append(group.degree)
+            return group
+
+        monkeypatch.setattr(PermGroup, "generated", classmethod(counted))
+        return degrees
+
+    @pytest.mark.parametrize(
+        "run", [analyze_object, lambda g: sweep_table("na8", g)], ids=["analyze", "sweep"]
+    )
+    def test_closure_built_once_per_table(self, monkeypatch, nonassoc8, run):
+        g = GyroTable(nonassoc8.table, check=False)
+        degrees = self.closure_degrees(monkeypatch)
+        run(g)
+        assert degrees.count(2 * g.order) == 1
+        assert lg_prime(g) is lg_prime(g) and radical(g) == radical(nonassoc8)
+        assert degrees.count(2 * g.order) == 1
+
+    @pytest.mark.parametrize("fn", [lg_prime, radical])
+    def test_cap_holds_after_memo(self, nonassoc8, fn):
+        g = GyroTable(nonassoc8.table, check=False)
+        kernel = lg_prime(g)
+        size = g._memo["reversal kernel"][0]
+        assert size == len(lmlt(g).elements) * len(kernel) > g.order
+        with pytest.raises(ResourceCapError, match=f"exceeded {size - 1} elements") as exc:
+            fn(g, cap=size - 1)
+        assert exc.value.cap_name == "perm_cap"
+        assert lg_prime(g, cap=size) is kernel
+
+    def test_closed_generators_never_exceed_the_cap(self):
+        # on an abelian group the n generators L_a (+) L_a^-1 already form a
+        # group, so the closure adds nothing and no cap below n is reached,
+        # on the first call or a memoised one
+        z4 = cyclic(4)
+        for _ in range(2):
+            assert lg_prime(z4, cap=2) == frozenset([Perm.identity(4)])
 
     def test_normal_subgroups_of_lmlt_on_census(self, census8):
         for g in census8:

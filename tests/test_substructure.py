@@ -3,9 +3,14 @@ import random
 import pytest
 
 import lattice_oracle
-from lattice_oracle import enumerate_subgyrogroups_pairwise, generate_by_rounds
+from lattice_oracle import (
+    enumerate_subgyrogroups_found_set,
+    enumerate_subgyrogroups_pairwise,
+    generate_by_rounds,
+)
 from test_search import relabel
 
+from gyrokit import substructure
 from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.core import ResourceCapError, direct_product
 from gyrokit.normality import is_normal, try_quotient
@@ -363,6 +368,80 @@ class TestLatticeAgainstOracle:
                 seed = rng.sample(range(g.order), rng.randint(1, min(4, g.order)))
                 want = generate_by_rounds(g, seed).members
                 assert generate(g, seed).members == want, (name, seed)
+
+
+class TestLatticeCompositeOrders:
+    """Canonical-path cyclic extension against the found-set cyclic extension
+    and the pairwise fixed point on tables whose cyclic subgyrogroups of
+    composite order contain smaller ones, so the rank order has many levels
+    to get wrong, each in its own labels and in two seeded relabellings."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, nonassoc8):
+        bases = [
+            ("na8xZ3", direct_product(nonassoc8, cyclic(3))),
+            ("na8xZ6", direct_product(nonassoc8, cyclic(6))),
+            ("S3xZ4", direct_product(sym3(), cyclic(4))),
+            ("Z6xZ6", direct_product(cyclic(6), cyclic(6))),
+            ("S3xS3", direct_product(sym3(), sym3())),
+        ]
+        rng = random.Random(14)
+        out = []
+        for name, g in bases:
+            out.append((name, g))
+            for k in range(2):
+                rest = list(range(1, g.order))
+                rng.shuffle(rest)
+                out.append((f"{name}-relabelled-{k}", relabel(g, (0,) + tuple(rest))))
+        return out
+
+    def test_matches_found_set_and_pairwise(self, tables):
+        for name, g in tables:
+            got = [s.members for s in enumerate_subgyrogroups(g)]
+            assert got == [s.members for s in enumerate_subgyrogroups_found_set(g)], name
+            assert got == [s.members for s in enumerate_subgyrogroups_pairwise(g)], name
+
+    def test_sizes(self, tables):
+        sizes = {name: len(enumerate_subgyrogroups(g)) for name, g in tables[::3]}
+        assert sizes == {"na8xZ3": 20, "na8xZ6": 70, "S3xZ4": 26, "Z6xZ6": 30, "S3xS3": 60}
+
+
+class TestLatticeClosedOnce:
+    """Each subgyrogroup is closed to completion exactly once: the n
+    1-generated closures run with floor 0, and the extensions that complete
+    are one per subgyrogroup other than {0}, each a different one."""
+
+    def count_closures(self, monkeypatch, g):
+        extend = substructure._extend
+        cyclic_calls, joins = [], []
+
+        def counted(g_, closed, seed, rank, floor):
+            result = extend(g_, closed, seed, rank, floor)
+            if floor == 0:
+                cyclic_calls.append(result)
+            elif result is not None:
+                joins.append(result)
+            return result
+
+        monkeypatch.setattr(substructure, "_extend", counted)
+        lattice = enumerate_subgyrogroups(g)
+        monkeypatch.undo()
+        return lattice, cyclic_calls, joins
+
+    def check(self, monkeypatch, g):
+        lattice, cyclic_calls, joins = self.count_closures(monkeypatch, g)
+        members = [s.members for s in lattice]
+        assert len(set(members)) == len(members)
+        assert len(cyclic_calls) == g.order and None not in cyclic_calls
+        assert len(joins) == len(lattice) - 1
+        assert sorted(tuple(sorted(j)) for j in joins) == sorted(members[1:])
+        return len(lattice)
+
+    def test_na8xv4(self, monkeypatch, nonassoc8):
+        assert self.check(monkeypatch, direct_product(nonassoc8, klein_four())) == 158
+
+    def test_census8(self, monkeypatch, census8):
+        assert sum(self.check(monkeypatch, g) for g in census8) > len(census8)
 
 
 class TestSubSet:
