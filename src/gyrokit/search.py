@@ -21,9 +21,12 @@ column.  Each node undoes only the forced entries it added.
 Every surviving leaf is re-verified from scratch with the full axiom check,
 so the pruning only needs to be sound, never exact.  Optional symmetry
 breaking discards prefixes that are provably not the lexicographically least
-relabeling of any completion; each isomorphism class keeps at least its
-minimal table, and canonical-form deduplication (inside the time budget)
-runs afterwards regardless.
+relabeling of any completion, so each isomorphism class keeps exactly its
+minimal table.  At row 1 the cut is decided by cycle type alone, and only
+the rows it keeps are generated (``_cycle_type_rows``).  A leaf has passed
+the cut on all its rows, so it is its own canonical form and is kept as it
+is; only without symmetry breaking does canonical-form deduplication run
+after the tree, inside the time budget.
 
 Isomorphism uses two algorithms: one backtracking search, whose first
 isomorphism answers ``are_isomorphic`` and whose full list from a table to
@@ -110,8 +113,17 @@ class _Search:
     # -- candidate rows -------------------------------------------------------
 
     def _row_candidates(self, a: int):
-        """Column-compatible permutation rows for element a, in lex order."""
+        """Column-compatible permutation rows for element a, in lex order.
+
+        With symmetry breaking, row 1 gets only the rows the cut keeps, from
+        ``_cycle_type_rows``: row 1 is never forced, and column c holds only
+        c, so its column-compatible rows are the fixed-point-free
+        permutations p with p(0) = 1, and the cut keeps one per cycle type
+        (the cycle through 0 marked)."""
         n = self.n
+        if a == 1 and self.config.symmetry_breaking:
+            yield from _cycle_type_rows(n)
+            return
         if a in self.forced:
             p = self.forced[a]
             if all(p[c] not in self.col_used[c] for c in range(1, n)):
@@ -191,13 +203,17 @@ class _Search:
     def _dfs(self, a: int):
         if self.stop:
             return
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        deadline = self.deadline
+        if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         if a == self.n:
             self._leaf()
             return
         self.nodes += 1
         for p in self._row_candidates(a):
+            # one node may have many candidates: check the clock for each
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Budget
             self.rows[a] = p
             for c in range(1, self.n):
                 self.col_used[c].add(p[c])
@@ -218,6 +234,16 @@ class _Search:
                 return
 
     def run(self) -> SearchResult:
+        """Walk the tree, then, in exhaustive mode, keep one canonical table
+        per class in lexicographic order.
+
+        With symmetry breaking each leaf is kept as it is: the cut at row
+        n - 1 ran ``_smaller_relabelings`` over rows 1..n-1 and found no
+        smaller relabeling, which is exactly ``canonical_form``'s test, so
+        the leaf is its own canonical form and two leaves are never
+        isomorphic.  Without it, each leaf is canonicalised.  Either way the
+        deadline is checked once per leaf, so a partial result holds the
+        classes of the leaves reached before it."""
         complete = True
         try:
             self._dfs(1)
@@ -230,11 +256,58 @@ class _Search:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     complete = False
                     break
-                canon.add(canonical_form(t, cap=self.n).table)
+                if self.config.symmetry_breaking:
+                    canon.add(t.table)
+                else:
+                    canon.add(canonical_form(t, cap=self.n).table)
             tables = [GyroTable(rows, check=False) for rows in sorted(canon)]
         if self.config.max_results is not None:
             tables = tables[: self.config.max_results]
         return SearchResult(tuple(tables), complete, self.leaves, self.nodes)
+
+
+def _cycle_type_rows(n: int):
+    """The rows 1 that pass the symmetry cut at depth 1, lazily and in
+    lexicographic order: for m = 2..n the cycle (0 1 ... m-1), then the
+    remaining points cut into consecutive cycles of nondecreasing lengths
+    >= 2.
+
+    These are exactly the fixed-point-free permutations p with p(0) = 1
+    that are least among their conjugates by relabelings fixing 0 and 1:
+
+      * at depth 1 the cut keeps label 1 on element 1, so row 1 passes
+        exactly when no relabeling fixing 0 and 1 makes it smaller, and each
+        conjugacy class (a cycle type, with the length m of the cycle
+        through 0 and 1 marked) has one least member;
+      * first-appearance labelling walks the cycle through 0 first, giving
+        (0 1 ... m-1), and opens each later cycle at its least free label s;
+      * a cycle of length l from s writes s + 1, ..., s + l - 1, s, and a
+        longer one writes s + l at the cell where the shorter closes with
+        s, so at the first cell where two arrangements differ the shorter
+        cycle is smaller: the least arrangement has nondecreasing lengths.
+
+    The same cell argument orders two rows by their first differing cycle
+    length, m included, so generating the length sequences in increasing
+    lexicographic order yields the rows in lexicographic order."""
+    row = list(range(1, n + 1))  # row[i] = i + 1 inside a cycle
+
+    def close(s: int, least: int):
+        # cut s..n-1 into cycles of nondecreasing lengths >= least
+        if s == n:
+            yield tuple(row)
+            return
+        rest = n - s
+        for length in (*range(least, rest // 2 + 1), rest):
+            end = s + length
+            row[end - 1] = s
+            yield from close(end, length)
+            row[end - 1] = end
+
+    for m in range(2, n + 1):
+        if n - m != 1:
+            row[m - 1] = 0
+            yield from close(m, 2)
+            row[m - 1] = m
 
 
 def run_search(config: SearchConfig) -> SearchResult:

@@ -264,6 +264,11 @@ class TestHuntCommand:
         out = capsys.readouterr().out
         assert "search-4-0" in out
 
+    def test_over_orders_nine_to_eleven(self, capsys):
+        assert main(["hunt", "--orders", "9", "10", "11"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "no counterexample among 5 instances"
+
     def test_requires_input(self, capsys):
         assert main(["hunt"]) == 1
 

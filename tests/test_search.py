@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -31,6 +32,14 @@ EXHAUSTIVE_COUNTS = {
     7: (6, 1),
     8: (55, 11),
 }
+# isomorphism classes of the exhaustive search, orders 1-11
+CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 11, 9: 2, 10: 2, 11: 1}
+
+
+@pytest.fixture(scope="module")
+def exhaustive():
+    """The exhaustive search with symmetry breaking, orders 1-11."""
+    return {n: run_search(SearchConfig(order=n)) for n in CLASS_COUNTS}
 
 
 def relabel(g: GyroTable, sigma: tuple) -> GyroTable:
@@ -75,12 +84,12 @@ class TestEnumerate:
         for t in result.tables:
             assert verify_axioms(t.table).passed
 
-    def test_exhaustive_output_is_canonical_and_sorted(self):
-        result = run_search(SearchConfig(order=4))
-        tables = [t.table for t in result.tables]
-        assert tables == sorted(tables)
-        for t in result.tables:
-            assert canonical_form(t).table == t.table
+    def test_exhaustive_output_is_canonical_and_sorted(self, exhaustive):
+        for n in range(1, 10):
+            tables = [t.table for t in exhaustive[n].tables]
+            assert tables == sorted(tables)
+            for t in exhaustive[n].tables:
+                assert canonical_form(t, cap=n).table == t.table
 
     def test_first_nonassociative_at_8(self, nonassoc8):
         assert nonassoc8.order == 8
@@ -119,6 +128,27 @@ class TestEnumerate:
         assert result.leaves > 5 and len(canonicalised) == 5
         assert [t.table for t in result.tables] == sorted(set(canonicalised))
 
+    def test_deadline_checked_per_candidate(self, monkeypatch):
+        # a clock that stands still until the first candidate _propagate
+        # refuses, then passes the deadline: the next candidate of that
+        # same node must not reach _propagate
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        propagate = search._Search._propagate
+        calls = []
+
+        def timed(self, a, added):
+            calls.append(clock.now)
+            ok = propagate(self, a, added)
+            if not ok:
+                clock.now = 10.0
+            return ok
+
+        monkeypatch.setattr(search._Search, "_propagate", timed)
+        result = run_search(SearchConfig(order=8, time_budget=1.0))
+        assert not result.complete
+        assert calls and calls[-1] == 0.0
+
     def test_census_contains_all_five_groups(self, census8, groups):
         group_tables = [t for t in census8 if t.is_group()]
         assert len(group_tables) == 5
@@ -138,6 +168,54 @@ class TestEnumerate:
         assert (result.nodes, result.leaves) == (16, 2)
         assert len(result.tables) == 2
         assert all(verify_axioms(t.table).passed for t in result.tables)
+
+    @pytest.mark.parametrize("n, nodes, leaves", [(10, 26, 2), (11, 13, 1)])
+    def test_orders_ten_and_eleven(self, n, nodes, leaves, exhaustive):
+        result = exhaustive[n]
+        assert result.complete
+        assert (result.nodes, result.leaves) == (nodes, leaves)
+        assert len(result.tables) == CLASS_COUNTS[n]
+        assert all(t.is_group() for t in result.tables)
+
+    def test_class_counts(self, exhaustive):
+        assert all(r.complete for r in exhaustive.values())
+        assert {n: len(r.tables) for n, r in exhaustive.items()} == CLASS_COUNTS
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_row_one_candidates_are_the_rows_the_cut_keeps(self, n):
+        identity = tuple(range(n))
+        kept = []
+        for rest in itertools.permutations([0, *range(2, n)]):
+            p = (1, *rest)
+            if any(p[c] == c for c in range(1, n)):
+                continue
+            rows = [identity, p] + [None] * (n - 2)
+            if next(search._smaller_relabelings(rows, 1), None) is None:
+                kept.append(p)
+        got = list(search._Search(SearchConfig(order=n))._row_candidates(1))
+        assert got == kept
+        assert len(got) == [1, 1, 2, 3, 5, 7, 11, 15][n - 2]
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_row_one_candidates_are_lazy(self, n):
+        # order 40 keeps 26,015 rows and order 400 more than can be listed;
+        # the first, all 2-cycles, comes alone
+        rows = search._Search(SearchConfig(order=n))._row_candidates(1)
+        assert next(rows) == tuple(x ^ 1 for x in range(n))
+
+    def test_row_one_propagated_only_for_kept_rows(self, monkeypatch):
+        propagate = search._Search._propagate
+        row_one = []
+
+        def counted(self, a, added):
+            if a == 1:
+                row_one.append(self.rows[1])
+            return propagate(self, a, added)
+
+        monkeypatch.setattr(search._Search, "_propagate", counted)
+        result = run_search(SearchConfig(order=8))
+        assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
+        assert len(row_one) == 11
 
     def test_placed_row_forces_its_inverse_and_square(self):
         # row 1 of Z4 forces row 3 = L1^-1 and, by the Bol identity with
