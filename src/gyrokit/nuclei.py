@@ -2,8 +2,10 @@
 
 Left translations L_a embed the gyrogroup into the symmetric group on its
 carrier; lmlt(G) is the group they generate, materialized as an explicit
-element set by the breadth-first closure of ``PermGroup.generated``, the
-module's one closure.  Within it live three distinguished sets:
+element set by ``PermGroup.generated``, which closes from a greedy
+generating subset.  It is the package's one permutation-group closure: it
+also builds the reversal kernel below, and the sweep's tests that a set of
+permutations is a group.  Within lmlt(G) live three distinguished sets:
 
   * L(G) itself, a twisted subgroup (1 in X, inverse-closed, xyx-closed);
   * the intersection of all translated copies L_a L(G), which coincides
@@ -50,28 +52,60 @@ class PermGroup:
 
     @classmethod
     def generated(cls, generators, cap: int = DEFAULT_PERM_CAP) -> "PermGroup":
+        """The group the generators generate, closed from a greedy
+        generating subset (Dimino's scheme; G. Butler, Fundamental
+        Algorithms for Permutation Groups, LNCS 559, 1991).
+
+        ``reached`` starts as {identity}.  Each generator, in the order
+        given, that is not yet reached is taken, and ``reached`` is extended
+        breadth-first by left products: the new generator times each
+        element already reached, then every generator taken so far times
+        each element new in this round.  Each taken generator at least
+        doubles ``reached`` (a group grows by a whole coset), so at most
+        log2 of the order are taken, and the closure costs about
+        |order| * |taken| products rather than |order| * |generators|.
+
+        Proof.  Every element of ``reached`` is a product of generators.
+        After each round ``reached`` is closed under left products with
+        every generator taken so far: the round starts from the group of the
+        earlier ones, which they keep in place, multiplies all of it by the
+        new generator, and multiplies each element it adds by every taken
+        generator.  A finite set of permutations holding the identity and
+        closed under left products with the taken generators is the group
+        they generate.  Every given generator is taken or reached before its
+        turn, so ``reached`` ends as the group all of them generate.
+
+        Raises ``ResourceCapError`` once the closure has more elements than
+        the cap or than the generators and the identity, whichever is more;
+        so a cap of |S| on a set S stops the closure of a set that is not a
+        group soon after it leaves the set, long before the whole symmetric
+        group."""
         gens = tuple(generators)
         if not gens:
             raise ValueError("need at least one generator")
         degree = gens[0].degree
-        els = set(gens)
-        els.add(Perm.identity(degree))
-        frontier = list(els)
-        while frontier:
-            new = []
-            for g in gens:
-                for x in frontier:
-                    y = g * x
-                    if y not in els:
-                        els.add(y)
+        ident = Perm.identity(degree)
+        limit = max(cap, len(set(gens) | {ident}))
+        reached = {ident}
+        taken: list[Perm] = []
+        for p in gens:
+            if p in reached:
+                continue
+            taken.append(p)
+            frontier = [p * x for x in reached]
+            while frontier:
+                new = []
+                for y in frontier:
+                    if y not in reached:
+                        reached.add(y)
                         new.append(y)
-                        if len(els) > cap:
+                        if len(reached) > limit:
                             raise ResourceCapError(
                                 "perm_cap",
-                                f"closure exceeded {cap} elements ({len(els)} so far)",
+                                f"closure exceeded {cap} elements ({len(reached)} so far)",
                             )
-            frontier = new
-        return cls(degree, gens, frozenset(els))
+                frontier = [s * y for y in new for s in taken]
+        return cls(degree, gens, frozenset(reached))
 
     @property
     def order(self) -> int:
@@ -105,11 +139,12 @@ def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
     violations = []
     if Perm.identity(group.degree) not in xs:
         violations.append((None, None, "identity"))
-    for x in sorted(xs):
+    ordered = sorted(xs)
+    for x in ordered:
         if x.inverse() not in xs:
             violations.append((x, None, "inverse"))
-    for x in sorted(xs):
-        for y in sorted(xs):
+    for x in ordered:
+        for y in ordered:
             if x * y * x not in xs:
                 violations.append((x, y, "xyx"))
     return TwistedReport(not violations, tuple(violations))

@@ -241,9 +241,10 @@ class _Search:
         n - 1 ran ``_smaller_relabelings`` over rows 1..n-1 and found no
         smaller relabeling, which is exactly ``canonical_form``'s test, so
         the leaf is its own canonical form and two leaves are never
-        isomorphic.  Without it, each leaf is canonicalised.  Either way the
-        deadline is checked once per leaf, so a partial result holds the
-        classes of the leaves reached before it."""
+        isomorphic, and a partial result holds every leaf verified before
+        the deadline.  Without it, each leaf is canonicalised, and the
+        deadline is checked before each canonical form, so a partial result
+        holds the classes of the leaves canonicalised before it."""
         complete = True
         try:
             self._dfs(1)
@@ -251,14 +252,14 @@ class _Search:
             complete = False
         tables = self.found
         if self.config.mode == MODE_EXHAUSTIVE:
-            canon = set()
-            for t in tables:
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    complete = False
-                    break
-                if self.config.symmetry_breaking:
-                    canon.add(t.table)
-                else:
+            if self.config.symmetry_breaking:
+                canon = {t.table for t in tables}
+            else:
+                canon = set()
+                for t in tables:
+                    if self.deadline is not None and time.monotonic() > self.deadline:
+                        complete = False
+                        break
                     canon.add(canonical_form(t, cap=self.n).table)
             tables = [GyroTable(rows, check=False) for rows in sorted(canon)]
         if self.config.max_results is not None:

@@ -11,14 +11,23 @@ The library computes each answer once; the facts those answers must satisfy
 (quotients pass the axioms, projections commute with gyrations, the
 translation subgroups are normal in lmlt, the radical is a normal subgroup,
 and so on) are checked here, so a broken construction shows as a FAIL line
-for its check instead of an exception.
+for its check instead of an exception.  Whether a set of permutations (the
+automorphisms, a translation subgroup) is a group is decided by closing it
+with ``nuclei.PermGroup.generated``, capped at the size of the set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GyroTable, InternalConsistencyError, Perm, _getter, verify_axioms
+from .core import (
+    GyroTable,
+    InternalConsistencyError,
+    Perm,
+    ResourceCapError,
+    _getter,
+    verify_axioms,
+)
 from .substructure import (
     SubSet,
     enumerate_subgyrogroups,
@@ -123,60 +132,26 @@ def _commutes_with_gyrations(phi: Hom) -> bool:
 
 
 def _is_group(perms) -> bool:
-    """Whether a finite set of permutations of one degree is a group, in
-    O(|perms| * |gens|) products rather than all |perms|^2.
-
-    ``reached`` starts as {identity}.  Each member, in sorted order, that
-    is not yet reached becomes a generator, and ``reached`` is extended
-    breadth-first by left products with the generators: the new generator
-    times each element already reached, then every generator times each
-    element new in this round.  Each generator at least doubles
-    ``reached`` (a group grows by a whole coset), so there are at most
-    log2 |perms| generators.
-
-    Proof.  Every element of ``reached`` is a product of generators.  After
-    each round ``reached`` is closed under left products with every
-    generator so far: the round starts from the group of the earlier
-    generators, which they keep in place, multiplies all of it by the new
-    generator, and multiplies each element it adds by every generator.  A
-    finite set of permutations holding the identity and closed under left
-    products with the generators is the group they generate.  Every member
-    is a generator or reached before its turn, so ``reached`` ends as the
-    group the set generates, which equals the set iff the set is closed
-    under products.  Every product is checked for membership, so a product
-    outside the set returns False at once (a broken set never grows toward
-    the whole symmetric group); otherwise ``reached`` lies in the set plus
-    the identity and holds the set, and it equals the set iff their sizes
-    agree.  The empty set is not a group."""
-    members = sorted(perms)
-    if not members:
+    """Whether a finite set of permutations of one degree is a group: it is
+    nonempty and equals the group it generates.  The closure is capped at
+    |perms| elements, or |perms| + 1 when the identity is missing (the cap
+    rule of ``PermGroup.generated``), so the closure of a set that is not
+    closed under products stops just past its size rather than growing
+    toward the whole symmetric group."""
+    if not perms:
         return False
-    ident = Perm.identity(members[0].degree)
-    reached = {ident}
-    gens: list[Perm] = []
-    for p in members:
-        if p in reached:
-            continue
-        gens.append(p)
-        frontier = [p * x for x in reached]
-        while frontier:
-            new = []
-            for y in frontier:
-                if y in reached:
-                    continue
-                if y not in perms:
-                    return False
-                reached.add(y)
-                new.append(y)
-            frontier = [s * y for y in new for s in gens]
-    return len(reached) == len(perms)
+    try:
+        return PermGroup.generated(sorted(perms), cap=len(perms)).elements == perms
+    except ResourceCapError:
+        return False
 
 
 def _normal_subgroup_of_lmlt(group: PermGroup, perms: frozenset) -> bool:
     """A subgroup of the permutation group, closed under conjugation by its
     generators."""
+    gens = group.generators
     return _is_group(perms) and all(
-        x * p * x.inverse() in perms for x in group.generators for p in perms
+        x * p * x_inv in perms for x, x_inv in zip(gens, map(Perm.inverse, gens)) for p in perms
     )
 
 

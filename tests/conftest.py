@@ -1,6 +1,7 @@
 import pytest
 
 from gyrokit.catalog import all_groups
+from gyrokit.core import Perm
 from gyrokit.search import MODE_FIRST_NONASSOCIATIVE, SearchConfig, run_search
 
 
@@ -36,3 +37,17 @@ def corpus(groups, nonassoc8):
     named = dict(groups)
     named["na8"] = nonassoc8
     return named
+
+
+@pytest.fixture
+def mul_counter(monkeypatch):
+    """Counts Perm products from here on, in a one-element list."""
+    count = [0]
+    real = Perm.__mul__
+
+    def counting(p, q):
+        count[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    return count

@@ -7,6 +7,11 @@ right nucleus iff every gyration fixes it.
 
 The pair closure of the reversal kernel, which the library computes as one
 permutation group on 2n points.
+
+The breadth-first closure that multiplies by every generator in each round,
+against which ``PermGroup.generated``, which closes from a greedy
+generating subset, is compared: the same elements, the same cap rule and
+the same message.
 """
 
 from __future__ import annotations
@@ -26,6 +31,31 @@ def nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
     return frozenset(
         c for c in els if all(g.gyr(a, b)(c) == c for a in els for b in els)
     )
+
+
+def closure_breadth_first(generators, cap: int) -> frozenset:
+    """The group the generators generate: left products of every generator
+    with each element new in the last round, from the generators and the
+    identity on."""
+    gens = tuple(generators)
+    els = set(gens)
+    els.add(Perm.identity(gens[0].degree))
+    frontier = list(els)
+    while frontier:
+        new = []
+        for g in gens:
+            for x in frontier:
+                y = g * x
+                if y not in els:
+                    els.add(y)
+                    new.append(y)
+                    if len(els) > cap:
+                        raise ResourceCapError(
+                            "perm_cap",
+                            f"closure exceeded {cap} elements ({len(els)} so far)",
+                        )
+        frontier = new
+    return frozenset(els)
 
 
 def lg_prime_by_pairs(g: GyroTable, cap: int = DEFAULT_PAIR_CAP) -> frozenset:

@@ -26,6 +26,19 @@ from gyrokit.substructure import (
 )
 from gyrokit.sweep import lg_prime_word_oracle, sweep_table
 
+# Perm products of lmlt and of lg_prime on na8xV4: 384 each when closing
+# from a greedy generating subset, 2,048 with every generator in each round
+MUL_BUDGET_NA8XV4 = 1024
+
+
+def doubled_translations(g: GyroTable) -> list[Perm]:
+    """L_a (+) L_a^-1 on 2n points, the generators of the reversal kernel."""
+    n = g.order
+    return [
+        Perm(la.images + tuple(n + x for x in la.inverse().images))
+        for la in left_translations(g)
+    ]
+
 
 class TestLeftTranslations:
     def test_z4_shifts(self):
@@ -321,3 +334,47 @@ class TestPermGroup:
             translations = left_translations(g)
             fixing_zero = [p for p in translations if p(0) == 0]
             assert fixing_zero == [Perm.identity(g.order)]
+
+
+class TestGeneratedAgainstOracle:
+    @pytest.fixture(scope="class")
+    def generator_sets(self, census8, corpus, nonassoc8):
+        products = [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four())]
+        tables = [*census8, *corpus.values(), *products]
+        return [f(g) for g in tables for f in (left_translations, doubled_translations)]
+
+    def test_same_elements(self, generator_sets):
+        for gens in generator_sets:
+            group = PermGroup.generated(gens)
+            assert group.generators == tuple(gens)
+            assert group.elements == nuclei_oracle.closure_breadth_first(gens, cap=10**6)
+
+    @staticmethod
+    def outcome(close):
+        try:
+            return close()
+        except ResourceCapError as exc:
+            return exc.cap_name, str(exc)
+
+    def test_same_cap_behaviour(self, generator_sets):
+        # caps one below the order and at it, and on Z4 a cap below its n
+        # generators, which an abelian closure never exceeds
+        z4 = cyclic(4)
+        cases = [(gens, 2) for gens in (left_translations(z4), doubled_translations(z4))]
+        for gens in generator_sets:
+            order = len(nuclei_oracle.closure_breadth_first(gens, cap=10**6))
+            cases += [(gens, order - 1), (gens, order)]
+        raised = 0
+        for gens, cap in cases:
+            want = self.outcome(lambda: nuclei_oracle.closure_breadth_first(gens, cap))
+            got = self.outcome(lambda: PermGroup.generated(gens, cap).elements)
+            assert got == want
+            raised += isinstance(want, tuple)
+        assert raised > 0
+
+    @pytest.mark.parametrize("fn", [lmlt, lg_prime])
+    def test_perm_products_within_budget(self, fn, nonassoc8, mul_counter):
+        g = direct_product(nonassoc8, klein_four())
+        mul_counter[0] = 0
+        fn(g)
+        assert 0 < mul_counter[0] <= MUL_BUDGET_NA8XV4

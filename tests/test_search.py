@@ -149,6 +149,26 @@ class TestEnumerate:
         assert not result.complete
         assert calls and calls[-1] == 0.0
 
+    def test_timed_out_search_keeps_its_verified_leaves(self, monkeypatch):
+        # a clock that passes the deadline inside _leaf once the first table
+        # is verified: with symmetry breaking that leaf is its own canonical
+        # form, so the partial result holds it
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        leaf = search._Search._leaf
+        verified = []
+
+        def timed(self):
+            leaf(self)
+            if self.found and not verified:
+                verified.append(self.found[0].table)
+                clock.now = 10.0
+
+        monkeypatch.setattr(search._Search, "_leaf", timed)
+        result = run_search(SearchConfig(order=8, time_budget=1.0))
+        assert not result.complete
+        assert [t.table for t in result.tables] == verified
+
     def test_census_contains_all_five_groups(self, census8, groups):
         group_tables = [t for t in census8 if t.is_group()]
         assert len(group_tables) == 5
