@@ -79,8 +79,7 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        imgs = self.images
-        return Perm._unchecked(tuple([imgs[i] for i in other.images]))
+        return Perm._unchecked(_getter(other.images)(self.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
@@ -191,6 +190,47 @@ def _automorphism_failure(rows, get, g: tuple[int, ...]) -> tuple[int, ...] | No
     return None
 
 
+def _gyrations_by_tuples(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """Number the gyrations gyr[a, b] = L_(-x) L_a L_b, x = a (+) b, of a
+    table with permutation rows; ``linv[x]`` is the least left inverse of x.
+
+    Returns ``(gid, gyrs)``: ``gyrs`` lists the distinct gyrations as
+    tuples in order of first appearance in row-major order, and
+    ``gid[a][b]`` is the index of gyr[a, b] in it.  Each gyration is two
+    ``itemgetter`` compositions in C, hashed once as an n-tuple.  Works at
+    every order; ``verify_axioms`` uses it above order 256."""
+    get = [_getter(row) for row in rows]
+    number: dict[tuple[int, ...], int] = {}
+    neg_rows = [rows[i] for i in linv]
+    gid = [
+        [number.setdefault(get_b(get_a(neg_rows[x])), len(number)) for get_b, x in zip(get, ra)]
+        for get_a, ra in zip(get, rows)
+    ]
+    return gid, list(number)
+
+
+def _gyrations_by_bytes(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """``_gyrations_by_tuples`` for orders up to 256, where each element
+    fits in a byte: the same ``gid`` and gyrations, in the same order.
+
+    Row b is held as ``bytes`` and row a as a 256-byte translation table
+    (the row padded with zeros), so gyr[a, b] is
+    ``rb.translate(tab[a]).translate(tab[linv[x]])``: two C calls over n
+    bytes, hashed as one ``bytes`` key.  Equal gyrations give equal keys
+    on both paths, so both number them alike."""
+    n = len(rows)
+    brows = [bytes(row) for row in rows]
+    pad = bytes(256 - n)
+    tab = [rb + pad for rb in brows]
+    neg_tab = [tab[i] for i in linv]
+    number: dict[bytes, int] = {}
+    gid = [
+        [number.setdefault(rb.translate(ta).translate(neg_tab[x]), len(number)) for rb, x in zip(brows, ra)]
+        for ta, ra in zip(tab, rows)
+    ]
+    return gid, [tuple(g) for g in number]
+
+
 def verify_axioms(table) -> AxiomReport:
     """Check whether a candidate n x n table defines a gyrogroup with identity 0.
 
@@ -206,7 +246,12 @@ def verify_axioms(table) -> AxiomReport:
 
     Every gyration is the composition of three rows,
     gyr[a, b] = L_(-x) L_a L_b with x = a (+) b and -x the least left
-    inverse of x, each composition one ``itemgetter`` call in C.
+    inverse of x.  Up to order 256 an element fits in a byte, so each
+    composition is one ``bytes.translate`` call over n bytes and each
+    gyration is hashed as one ``bytes`` key (``_gyrations_by_bytes``);
+    above 256 each composition is one ``itemgetter`` call that yields an
+    n-tuple of ints (``_gyrations_by_tuples``).  Both number the
+    gyrations alike, so the report does not depend on the path.
 
     Whether a gyration preserves the operation depends on the gyration
     alone, so each of the d distinct gyrations is tested once (n row
@@ -223,10 +268,12 @@ def verify_axioms(table) -> AxiomReport:
     every x cancels, no pair has a G3 violation and the per-pair loop is
     skipped.
 
-    The cost is O(n^2) interpreted steps (one per pair, to build and
-    compare gyrations) plus O(n^3 + d*n^2) element copies and comparisons
-    in C; d is 2 on a passing order-64 table.  A failing pair adds its
-    witness scan, at most n steps.
+    The cost is still O(n^2) interpreted steps (one per pair, to build
+    and compare gyrations) plus O(n^3 + d*n^2) element copies and
+    comparisons in C; d is 2 on a passing order-64 table.  The ``bytes``
+    path makes the C part of each step copy bytes, not object pointers
+    with their reference counts.  A failing pair adds its witness scan, at
+    most n steps.
     """
     rows = _normalize_rows(table)
     n = len(rows)
@@ -253,16 +300,10 @@ def verify_axioms(table) -> AxiomReport:
     if any(v.axiom == "G2" for v in violations):
         return AxiomReport(n, tuple(violations))
 
-    get = [_getter(row) for row in rows]
     # gyrs lists the distinct gyrations in order of first appearance, each
     # hashed once; gid[a][b] is the index of gyr[a, b] in it
-    number: dict[tuple[int, ...], int] = {}
-    neg_rows = [rows[i] for i in linv]
-    gid = [
-        [number.setdefault(get_b(get_a(neg_rows[x])), len(number)) for get_b, x in zip(get, ra)]
-        for get_a, ra in zip(get, rows)
-    ]
-    gyrs = list(number)
+    gid, gyrs = (_gyrations_by_bytes if n <= 256 else _gyrations_by_tuples)(rows, linv)
+    get = [_getter(row) for row in rows]
     failures = [_automorphism_failure(rows, get, g) for g in gyrs]
     identity = tuple(ident)
     cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]

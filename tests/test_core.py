@@ -14,6 +14,8 @@ from gyrokit.core import (
     MalformedTableError,
     Perm,
     ResourceCapError,
+    _gyrations_by_bytes,
+    _gyrations_by_tuples,
     direct_product,
     verify_axioms,
 )
@@ -267,6 +269,56 @@ class TestVerifyAxiomsAgainstOracle:
         tables = [base, *row_swap_mutants(base, random.Random("order-64"), 2)]
         for rows in tables:
             assert verify_axioms(rows) == verify_axioms_per_pair(rows)
+
+
+def least_left_inverses(rows):
+    """linv[x]: the least b with b (+) x = 0."""
+    n = len(rows)
+    return [next(b for b in range(n) if rows[b][x] == 0) for x in range(n)]
+
+
+class TestGyrationNumberingPaths:
+    """The ``bytes`` path (orders <= 256) and the tuple path (every order)
+    number the gyrations alike: the same ``gid`` and the same distinct
+    gyrations in the same order.  Above order 256 only the tuple path runs,
+    and the per-pair oracle is too slow to check it there."""
+
+    def assert_paths_agree(self, rows):
+        linv = least_left_inverses(rows)
+        assert _gyrations_by_bytes(rows, linv) == _gyrations_by_tuples(rows, linv)
+
+    def test_census8_and_corpus(self, census8, corpus):
+        for t in [*census8, *corpus.values()]:
+            self.assert_paths_agree(t.table)
+
+    def test_products_and_order_64_row_swaps(self, nonassoc8):
+        for h in (cyclic(2), klein_four()):
+            self.assert_paths_agree(direct_product(nonassoc8, h).table)
+        base = direct_product(nonassoc8, cyclic(8)).table
+        for rows in [base, *row_swap_mutants(base, random.Random("order-64"), 2)]:
+            self.assert_paths_agree(rows)
+
+    def test_order_256(self, nonassoc8):
+        rows = direct_product(nonassoc8, cyclic(32)).table
+        assert len(rows) == 256
+        self.assert_paths_agree(rows)
+
+
+class TestVerifyAxiomsAboveOrder256:
+    """Order 264, where ``verify_axioms`` numbers the gyrations as tuples."""
+
+    def test_product_passes_and_row_swap_witnesses_reproduce(self, nonassoc8):
+        base = direct_product(nonassoc8, cyclic(33)).table
+        assert len(base) == 264
+        assert verify_axioms(base).passed
+        (rows,) = row_swap_mutants(base, random.Random("order-264"), 1)
+        report = verify_axioms(rows)
+        firsts = {}
+        for v in report.violations:
+            firsts.setdefault((v.axiom, len(v.witness)), v)
+        assert {"G3", "G4"} <= {axiom for axiom, _ in firsts}
+        for v in firsts.values():
+            assert_witness_reproduces(rows, v)
 
 
 class TestGyroTableBasics:
