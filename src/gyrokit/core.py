@@ -9,9 +9,10 @@ derived from the table via the gyrator identity
 and memoized per cell.  All values are immutable after construction except
 that cache and one per-table memo, ``_memo``, of structures derived from the
 table; each key is filled by the module that owns it (``"gyrations"`` and
-``("cycle", a)`` here, ``("cosets", H)`` by ``substructure``,
-``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by
-``nuclei``).  Every fill is idempotent (safe for concurrent readers).
+``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
+``substructure``, ``("quotient", N)`` by ``normality``, ``"reversal
+kernel"`` by ``nuclei``).  Every fill is idempotent (safe for concurrent
+readers).
 """
 
 from __future__ import annotations

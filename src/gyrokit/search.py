@@ -33,7 +33,9 @@ isomorphism answers ``are_isomorphic`` and whose full list from a table to
 itself is ``automorphisms``; and one branch-and-bound over relabelings,
 ``_smaller_relabelings``.  The symmetry cut asks whether it yields anything
 on the rows placed so far; ``canonical_form`` takes its last answer on the
-whole table.
+whole table.  The cut at depth k does not start afresh: it resumes the
+relabelings that tied with the identity in the cut at depth k - 1, from the
+row where each stopped, and scans only those that put label 1 on element k.
 """
 
 from __future__ import annotations
@@ -200,7 +202,10 @@ class _Search:
             return
         self.found.append(table)
 
-    def _dfs(self, a: int):
+    def _dfs(self, a: int, records: list):
+        """Place row a and recurse.  ``records`` holds the relabelings that
+        tied with the identity in the symmetry cut of the parent node; the
+        cut here resumes them and hands its own ties to the child."""
         if self.stop:
             return
         deadline = self.deadline
@@ -218,12 +223,13 @@ class _Search:
             for c in range(1, self.n):
                 self.col_used[c].add(p[c])
             added: list[int] = []
+            ties: list = []
             try:
                 if self._propagate(a, added) and (
                     not self.config.symmetry_breaking
-                    or next(_smaller_relabelings(self.rows, a), None) is None
+                    or next(_smaller_relabelings(self.rows, a, records, ties), None) is None
                 ):
-                    self._dfs(a + 1)
+                    self._dfs(a + 1, ties)
             finally:
                 for c in added:
                     del self.forced[c]
@@ -238,16 +244,18 @@ class _Search:
         per class in lexicographic order.
 
         With symmetry breaking each leaf is kept as it is: the cut at row
-        n - 1 ran ``_smaller_relabelings`` over rows 1..n-1 and found no
-        smaller relabeling, which is exactly ``canonical_form``'s test, so
-        the leaf is its own canonical form and two leaves are never
-        isomorphic, and a partial result holds every leaf verified before
-        the deadline.  Without it, each leaf is canonicalised, and the
-        deadline is checked before each canonical form, so a partial result
-        holds the classes of the leaves canonicalised before it."""
+        n - 1 found no relabeling that makes rows 1..n-1 smaller.  It
+        resumed the ties handed down from row n - 2, which gives the verdict
+        of a fresh scan (see ``_smaller_relabelings``), so it made exactly
+        ``canonical_form``'s test.  The leaf is its own canonical form, two
+        leaves are never isomorphic, and a partial result holds every leaf
+        verified before the deadline.  Without it, each leaf is
+        canonicalised, and the deadline is checked before each canonical
+        form, so a partial result holds the classes of the leaves
+        canonicalised before it."""
         complete = True
         try:
-            self._dfs(1)
+            self._dfs(1, [])
         except _Budget:
             complete = False
         tables = self.found
@@ -380,7 +388,35 @@ def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
     return sorted(_isomorphisms(g, g))
 
 
-def _smaller_relabelings(rows, k: int):
+def _relabeled_rows(rows, k: int, old, label, x: int, cur, best, tied: bool):
+    """Write label rows x, x + 1, ... of the relabeling (old, label) into
+    ``cur``, row x at cell (x - 1) * n, while x <= k and old[x] <= k (its
+    row is placed).  While ``tied``, compare each row with the same cells of
+    ``best`` and stop at one that is larger.  Returns the next row and the
+    outcome: True if every row compared equals best's, False once one is
+    smaller (later rows are written, not compared), None if one is
+    larger."""
+    n = len(old)
+    pos = (x - 1) * n
+    while x <= k:
+        a = old[x]
+        if a > k:
+            break
+        row = rows[a]
+        new = [label[row[e]] for e in old]
+        end = pos + n
+        if tied:
+            ref = best[pos:end]
+            if new > ref:
+                return x, None
+            tied = new == ref
+        cur[pos:end] = new
+        pos = end
+        x += 1
+    return x, tied
+
+
+def _smaller_relabelings(rows, k: int, inherited=None, out=None):
     """Yield each relabeling fixing 0 that makes rows 1..k smaller than the
     best so far, as its cells in row-major order; the identity labeling is
     the first incumbent.  Rows 0..k must be placed; later rows may be None.
@@ -393,13 +429,41 @@ def _smaller_relabelings(rows, k: int):
     elements, and a value with no label yet gets the next free label, the
     least value its cell takes in any completion.  Row 1 is a permutation,
     so after it every element has a label and each later row is compared
-    whole.  A branch is cut once it exceeds the incumbent on a tied prefix,
-    and it stops comparing at a row that is not placed: only a prefix
-    already smaller there is yielded."""
+    whole (``_relabeled_rows``).  A branch is cut once it exceeds the
+    incumbent on a tied prefix, and it stops comparing at a row that is not
+    placed: only a prefix already smaller there is yielded.
+
+    The search's cut passes two more arguments and reads only whether
+    anything is yielded.  Into the list ``out`` goes a record
+    (old, label, x) of each relabeling that ties with the identity on every
+    cell compared: its label order, its label array and the next label row
+    to compare.  ``inherited`` holds the records of the parent node's cut at
+    depth k - 1, which chose label 1 on each of the elements 1..k-1; here
+    label 1 branches only on element k, and each record resumes at its row
+    x, comparing the rows whose element is now placed.  A record that is
+    smaller ends the cut, a larger one is dropped, and a tied one goes on
+    to ``out``.  This is exact (after McKay and Piperno, J. Symbolic
+    Comput. 60, 2014): row 1 depends on the label-1 element alone, so the
+    parent scanned every relabeling with label 1 below k over the same row
+    1; the cells compared here extend the parent's in the same row-major
+    order, so one the parent found larger is larger here too; and the
+    parent found none smaller, or this node would not exist.  So ``out``
+    equals the records of a scan over label 1 on 1..k with nothing
+    inherited, as long as nothing is yielded."""
     n = len(rows)
     cells = k * n
     best = [v for row in rows[1 : k + 1] for v in row]
     cur = [0] * cells
+    if inherited is not None:
+        for old, label, x in inherited:
+            x, tied = _relabeled_rows(rows, k, old, label, x, cur, best, True)
+            if tied:
+                if out is not None:
+                    out.append((old, label, x))
+            elif tied is not None:
+                x, _ = _relabeled_rows(rows, k, old, label, 1, cur, best, False)
+                yield cur[: (x - 1) * n]
+                return
     old = [0]  # old[j] is the element labeled j
     label = [0] + [-1] * (n - 1)  # label[e] is the label of element e, or -1
 
@@ -432,31 +496,20 @@ def _smaller_relabelings(rows, k: int):
             cur[y] = v
             y += 1
         else:
-            pos = n
-            for x in range(2, k + 1):
-                a = old[x]
-                if a > k:
-                    break
-                row = rows[a]
-                new = [label[row[e]] for e in old]
-                end = pos + n
-                if tied:
-                    ref = best[pos:end]
-                    if new > ref:
-                        break
-                    tied = new == ref
-                cur[pos:end] = new
-                pos = end
-            # a cut leaves tied set, so only a smaller prefix that ran to
-            # row k or to an unplaced row gets here untied
-            if not tied:
+            # rows 2.. up to k or to the first row not placed
+            x, tied = _relabeled_rows(rows, k, old, label, 2, cur, best, tied)
+            if tied:
+                if out is not None:
+                    out.append((old[:], label[:], x))
+            elif tied is not None:
+                pos = (x - 1) * n
                 best = cur[:pos] + [-1] * (cells - pos)  # -1 ends every later tie
                 yield cur[:pos]
         for e in old[mark:]:
             label[e] = -1
         del old[mark:]
 
-    for a in range(1, k + 1):
+    for a in range(1, k + 1) if inherited is None else (k,):
         label[a] = 1
         old.append(a)
         yield from scan(0, True)

@@ -150,8 +150,10 @@ def is_subgyrogroup(g: GyroTable, subset) -> bool:
 
 
 def _require_subgyrogroup(g: GyroTable, subset) -> frozenset:
+    """The members of a subgyrogroup, or ValueError.  A set the lattice has
+    closed (``enumerate_subgyrogroups``) is returned without a check."""
     s = _members(subset)
-    if not is_subgyrogroup(g, s):
+    if s not in g._memo.get("lattice members", ()) and not is_subgyrogroup(g, s):
         raise ValueError(f"not a subgyrogroup: {sorted(s)}")
     return s
 
@@ -270,7 +272,9 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
     of its end point, so H is queued from its predecessor on that path and
     from no other entry: an accepted step from (S, last) by j is the last
     step of the canonical path of J.  Each subgyrogroup is closed to completion once
-    and no set of those found is kept; the other closures stop early."""
+    and no set of those found is kept; the other closures stop early.  The
+    member sets are memoised per table, so the functions that require a
+    subgyrogroup take them without checking their closure again."""
     if g.order > cap:
         raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
     trivial = frozenset({0})
@@ -287,5 +291,6 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
                 join = _extend(g, s, c, rank, j)
                 if join is not None:
                     queue.append((join, j))
+    g._memo["lattice members"] = frozenset(s for s, _ in queue)  # idempotent fill
     ordered = sorted((tuple(sorted(s)) for s, _ in queue), key=lambda ms: (len(ms), ms))
     return [SubSet(g, ms) for ms in ordered]

@@ -252,13 +252,14 @@ class TestEnumerate:
         assert (result.nodes, result.leaves) == (8, 2)
 
     def test_symmetry_cut_agrees_with_oracle(self, monkeypatch):
-        # every call of the shared routine in exhaustive orders 1-8, the cut's
-        # and canonical_form's, against the recursive cut it replaced
+        # every call of the shared routine in exhaustive orders 1-9, the cut's
+        # (with the records it inherits and hands on) and canonical_form's,
+        # against the recursive cut it replaced
         smaller_relabelings = search._smaller_relabelings
         verdicts = []
 
-        def checked(rows, k):
-            smaller = smaller_relabelings(rows, k)
+        def checked(rows, k, *records):
+            smaller = smaller_relabelings(rows, k, *records)
             first = next(smaller, None)
             verdicts.append((first is None, search_oracle.prefix_lex_minimal(rows, k)))
             if first is not None:
@@ -266,10 +267,44 @@ class TestEnumerate:
                 yield from smaller
 
         monkeypatch.setattr(search, "_smaller_relabelings", checked)
-        for n in range(1, 9):
+        for n in range(1, 10):
             run_search(SearchConfig(order=n))
         assert {new for new, _ in verdicts} == {True, False}
         assert [new for new, _ in verdicts] == [old for _, old in verdicts]
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(order=n) for n in range(1, 11)]
+        + [SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE)],
+        ids=[f"exhaustive-{n}" for n in range(1, 11)] + ["first-nonassociative-8"],
+    )
+    def test_inherited_records_equal_fresh_ones(self, monkeypatch, config):
+        # at every cut of the DFS, resuming the parent's records and scanning
+        # label 1 on element k alone must give the verdict of a fresh scan
+        # over label 1 on 1..k and, when the node is kept, the same records
+        smaller_relabelings = search._smaller_relabelings
+        inherited_sizes = []
+
+        def checked(rows, k, inherited, out):
+            first = next(smaller_relabelings(rows, k, inherited, out), None)
+            fresh = []
+            assert (next(smaller_relabelings(rows, k, None, fresh), None) is None) == (
+                first is None
+            )
+            if first is None:
+                assert sorted((old, x) for old, _, x in out) == sorted(
+                    (old, x) for old, _, x in fresh
+                )
+                assert all(
+                    all(label[e] == j for j, e in enumerate(old)) for old, label, _ in out
+                )
+            inherited_sizes.append(len(inherited))
+            return iter(() if first is None else (first,))
+
+        monkeypatch.setattr(search, "_smaller_relabelings", checked)
+        result = run_search(config)
+        assert result.nodes == 0 or inherited_sizes
+        assert config.order < 3 or max(inherited_sizes) > 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_canonical_tables_agree_with_oracle(self, n):

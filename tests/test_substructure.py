@@ -272,6 +272,36 @@ class TestCosetMemo:
         assert s3._memo[("cosets", frozenset(h))] is fam
         assert try_quotient(s3, h).cosets == fam
 
+    def test_lattice_members_skip_the_closure_check(self, monkeypatch):
+        s3 = sym3()
+        lattice = enumerate_subgyrogroups(s3)
+        assert s3._memo["lattice members"] == {s.as_set() for s in lattice}
+        checked = []
+        check = substructure.is_subgyrogroup
+
+        def counted(g, subset):
+            checked.append(sorted(subset))
+            return check(g, subset)
+
+        monkeypatch.setattr(substructure, "is_subgyrogroup", counted)
+        for s in lattice:
+            is_normal(s3, s)
+            left_cosets(s3, s)
+            is_subgroup(s3, s)
+        assert checked == []
+        with pytest.raises(ValueError):
+            is_normal(s3, [0, 3])
+        assert checked == [[0, 3]]
+
+    @pytest.mark.parametrize("members", [[0, 3], [1, 2], [0, 1, 2], [0, 6]])
+    @pytest.mark.parametrize("check", [is_normal, left_cosets, is_subgroup])
+    def test_lattice_still_refuses_a_non_subgyrogroup(self, members, check):
+        s3 = sym3()
+        enumerate_subgyrogroups(s3)
+        with pytest.raises(ValueError):
+            check(s3, members)
+        assert frozenset(members) not in s3._memo["lattice members"]
+
 
 class TestGyrationInvariance:
     def test_matches_all_pairs_definition(self, census8, groups, nonassoc8):
