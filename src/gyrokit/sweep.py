@@ -219,10 +219,12 @@ def _sweep_core(r: _Recorder, g: GyroTable):
     r.check("negation-involution", all(g.neg(g.neg(a)) == a for a in els))
 
     window = 2 * n
+    # every m.a the laws below read, with m*k up to n*n, built once
+    mults = [_int_multiples(g, a, max(n * n, window)) for a in els]
     ok_laws = True
     for a in els:
-        ma = _int_multiples(g, a, window)
-        mneg = _int_multiples(g, g.neg(a), window)
+        ma = mults[a]
+        mneg = mults[g.neg(a)]
         for m in range(-window, window + 1):
             if ma[-m] != g.neg(ma[m]) or ma[-m] != mneg[m]:
                 ok_laws = False
@@ -230,7 +232,7 @@ def _sweep_core(r: _Recorder, g: GyroTable):
             for k in range(-n, n + 1):
                 if ma[m + k] != g.table[ma[m]][ma[k]]:
                     ok_laws = False
-                if g.int_multiple(m * k, a) != g.int_multiple(m, ma[k]):
+                if ma[m * k] != mults[ma[k]][m]:
                     ok_laws = False
     r.check("integral-multiple-laws", ok_laws)
     r.check("order-annihilates", all(g.int_multiple(n, a) == 0 for a in els))
@@ -250,13 +252,20 @@ def _sweep_core(r: _Recorder, g: GyroTable):
     )
 
 
+def _commutator_rows(g: GyroTable) -> list[list[int]]:
+    """Row a holds the commutators [a, b], b = 0..n-1."""
+    els = g.elements()
+    return [[commutator(g, a, b) for b in els] for a in els]
+
+
 def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
     els = range(g.order)
     t = g.table
+    comm = _commutator_rows(g)
     r.check(
         "commutator-zero-iff-pair-gyrocommutes",
         all(
-            (commutator(g, a, b) == 0) == (t[a][b] == g.gyr(a, b)(t[b][a]))
+            (comm[a][b] == 0) == (t[a][b] == g.gyr(a, b)(t[b][a]))
             for a in els
             for b in els
         ),
@@ -264,8 +273,7 @@ def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
     r.check(
         "negation-of-sum-expansion",
         all(
-            g.neg(t[a][b])
-            == t[t[g.neg(a)][g.neg(b)]][commutator(g, g.neg(a), g.neg(b))]
+            g.neg(t[a][b]) == t[t[g.neg(a)][g.neg(b)]][comm[g.neg(a)][g.neg(b)]]
             for a in els
             for b in els
         ),
@@ -296,23 +304,20 @@ def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
     ok_homs = True
     for n_sub in normals:
         proj = try_quotient(g, n_sub).projection
-        q = proj.codomain
+        q_comm = _commutator_rows(proj.codomain)
         if not all(
-            proj(commutator(g, a, b)) == commutator(q, proj(a), proj(b))
-            for a in els
-            for b in els
+            proj(comm[a][b]) == q_comm[proj(a)][proj(b)] for a in els for b in els
         ):
             ok_homs = False
     r.check("homs-preserve-commutators", ok_homs)
 
     ok_items = True
+    commutators = {c for row in comm for c in row}
     for n_sub in normals:
         q = try_quotient(g, n_sub).table
         gyrocomm = q.is_gyrocommutative()
         contains_derived = dset <= n_sub.as_set()
-        contains_all = all(
-            commutator(g, a, b) in n_sub.as_set() for a in els for b in els
-        )
+        contains_all = commutators <= n_sub.as_set()
         if not (gyrocomm == contains_derived == contains_all):
             ok_items = False
     r.check("gyrocommutative-quotient-iff-contains-commutators", ok_items)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gyrokit import search
 from gyrokit.catalog import all_groups, cyclic, klein_four, sym3
-from gyrokit.core import GyroTable, ResourceCapError, verify_axioms
+from gyrokit.core import GyroTable, Perm, ResourceCapError, direct_product, verify_axioms
 from gyrokit.search import (
     MODE_FIRST_NONASSOCIATIVE,
     SearchConfig,
@@ -340,10 +340,8 @@ class TestAreIsomorphic:
 
     def test_reflexive_with_identity_witness(self, corpus):
         for g in corpus.values():
-            ok, witness = are_isomorphic(g, g)
-            assert ok
-            # some witness exists; identity always works, search may find it
-            assert witness is not None
+            # the identity is the least bijection, so it is the witness
+            assert are_isomorphic(g, g) == (True, Perm.identity(g.order))
 
     def test_different_orders(self):
         ok, witness = are_isomorphic(cyclic(2), cyclic(4))
@@ -477,3 +475,55 @@ class TestIsomorphismAgainstOracle:
                 if i != j:
                     assert are_isomorphic(a, b) == (False, None), (i, j)
                     assert oracle.are_isomorphic(a, b) == (False, None), (i, j)
+
+
+class TestIsomorphismAtOrder16:
+    """The isomorphism search on five order-16 products, each in its own
+    labels and in two seeded relabelings: witnesses against the backtracking
+    oracle, and automorphism lists by their group facts and pinned sizes
+    (the oracle's filter over 15! permutations is out of reach)."""
+
+    AUT_SIZES = {"na8xz2": 32, "z4xz4": 96, "z8xz2": 16, "v4xz4": 192, "z16": 8}
+
+    @pytest.fixture(scope="class")
+    def products(self, nonassoc8):
+        bases = {
+            "na8xz2": direct_product(nonassoc8, cyclic(2)),
+            "z4xz4": direct_product(cyclic(4), cyclic(4)),
+            "z8xz2": direct_product(cyclic(8), cyclic(2)),
+            "v4xz4": direct_product(klein_four(), cyclic(4)),
+            "z16": cyclic(16),
+        }
+        rng = random.Random(16)
+        out = {}
+        for name, g in bases.items():
+            relabeled = []
+            for _ in range(2):
+                rest = list(range(1, 16))
+                rng.shuffle(rest)
+                relabeled.append(relabel(g, (0,) + tuple(rest)))
+            out[name] = (g, relabeled)
+        return out
+
+    def test_witnesses_match_oracle(self, products):
+        for name, (g, relabeled) in products.items():
+            for h in relabeled:
+                for pair in ((g, h), (h, g)):
+                    got = are_isomorphic(*pair)
+                    assert got[0], name
+                    assert got == oracle.are_isomorphic(*pair), name
+
+    def test_automorphism_groups(self, products):
+        for name, (g, relabeled) in products.items():
+            for h in (g, relabeled[0]):
+                auts = automorphisms(h, cap=16)
+                assert len(auts) == self.AUT_SIZES[name], name
+                assert all(p < q for p, q in zip(auts, auts[1:])), name
+                aut_set = set(auts)
+                assert all(p * q in aut_set for p in auts for q in auts), name
+                assert h.gyrations() <= aut_set, name
+
+    def test_non_isomorphic_pair(self, products):
+        z4xz4, z8xz2 = products["z4xz4"][0], products["z8xz2"][0]
+        assert are_isomorphic(z4xz4, z8xz2) == (False, None)
+        assert are_isomorphic(z8xz2, z4xz4) == (False, None)
