@@ -8,9 +8,10 @@ the answer per instance instead of assuming one.  The normal closure of G'
 is the least normal subgyrogroup with gyrocommutative quotient; the tests
 check its universal property by explicit table checks.
 
-``commutator_subgyrogroup`` and ``nc_commutator`` compute their answers once;
-the sweep's ``commutator-*`` and ``trivial-commutators-iff-gyrocommutative``
-checks confirm the structure facts above on every table.
+``commutator_subgyrogroup`` computes its answer once per table, and
+``nc_commutator`` closes it once per call; the sweep's ``commutator-*`` and
+``trivial-commutators-iff-gyrocommutative`` checks confirm the structure
+facts above on every table.
 """
 
 from __future__ import annotations
@@ -31,13 +32,20 @@ def commutator(g: GyroTable, a: int, b: int) -> int:
 
 
 def commutator_subgyrogroup(g: GyroTable) -> SubSet:
-    """The subgyrogroup generated by all commutators.
+    """The subgyrogroup generated by all commutators, memoised per table
+    under ``"commutator subgyrogroup"``, so ``nc_commutator`` and
+    ``hunt_commutator_normality`` reuse it.
 
     It is always gyration-invariant (an L-subgyrogroup) and associative
     (a subgroup), and it is trivial iff the table is gyrocommutative; the
     sweep checks ``commutator-subgyrogroup-structure`` and
     ``trivial-commutators-iff-gyrocommutative`` confirm these."""
-    return generate(g, {commutator(g, a, b) for a in g.elements() for b in g.elements()})
+    found = g._memo.get("commutator subgyrogroup")
+    if found is None:
+        els = g.elements()
+        found = generate(g, {commutator(g, a, b) for a in els for b in els})
+        g._memo["commutator subgyrogroup"] = found  # idempotent fill
+    return found
 
 
 def nc_commutator(g: GyroTable) -> SubSet:

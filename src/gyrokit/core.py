@@ -6,13 +6,15 @@ derived from the table via the gyrator identity
 
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
-and memoized per cell.  All values are immutable after construction except
-that cache and one per-table memo, ``_memo``, of structures derived from the
-table; each key is filled by the module that owns it (``"gyrations"`` and
-``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
-``substructure``, ``("quotient", N)`` by ``normality``, ``"reversal
-kernel"`` by ``nuclei``).  Every fill is idempotent (safe for concurrent
-readers).
+and numbered in one place, ``_number_gyrations``, which ``verify_axioms``
+and ``GyroTable`` both call.  All values are immutable after construction
+except the per-cell gyration cache, filled from that numbering, and one
+per-table memo, ``_memo``, of structures derived from the table; each key
+is filled by the module that owns it (``"gyration numbering"``,
+``"gyrations"`` and ``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice
+members"`` by ``substructure``, ``("quotient", N)`` by ``normality``,
+``"reversal kernel"`` by ``nuclei``, ``"commutator subgyrogroup"`` by
+``commutator``).  Every fill is idempotent (safe for concurrent readers).
 """
 
 from __future__ import annotations
@@ -232,6 +234,15 @@ def _gyrations_by_bytes(rows, linv) -> tuple[list[list[int]], list[tuple[int, ..
     return gid, [tuple(g) for g in number]
 
 
+def _number_gyrations(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The one gyration numbering of the package: ``_gyrations_by_bytes``
+    up to order 256, where an element fits in a byte, and
+    ``_gyrations_by_tuples`` above.  Both give the same ``(gid, gyrs)``;
+    on a table whose row 0 is the identity and whose ``linv[0]`` is 0,
+    gyr[0, 0] comes first, so index 0 is the identity."""
+    return (_gyrations_by_bytes if len(rows) <= 256 else _gyrations_by_tuples)(rows, linv)
+
+
 def verify_axioms(table) -> AxiomReport:
     """Check whether a candidate n x n table defines a gyrogroup with identity 0.
 
@@ -251,8 +262,9 @@ def verify_axioms(table) -> AxiomReport:
     composition is one ``bytes.translate`` call over n bytes and each
     gyration is hashed as one ``bytes`` key (``_gyrations_by_bytes``);
     above 256 each composition is one ``itemgetter`` call that yields an
-    n-tuple of ints (``_gyrations_by_tuples``).  Both number the
-    gyrations alike, so the report does not depend on the path.
+    n-tuple of ints (``_gyrations_by_tuples``).  ``_number_gyrations``
+    picks the path; both number the gyrations alike, so the report does not
+    depend on it.
 
     Whether a gyration preserves the operation depends on the gyration
     alone, so each of the d distinct gyrations is tested once (n row
@@ -303,7 +315,7 @@ def verify_axioms(table) -> AxiomReport:
 
     # gyrs lists the distinct gyrations in order of first appearance, each
     # hashed once; gid[a][b] is the index of gyr[a, b] in it
-    gid, gyrs = (_gyrations_by_bytes if n <= 256 else _gyrations_by_tuples)(rows, linv)
+    gid, gyrs = _number_gyrations(rows, linv)
     get = [_getter(row) for row in rows]
     failures = [_automorphism_failure(rows, get, g) for g in gyrs]
     identity = tuple(ident)
@@ -398,29 +410,45 @@ class GyroTable:
             raise InternalConsistencyError(f"left inverse of {a} is not a right inverse")
         return b
 
+    def _gyration_numbering(self) -> tuple[list[list[int]], tuple[Perm, ...]]:
+        """``(gid, perms)``: ``perms`` lists the distinct gyrations, the
+        identity first, and ``gid[a][b]`` is the index of gyr[a, b] in it.
+
+        Numbered once per table by ``_number_gyrations``, the routine
+        ``verify_axioms`` uses, and memoised under ``"gyration
+        numbering"``; the first call also fills every cell of the ``gyr``
+        cache with the shared ``Perm``s.  All n^2 gyrations are built at
+        once: O(n^2) interpreted steps and O(n^3) element copies in C."""
+        found = self._memo.get("gyration numbering")
+        if found is None:
+            gid, gyrs = _number_gyrations(self.table, self.inv)
+            perms = tuple(map(Perm._unchecked, gyrs))
+            self._gyr = [[perms[k] for k in row] for row in gid]  # idempotent fill
+            found = self._memo["gyration numbering"] = (gid, perms)
+        return found
+
     def gyr(self, a: int, b: int) -> Perm:
         """The gyration generated by a and b, from the gyrator identity.  An
-        a or b outside 0..n-1 raises ValueError before the cache is read."""
+        a or b outside 0..n-1 raises ValueError before the cache is read.
+
+        The first call numbers all n^2 gyrations (``_gyration_numbering``)
+        and fills the whole cache; every later call is one lookup."""
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise self._out_of_range(b if 0 <= a < n else a)
         cached = self._gyr[a][b]
-        if cached is not None:
-            return cached
-        rows = self.table
-        ra, rb = rows[a], rows[b]
-        rneg = rows[self.inv[ra[b]]]
-        p = Perm._unchecked(_getter(rb)(_getter(ra)(rneg)))
-        self._gyr[a][b] = p  # idempotent fill
-        return p
+        if cached is None:
+            self._gyration_numbering()
+            cached = self._gyr[a][b]
+        return cached
 
     def gyrations(self) -> frozenset:
-        """The distinct gyrations gyr[a, b] over all pairs, built once from
-        the per-cell memo and memoised per table."""
-        if "gyrations" not in self._memo:
-            els = self.elements()
-            self._memo["gyrations"] = frozenset(self.gyr(a, b) for a in els for b in els)
-        return self._memo["gyrations"]
+        """The distinct gyrations gyr[a, b] over all pairs: the numbered
+        ones of ``_gyration_numbering``, memoised per table."""
+        found = self._memo.get("gyrations")
+        if found is None:
+            found = self._memo["gyrations"] = frozenset(self._gyration_numbering()[1])
+        return found
 
     def coadd(self, a: int, b: int) -> int:
         """The dual operation a (+) gyr[a, -b] b.  An a or b outside 0..n-1

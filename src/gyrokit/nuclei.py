@@ -18,8 +18,13 @@ permutations is a group.  Within lmlt(G) live three distinguished sets:
     composition, so the elements whose second half is the identity carry
     precisely the forward products of words whose reversal collapses.
 
-The radical is the preimage of that last set under a -> L_a.  Nuclei are
-computed from the associativity definition.
+The radical is the preimage of that last set under a -> L_a.  The nuclei
+are read off the table's gyration numbering (``GyroTable._gyration_numbering``)
+in O(n^2): (a (+) b) (+) c = a (+) (b (+) c) iff gyr[a, b] fixes c, so the left
+nucleus is the a whose gyrations gyr[a, b] are all the identity, the middle
+nucleus the b whose gyr[a, b] are, and the right nucleus the points that
+every gyration fixes.  The associativity scan that defines them is the
+sweep's oracle (``sweep._nuclei_by_associativity``), not a library path.
 
 Each function computes its answer once; ``lg_prime`` memoises it per
 table, so ``radical`` does not build the closure on 2n points again.  The
@@ -29,7 +34,7 @@ sweep checks the facts that tie these sets together:
 normal in lmlt(G) with the second equal to the translations of the left
 nucleus, and the ``radical-*`` checks for the radical being a normal
 subgroup inside the left nucleus.  The tests compare
-the nuclei with the gyration characterization.
+the nuclei with the associativity scan and with a per-pair gyration oracle.
 """
 
 from __future__ import annotations
@@ -199,34 +204,29 @@ def lg_prime(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:
     return kernel
 
 
-def _nucleus(g: GyroTable, position: str) -> SubSet:
-    t = g.table
-    els = range(g.order)
-    if position == "left":
-        members = (
-            a for a in els if all(t[a][t[b][c]] == t[t[a][b]][c] for b in els for c in els)
-        )
-    elif position == "middle":
-        members = (
-            b for b in els if all(t[a][t[b][c]] == t[t[a][b]][c] for a in els for c in els)
-        )
-    else:
-        members = (
-            c for c in els if all(t[a][t[b][c]] == t[t[a][b]][c] for a in els for b in els)
-        )
-    return SubSet.of(g, members)
-
-
 def left_nucleus(g: GyroTable) -> SubSet:
-    return _nucleus(g, "left")
+    """The a with (a (+) b) (+) c = a (+) (b (+) c) for all b, c: the rows
+    a whose gyrations gyr[a, b] are all the identity, number 0 of the
+    table's gyration numbering."""
+    gid, _ = g._gyration_numbering()
+    return SubSet.of(g, [a for a, row in enumerate(gid) if not any(row)])
 
 
 def middle_nucleus(g: GyroTable) -> SubSet:
-    return _nucleus(g, "middle")
+    """The b with (a (+) b) (+) c = a (+) (b (+) c) for all a, c: the
+    columns b whose gyrations gyr[a, b] are all the identity."""
+    gid, _ = g._gyration_numbering()
+    return SubSet.of(g, [b for b, col in enumerate(zip(*gid)) if not any(col)])
 
 
 def right_nucleus(g: GyroTable) -> SubSet:
-    return _nucleus(g, "right")
+    """The c with (a (+) b) (+) c = a (+) (b (+) c) for all a, b: the points
+    every gyration fixes, since a (+) (b (+) c) = (a (+) b) (+) gyr[a, b]c.
+    The identity, number 0, fixes every point and is skipped."""
+    _, perms = g._gyration_numbering()
+    return SubSet.of(
+        g, [c for c in g.elements() if all(p.images[c] == c for p in perms[1:])]
+    )
 
 
 def radical(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> SubSet:

@@ -1,9 +1,11 @@
 """Independent oracles for ``gyrokit.nuclei``.
 
-The gyration characterization of the nuclei, which the library computes
-from associativity: an element a is in the left nucleus iff every gyr[a, b]
-is the identity, in the middle nucleus iff every gyr[b, a] is, and in the
-right nucleus iff every gyration fixes it.
+The gyration characterization of the nuclei, per pair: an element a is in
+the left nucleus iff every gyr[a, b] is the identity, in the middle nucleus
+iff every gyr[b, a] is, and in the right nucleus iff every gyration fixes
+it.  Each gyration is built here from the gyrator identity, cell by cell,
+so the oracle shares no code with the library's gyration numbering, from
+which ``gyrokit.nuclei`` reads the nuclei.
 
 The pair closure of the reversal kernel, which the library computes as one
 permutation group on 2n points.
@@ -22,15 +24,22 @@ from gyrokit.nuclei import left_translations
 DEFAULT_PAIR_CAP = 10**6
 
 
+def gyration(g: GyroTable, a: int, b: int) -> tuple[int, ...]:
+    """gyr[a, b] c = -(a + b) + (a + (b + c)), for c = 0..n-1."""
+    t = g.table
+    neg_ab = t[g.inv[t[a][b]]]
+    return tuple(neg_ab[t[a][t[b][c]]] for c in g.elements())
+
+
 def nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
     els = range(g.order)
+    ident = tuple(els)
+    gyr = {(a, b): gyration(g, a, b) for a in els for b in els}
     if position == "left":
-        return frozenset(a for a in els if all(g.gyr(a, b).is_identity() for b in els))
+        return frozenset(a for a in els if all(gyr[a, b] == ident for b in els))
     if position == "middle":
-        return frozenset(b for b in els if all(g.gyr(a, b).is_identity() for a in els))
-    return frozenset(
-        c for c in els if all(g.gyr(a, b)(c) == c for a in els for b in els)
-    )
+        return frozenset(b for b in els if all(gyr[a, b] == ident for a in els))
+    return frozenset(c for c in els if all(p[c] == c for p in gyr.values()))
 
 
 def closure_breadth_first(generators, cap: int) -> frozenset:

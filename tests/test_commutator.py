@@ -3,7 +3,9 @@ import pytest
 from commutator_oracle import check_universal_property
 
 from gyrokit.catalog import cyclic, sym3
-from gyrokit.core import ResourceCapError, direct_product
+from gyrokit import commutator as commutator_module
+from gyrokit.cli import analyze_object
+from gyrokit.core import GyroTable, ResourceCapError, direct_product
 from gyrokit.commutator import (
     commutator,
     commutator_subgyrogroup,
@@ -103,6 +105,24 @@ class TestCommutatorSubgyrogroup:
                 for b in g.elements():
                     gy = g.gyr(a, b)
                     assert frozenset(gy(x) for x in dset) == dset
+
+    def test_computed_once_per_table(self, monkeypatch, nonassoc8):
+        # analyze reads G' twice, directly and through nc_commutator, and
+        # hunt a third time: n^2 commutators in all
+        g = GyroTable(nonassoc8.table, check=False)
+        calls = [0]
+        real = commutator_module.commutator
+
+        def counted(table, a, b):
+            calls[0] += 1
+            return real(table, a, b)
+
+        monkeypatch.setattr(commutator_module, "commutator", counted)
+        analyze_object(g)
+        (record,) = hunt_commutator_normality([("na8", g)])
+        assert calls[0] == g.order**2
+        assert commutator_subgyrogroup(g) is commutator_subgyrogroup(g)
+        assert record.commutator_members == commutator_subgyrogroup(nonassoc8).members
 
     def test_preserved_by_homs(self, corpus):
         for g in corpus.values():

@@ -20,6 +20,7 @@ from gyrokit.core import (
     verify_axioms,
 )
 from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
 
 
 def z4_rows():
@@ -319,6 +320,42 @@ class TestVerifyAxiomsAboveOrder256:
         assert {"G3", "G4"} <= {axiom for axiom, _ in firsts}
         for v in firsts.values():
             assert_witness_reproduces(rows, v)
+
+
+class TestGyrationStoreAboveOrder256:
+    """na8 x Z33, order 264 and unchecked, whose gyrations are numbered as
+    tuples: the store against the translation form and the tuple path, and
+    the nuclei read from it against those of na8 times all of Z33 (the
+    nuclei of a product with a group are products)."""
+
+    @pytest.fixture(scope="class")
+    def table(self, nonassoc8):
+        g = direct_product(nonassoc8, cyclic(33))
+        assert g.order == 264
+        return g
+
+    def test_gyr_is_the_translation_form(self, table):
+        rng = random.Random("store-264")
+        pairs = [(0, 0), (263, 263), (1, 262), (262, 1)]
+        pairs += [(rng.randrange(264), rng.randrange(264)) for _ in range(200)]
+        for a, b in pairs:
+            lab = table.left_translation(table.add(a, b))
+            la, lb = table.left_translation(a), table.left_translation(b)
+            assert table.gyr(a, b) == lab.inverse() * la * lb
+        # the first call filled every cell with the numbered perms
+        _, perms = table._gyration_numbering()
+        assert {id(p) for row in table._gyr for p in row} == set(map(id, perms))
+
+    def test_gyrations_are_the_tuple_numbering(self, table):
+        _, gyrs = _gyrations_by_tuples(table.table, table.inv)
+        assert table.gyrations() == {Perm(g) for g in gyrs}
+        assert len(gyrs) == 2
+
+    def test_nuclei_are_products(self, table, nonassoc8):
+        for nucleus in (left_nucleus, middle_nucleus, right_nucleus):
+            expected = tuple(a * 33 + x for a in nucleus(nonassoc8).members for x in range(33))
+            assert nucleus(table).members == expected
+            assert len(expected) < table.order
 
 
 class TestGyroTableBasics:

@@ -24,7 +24,7 @@ from gyrokit.substructure import (
     left_coset,
     right_coset,
 )
-from gyrokit.sweep import lg_prime_word_oracle, sweep_table
+from gyrokit.sweep import _nuclei_by_associativity, lg_prime_word_oracle, sweep_table
 
 # Perm products of lmlt and of lg_prime on na8xV4: 384 each when closing
 # from a greedy generating subset, 2,048 with every generator in each round
@@ -296,6 +296,42 @@ class TestNuclei:
         for g in census8:
             if not g.is_group():
                 assert len(left_nucleus(g)) < g.order
+
+
+class TestNucleiAgainstOracles:
+    """The nuclei read off the gyration numbering against the sweep's
+    one-pass associativity scan and the per-pair gyration oracle, on the
+    order-8 census, five order-16 products and na8xV4 (order 32)."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, nonassoc8):
+        products = [
+            direct_product(nonassoc8, cyclic(2)),
+            direct_product(cyclic(4), cyclic(4)),
+            direct_product(cyclic(8), cyclic(2)),
+            direct_product(klein_four(), cyclic(4)),
+            cyclic(16),
+            direct_product(nonassoc8, klein_four()),
+        ]
+        return [*census8, *products]
+
+    def test_match_associativity_scan(self, tables):
+        for g in tables:
+            got = tuple(f(g).as_set() for f in (left_nucleus, middle_nucleus, right_nucleus))
+            assert got == _nuclei_by_associativity(g)
+
+    def test_match_gyration_oracle(self, tables):
+        positions = {"left": left_nucleus, "middle": middle_nucleus, "right": right_nucleus}
+        for g in tables:
+            for position, nucleus in positions.items():
+                assert nucleus(g).as_set() == nuclei_oracle.nucleus_by_gyrations(g, position)
+
+    def test_nonassociative_tables_have_proper_nuclei(self, tables):
+        # the comparisons above are not all between full carriers
+        proper = [g for g in tables if not g.is_group()]
+        assert len(proper) >= 3
+        for g in proper:
+            assert len(right_nucleus(g)) < g.order and len(left_nucleus(g)) < g.order
 
 
 class TestRadical:
