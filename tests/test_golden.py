@@ -1,7 +1,8 @@
 """Byte-stable output.
 
-The sha256 of five outputs is pinned: the theorem sweep over the acceptance
-corpus, the sweep over the order-8 census, ``analyze_object`` on the
+The sha256 of six outputs is pinned: the theorem sweep over the acceptance
+corpus, the sweep over the order-8 census, the sweep over two order-16
+products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table and on na8xV4 as JSON with sorted keys, and
 ``gyrokit verify`` on a row-swap mutant of na8xV4.  A change that moves
 any byte of these outputs changes what gyrokit reports and has to re-pin the
@@ -11,7 +12,7 @@ digest on purpose.
 import hashlib
 import json
 
-from gyrokit.catalog import klein_four
+from gyrokit.catalog import cyclic, klein_four
 from gyrokit.cli import analyze_object, main
 from gyrokit.core import direct_product
 from gyrokit.gyrofile import save_table
@@ -32,6 +33,16 @@ def test_sweep_over_census8(census8):
     rendered = run_theorem_sweep([(f"census8-{i}", t) for i, t in enumerate(census8)]).render()
     assert rendered.splitlines()[-1] == "summary: checks=559 pass=559 fail=0 findings=28"
     assert sha256(rendered) == "7aa9124706825e58f57841295b1bfa51a0371b65e1f48f083023805bcd44cd92"
+
+
+def test_sweep_over_order16(nonassoc8):
+    tables = [
+        ("na8xZ2", direct_product(nonassoc8, cyclic(2))),
+        ("Z4xZ4", direct_product(cyclic(4), cyclic(4))),
+    ]
+    rendered = run_theorem_sweep(tables).render()
+    assert rendered.splitlines()[-1] == "summary: checks=102 pass=102 fail=0 findings=5"
+    assert sha256(rendered) == "0c876e26114c46b8471a38930b4f79e4a3b832352b4e688e2e9fa671651e1eae"
 
 
 def test_analyze_na8(nonassoc8):
