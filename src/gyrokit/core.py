@@ -171,11 +171,14 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
 
 
 def _getter(perm: tuple[int, ...]):
-    """``seq -> (seq[perm[0]], seq[perm[1]], ...)``, that is seq composed
-    with perm, in C.  ``itemgetter`` of one index returns a scalar, so at
-    order 1, whose only permutation is the identity, it takes the whole
-    sequence instead."""
-    return itemgetter(*perm) if len(perm) > 1 else itemgetter(slice(None))
+    """``seq -> (seq[perm[0]], seq[perm[1]], ...)``, always a tuple: seq
+    composed with perm, or a row restricted to a set of indices, in C.
+    ``itemgetter`` of one index returns a scalar, so a single index, as at
+    order 1 or for the set {0}, gets a one-member tuple of its own."""
+    if len(perm) == 1:
+        (i,) = perm
+        return lambda seq: (seq[i],)
+    return itemgetter(*perm)
 
 
 def _automorphism_failure(rows, get, g: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -492,25 +495,24 @@ class GyroTable:
 
     def is_group(self) -> bool:
         """True iff the operation is associative, equivalently all gyrations
-        are the identity.  Decided by the associativity scan; the sweep check
-        ``subgroup-characterizations-agree`` compares it with the gyration
-        form on every subgyrogroup, the whole table included."""
-        n = self.order
+        are the identity.  Decided by the associativity scan, one row
+        compare per pair: row a (+) b against L_a L_b as tuples in C.  The
+        sweep check ``subgroup-characterizations-agree`` compares it with
+        the gyration form on every subgyrogroup, the whole table included."""
         rows = self.table
-        return all(
-            rows[rows[a][b]][c] == rows[a][rows[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
+        get = [_getter(row) for row in rows]
+        return all(rows[x] == get_b(ra) for ra in rows for get_b, x in zip(get, ra))
 
     def is_gyrocommutative(self) -> bool:
-        """True iff a (+) b = gyr[a, b](b (+) a) for all a, b."""
-        rows = self.table
+        """True iff a (+) b = gyr[a, b](b (+) a) for all a, b, read from
+        the gyration numbering."""
+        gid, perms = self._gyration_numbering()
+        images = [p.images for p in perms]
+        columns = zip(*self.table)
         return all(
-            rows[a][b] == self.gyr(a, b)(rows[b][a])
-            for a in range(self.order)
-            for b in range(self.order)
+            x == images[k][y]
+            for ra, ka, col in zip(self.table, gid, columns)
+            for x, k, y in zip(ra, ka, col)
         )
 
     def right_identity_holds(self) -> bool:

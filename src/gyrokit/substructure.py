@@ -182,9 +182,11 @@ def is_subgroup(g: GyroTable, subset) -> bool:
 
 def is_gyration_invariant(g: GyroTable, subset) -> bool:
     """Every gyration maps S into S.  S may be any subset; a member outside
-    0..n-1 raises ValueError."""
+    0..n-1 raises ValueError.  Each distinct gyration of the table's
+    numbering is tested once, by containment in C, as in
+    ``is_L_subgyrogroup``."""
     s = _in_range(g, subset)
-    return all(gy(x) in s for gy in g.gyrations() for x in s)
+    return all(s.issuperset(map(p.images.__getitem__, s)) for p in g._gyration_numbering()[1])
 
 
 def left_coset(g: GyroTable, subset, a: int) -> frozenset:

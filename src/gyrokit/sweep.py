@@ -14,6 +14,30 @@ and so on) are checked here, so a broken construction shows as a FAIL line
 for its check instead of an exception.  Whether a set of permutations (the
 automorphisms, a translation subgroup) is a group is decided by closing it
 with ``nuclei.PermGroup.generated``, capped at the size of the set.
+
+The per-pair checks read the table's gyration numbering
+(``GyroTable._gyration_numbering``: ``gid[a][b]`` is the number of
+gyr[a, b] among the distinct gyrations ``perms``) or compare whole rows as
+tuples built in C (``core._getter``), so none of them calls ``gyr`` per
+pair or multiplies ``Perm`` objects:
+
+* by number: ``gyration-loop-property`` compares gid[a (+) b][b] with
+  gid[a][b]; ``gyration-inverse-symmetry`` tests each distinct pair
+  (gid[a][b], gid[b][a]) once; ``quotient-kernel-roundtrip`` tests each
+  distinct pair (number of gyr[a, b] in G, number of gyr[phi a, phi b] in
+  G/N) once (``_commutes_with_gyrations``); the gyration form of
+  ``subgroup-characterizations-agree`` tests each gyration numbered in H x H
+  once;
+* by rows: ``gyration-translation-form`` (against L_x inverted, not the
+  L_(-x) the numbering is built from), ``translation-sandwich``,
+  ``integral-multiple-laws``, the associativity scan of
+  ``subgroup-characterizations-agree``, ``homs-preserve-commutators`` and,
+  through ``normality.check_hom``, ``quotient-kernel-roundtrip``.
+
+Comparing numbers is exact: the numbering assigns one number to each
+distinct tuple of images, so two gyrations have the same number iff they
+are equal as permutations.  Each row form is kept per pair in
+``tests/sweep_oracle.py`` and compared with it there.
 """
 
 from __future__ import annotations
@@ -44,6 +68,7 @@ from .substructure import (
 from .normality import (
     Hom,
     check_hom,
+    _preserves,
     check_sufficient_normality,
     induced_isomorphism,
     intersect_normals,
@@ -119,16 +144,19 @@ class _Recorder:
 def _commutes_with_gyrations(phi: Hom) -> bool:
     """phi(gyr[a, b] c) = gyr[phi a, phi b] phi c for all a, b, c.
 
-    For each pair the two sides, f.gyr[a, b] and gyr[f a, f b].f, are
-    composed in C (``core._getter``) and compared as tuples."""
-    g, k, f = phi.domain, phi.codomain, tuple(phi.map)
+    Whether a pair (a, b) satisfies this depends only on the number of
+    gyr[a, b] in the domain's gyration numbering and the number of
+    gyr[phi a, phi b] in the codomain's, so each distinct pair of numbers
+    is tested once: f.gyr and gyr.f composed in C (``core._getter``) and
+    compared as tuples."""
+    f = tuple(phi.map)
+    gid, perms = phi.domain._gyration_numbering()
+    kid, kperms = phi.codomain._gyration_numbering()
     after_f = _getter(f)
-    els = g.elements()
-    for a in els:
-        for b in els:
-            if _getter(g.gyr(a, b).images)(f) != after_f(k.gyr(f[a], f[b]).images):
-                return False
-    return True
+    pairs = set()
+    for ga, fa in zip(gid, f):
+        pairs.update(zip(ga, after_f(kid[fa])))  # (gyr[a, b], gyr[f a, f b]) by number
+    return all(_getter(perms[i].images)(f) == after_f(kperms[j].images) for i, j in pairs)
 
 
 def _is_group(perms) -> bool:
@@ -186,8 +214,84 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     return frozenset(Perm._unchecked(f) for f in found)
 
 
-def _int_multiples(g: GyroTable, a: int, window: int) -> dict[int, int]:
-    return {m: g.int_multiple(m, a) for m in range(-window, window + 1)}
+def _loop_property(table, gid) -> bool:
+    """gyr[a (+) b, b] = gyr[a, b] for all a, b, compared by number."""
+    return all(gid[x][b] == k for ra, ga in zip(table, gid) for b, (x, k) in enumerate(zip(ra, ga)))
+
+
+def _inverse_symmetry(gid, perms) -> bool:
+    """gyr[b, a] = gyr[a, b]^-1 for all a, b.  Each distinct pair of
+    numbers (gyr[a, b], gyr[b, a]) is tested once, by composing the two
+    gyrations in C and comparing with the identity, so a gyration whose
+    inverse is not numbered fails the test rather than a lookup."""
+    pairs = set()
+    for ga, column in zip(gid, zip(*gid)):
+        pairs.update(zip(ga, column))
+    identity = tuple(range(len(gid)))
+    return all(_getter(perms[i].images)(perms[j].images) == identity for i, j in pairs)
+
+
+def _translation_form(table, gid, perms) -> bool:
+    """gyr[a, b] = L_x^-1 L_a L_b with x = a (+) b, for all a, b.  L_x^-1
+    is row x inverted (``Perm.inverse``), not the row L_(-x) the numbering
+    builds its gyrations from; the right side is composed in C."""
+    inverse = [Perm._unchecked(row).inverse().images for row in table]
+    get = [_getter(row) for row in table]
+    return all(
+        _getter(get_b(ra))(inverse[x]) == perms[k].images
+        for ra, ga in zip(table, gid)
+        for get_b, x, k in zip(get, ra, ga)
+    )
+
+
+def _translation_sandwich(table, coadd) -> bool:
+    """L_a L_b L_a = L_((a (+) b) [+] a) for all a, b, where ``coadd`` is
+    the coaddition [+]; the left side is composed in C."""
+    return all(
+        _getter(_getter(ra)(rb))(ra) == table[coadd(x, a)]
+        for a, ra in enumerate(table)
+        for rb, x in zip(table, ra)
+    )
+
+
+def _integral_multiples(n: int, multiple) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``(ms, mult)``: the m whose multiples the laws of
+    ``_multiple_laws_hold`` read, ascending, and ``mult[a]`` the tuple of
+    ``multiple(m, a)`` over them, one call each, for a = 0..n-1.  They are
+    |m| <= 2n and every product m*k with |m|, |k| <= n."""
+    near = range(-n, n + 1)
+    ms = tuple(sorted(set(range(-2 * n, 2 * n + 1)).union(m * k for m in near for k in near)))
+    return ms, [tuple(multiple(m, a) for m in ms) for a in range(n)]
+
+
+def _multiple_laws_hold(table, inv, ms, mult) -> bool:
+    """The laws of integral multiples, with ``mult[a]`` the multiples m.a
+    over ``ms`` (``_integral_multiples``):
+
+    * (-m).a = -(m.a) = m.(-a) for |m| <= 2n;
+    * (m + k).a = m.a (+) k.a and (m*k).a = m.(k.a) for |m|, |k| <= n.
+
+    For each a the first law is three slices of mult[a] and the second two
+    compares per m, over all k at once, as tuples in C."""
+    n = len(table)
+    pos = {m: i for i, m in enumerate(ms)}
+    near = range(-n, n + 1)
+    wide = range(-2 * n, 2 * n + 1)
+    forward = _getter([pos[m] for m in wide])
+    backward = _getter([pos[-m] for m in wide])
+    pick_near = _getter([pos[k] for k in near])
+    sums = [(pos[m], _getter([pos[m + k] for k in near])) for m in near]
+    products = [(pos[m], _getter([pos[m * k] for k in near])) for m in near]
+    by_m = list(zip(*mult))  # by_m[pos[m]][x] = m.x
+    for ma, neg_a in zip(mult, inv):
+        back = backward(ma)
+        if back != _getter(forward(ma))(inv) or back != forward(mult[neg_a]):
+            return False
+        take_k = _getter(pick_near(ma))  # seq -> seq[k.a] over |k| <= n
+        for (i, sum_k), (_, product_k) in zip(sums, products):
+            if sum_k(ma) != take_k(table[ma[i]]) or product_k(ma) != take_k(by_m[i]):
+                return False
+    return True
 
 
 def _sweep_core(r: _Recorder, g: GyroTable):
@@ -198,58 +302,23 @@ def _sweep_core(r: _Recorder, g: GyroTable):
     if not g.right_identity_holds():
         r.finding("right-identity", "0 is not a right identity on a validated table")
 
-    r.check(
-        "gyration-loop-property",
-        all(g.gyr(g.table[a][b], b) == g.gyr(a, b) for a in els for b in els),
-    )
-    r.check(
-        "gyration-inverse-symmetry",
-        all(g.gyr(b, a) == g.gyr(a, b).inverse() for a in els for b in els),
-    )
-    translations = left_translations(g)
-    r.check(
-        "gyration-translation-form",
-        all(
-            g.gyr(a, b)
-            == translations[g.table[a][b]].inverse() * translations[a] * translations[b]
-            for a in els
-            for b in els
-        ),
-    )
+    gid, perms = g._gyration_numbering()
+    r.check("gyration-loop-property", _loop_property(g.table, gid))
+    r.check("gyration-inverse-symmetry", _inverse_symmetry(gid, perms))
+    r.check("gyration-translation-form", _translation_form(g.table, gid, perms))
     r.check("negation-involution", all(g.neg(g.neg(a)) == a for a in els))
 
-    window = 2 * n
-    # every m.a the laws below read, with m*k up to n*n, built once
-    mults = [_int_multiples(g, a, max(n * n, window)) for a in els]
-    ok_laws = True
-    for a in els:
-        ma = mults[a]
-        mneg = mults[g.neg(a)]
-        for m in range(-window, window + 1):
-            if ma[-m] != g.neg(ma[m]) or ma[-m] != mneg[m]:
-                ok_laws = False
-        for m in range(-n, n + 1):
-            for k in range(-n, n + 1):
-                if ma[m + k] != g.table[ma[m]][ma[k]]:
-                    ok_laws = False
-                if ma[m * k] != mults[ma[k]][m]:
-                    ok_laws = False
-    r.check("integral-multiple-laws", ok_laws)
+    r.check(
+        "integral-multiple-laws",
+        _multiple_laws_hold(g.table, g.inv, *_integral_multiples(n, g.int_multiple)),
+    )
     r.check("order-annihilates", all(g.int_multiple(n, a) == 0 for a in els))
 
     r.check(
         "group-iff-left-nucleus-full",
         g.is_group() == (len(left_nucleus(g)) == n),
     )
-    r.check(
-        "translation-sandwich",
-        all(
-            translations[a] * translations[b] * translations[a]
-            == translations[g.coadd(g.table[a][b], a)]
-            for a in els
-            for b in els
-        ),
-    )
+    r.check("translation-sandwich", _translation_sandwich(g.table, g.coadd))
 
 
 def _commutator_rows(g: GyroTable) -> list[list[int]]:
@@ -301,15 +370,13 @@ def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
         all(frozenset(tau(x) for x in dset) == dset for tau in auts),
     )
 
-    ok_homs = True
-    for n_sub in normals:
-        proj = try_quotient(g, n_sub).projection
-        q_comm = _commutator_rows(proj.codomain)
-        if not all(
-            proj(comm[a][b]) == q_comm[proj(a)][proj(b)] for a in els for b in els
-        ):
-            ok_homs = False
-    r.check("homs-preserve-commutators", ok_homs)
+    r.check(
+        "homs-preserve-commutators",
+        all(
+            _preserves(proj.map, comm, _commutator_rows(proj.codomain))
+            for proj in (try_quotient(g, n_sub).projection for n_sub in normals)
+        ),
+    )
 
     ok_items = True
     commutators = {c for row in comm for c in row}
@@ -429,6 +496,43 @@ def _sweep_nuclei(r: _Recorder, g: GyroTable):
     r.check("reversal-kernel-word-oracle", lg_prime_word_oracle(g) == prime)
 
 
+def _generate_monotone(sets, closures) -> bool:
+    """A <= B implies <A> <= <B>, with ``closures[i]`` the closure of
+    ``sets[i]``."""
+    return all(
+        ca <= cb for a, ca in zip(sets, closures) for b, cb in zip(sets, closures) if a <= b
+    )
+
+
+def _subgroup_forms_agree(g: GyroTable, lattice: list[SubSet], numbering) -> bool:
+    """For every subgyrogroup H, ``is_subgroup`` agrees with two other forms:
+
+    * the associativity scan, one compare per pair a, b in H: row a (+) b
+      against L_a L_b, both restricted to H, as tuples in C;
+    * every gyr[a, b] with a, b in H fixes H pointwise, each distinct
+      gyration by its number in ``numbering`` (``(gid, perms)``) once.
+
+    Restrictions go through ``core._getter``, which yields a tuple also
+    for H = {0}."""
+    table = g.table
+    gid, perms = numbering
+    for s in lattice:
+        hs = s.members
+        pick = _getter(hs)
+        scan = all(
+            pick(table[x]) == _getter(pick(table[b]))(table[a])
+            for a in hs
+            for b, x in zip(hs, pick(table[a]))
+        )
+        ids = set()
+        for a in hs:
+            ids.update(pick(gid[a]))
+        gyr_form = all(pick(perms[k].images) == hs for k in ids)
+        if is_subgroup(g, s) != scan or scan != gyr_form:
+            return False
+    return True
+
+
 def _sweep_substructure(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
     sets = [s.as_set() for s in lattice]
     members = {s.members for s in lattice}
@@ -438,16 +542,9 @@ def _sweep_substructure(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
             tuple(sorted(a & b)) in members for a in sets for b in sets
         ),
     )
-    r.check(
-        "generate-idempotent",
-        all(generate(g, s.members).members == s.members for s in lattice),
-    )
-    ok_mono = True
-    for a in sets:
-        for b in sets:
-            if a <= b and not generate(g, a).as_set() <= generate(g, b).as_set():
-                ok_mono = False
-    r.check("generate-monotone", ok_mono)
+    closures = [generate(g, s.members).as_set() for s in lattice]
+    r.check("generate-idempotent", closures == sets)
+    r.check("generate-monotone", _generate_monotone(sets, closures))
 
     ok_partition = True
     ok_lagrange = True
@@ -463,17 +560,10 @@ def _sweep_substructure(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
     r.check("L-subgyrogroups-partition", ok_partition)
     r.check("L-subgyrogroup-index-divides", ok_lagrange)
 
-    t = g.table
-    ok_assoc = True
-    for s in lattice:
-        h = s.as_set()
-        scan = all(t[t[a][b]][c] == t[a][t[b][c]] for a in h for b in h for c in h)
-        gyr_form = all(
-            all(g.gyr(a, b)(c) == c for c in h) for a in h for b in h
-        )
-        if is_subgroup(g, s) != scan or scan != gyr_form:
-            ok_assoc = False
-    r.check("subgroup-characterizations-agree", ok_assoc)
+    r.check(
+        "subgroup-characterizations-agree",
+        _subgroup_forms_agree(g, lattice, g._gyration_numbering()),
+    )
 
 
 def _sweep_normality(r: _Recorder, g: GyroTable, lattice: list[SubSet], normals: list[SubSet]):

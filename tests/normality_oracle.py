@@ -9,6 +9,11 @@ through that decision and intersects.  Neither shares code with the
 coset test and congruence method the library uses: the partition comes
 from the dict-of-frozensets ``left_cosets`` of ``lattice_oracle``, not from
 the library's opening scan.
+
+The per-pair ``check_hom``, the union-find congruence closure that pushes
+pairs one element at a time, and the sufficient normality condition with
+cosets built per element are kept here as oracles for the row compares of
+``gyrokit.normality``; the five-step decision uses this ``check_hom``.
 """
 
 from __future__ import annotations
@@ -18,14 +23,74 @@ from typing import Iterable
 from lattice_oracle import left_cosets
 
 from gyrokit.core import GyroTable, InternalConsistencyError, verify_axioms
-from gyrokit.normality import Hom, NotNormal, Quotient, check_hom
+from gyrokit.normality import Hom, NotNormal, Quotient
 from gyrokit.substructure import (
     DEFAULT_LATTICE_CAP,
     NotPartition,
     SubSet,
     _require_subgyrogroup,
     enumerate_subgyrogroups,
+    left_coset,
+    right_coset,
 )
+
+
+def check_hom(phi: Hom) -> bool:
+    """phi(a+b) = phi(a)+phi(b), one pair at a time."""
+    g, k, f = phi.domain, phi.codomain, phi.map
+    tg, tk = g.table, k.table
+    for a in g.elements():
+        fa = f[a]
+        for b in g.elements():
+            if f[tg[a][b]] != tk[fa][f[b]]:
+                return False
+    return True
+
+
+def zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
+    """The least member of each element's class in Cg(seed x {0}), by a
+    union-find with path halving that pushes each merged pair through every
+    left and right translation, one element at a time."""
+    table = g.table
+    parent = list(g.elements())
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending: list[tuple[int, int]] = []
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            if rx < ry:
+                parent[ry] = rx
+            else:
+                parent[rx] = ry
+            pending.append((x, y))
+
+    for s in seed:
+        union(s, 0)
+    while pending:
+        x, y = pending.pop()
+        row_x, row_y = table[x], table[y]
+        for row_a, xa, ya in zip(table, row_x, row_y):
+            union(xa, ya)
+            union(row_a[x], row_a[y])
+    return [find(x) for x in g.elements()]
+
+
+def check_sufficient_normality(g: GyroTable, subset) -> bool:
+    """Every gyr[x, a] with x in H is the identity, every gyration maps H
+    into H, and a + H = H + a for every a; each built per element."""
+    h = _require_subgyrogroup(g, subset)
+    els = g.elements()
+    cond1 = all(g.gyr(x, a).is_identity() for x in h for a in els)
+    cond2 = all(gy(x) in h for gy in g.gyrations() for x in h)
+    cond3 = all(left_coset(g, h, a) == right_coset(g, h, a) for a in els)
+    return cond1 and cond2 and cond3
 
 
 def try_quotient(g: GyroTable, subset) -> Quotient:

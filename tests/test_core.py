@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from axioms_oracle import verify_axioms_per_pair
+from core_oracle import is_group_per_triple, is_gyrocommutative_per_pair
 
 from gyrokit.core import (
     AxiomError,
@@ -14,6 +15,7 @@ from gyrokit.core import (
     MalformedTableError,
     Perm,
     ResourceCapError,
+    _getter,
     _gyrations_by_bytes,
     _gyrations_by_tuples,
     direct_product,
@@ -632,6 +634,43 @@ class TestWholeTablePredicates:
     def test_right_identity_verified_not_assumed(self, corpus):
         for g in corpus.values():
             assert g.right_identity_holds()
+
+
+class TestWholeTablePredicatesAgainstOracle:
+    """``is_group`` by row compares and ``is_gyrocommutative`` from the
+    gyration numbering, against the per-triple and per-pair definitions."""
+
+    def test_census8_corpus_and_products(self, census8, corpus, nonassoc8):
+        tables = [*census8, *corpus.values(), direct_product(nonassoc8, cyclic(2))]
+        tables.append(direct_product(sym3(), cyclic(2)))
+        verdicts = set()
+        for g in tables:
+            want = (is_group_per_triple(g), is_gyrocommutative_per_pair(g))
+            assert (g.is_group(), g.is_gyrocommutative()) == want
+            verdicts.add(want)
+        # nonassociative and not gyrocommutative (na8), a nonabelian group,
+        # an abelian group, and nonassociative but gyrocommutative
+        assert verdicts == {(False, False), (True, False), (True, True), (False, True)}
+
+    def test_na8_is_neither(self, nonassoc8):
+        assert not nonassoc8.is_group() and not is_group_per_triple(nonassoc8)
+        assert not nonassoc8.is_gyrocommutative()
+        assert not is_gyrocommutative_per_pair(nonassoc8)
+
+    def test_order_one(self):
+        z1 = cyclic(1)
+        assert z1.is_group() and is_group_per_triple(z1)
+        assert z1.is_gyrocommutative() and is_gyrocommutative_per_pair(z1)
+
+
+class TestGetter:
+    def test_always_a_tuple(self):
+        # one index picks one entry, also from a list, and also at order 1
+        assert _getter((0,))([5]) == (5,)
+        assert _getter((0,))((0, 1, 2, 3)) == (0,)
+        assert _getter((2,))([7, 8, 9]) == (9,)
+        assert _getter((2, 0))([7, 8, 9]) == (9, 7)
+        assert _getter((1, 0))([7, 8]) == (8, 7)
 
 
 class TestConcurrentReads:

@@ -5,6 +5,7 @@ from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.core import direct_product, verify_axioms
 from gyrokit.normality import (
     Hom,
+    _preserves,
     NotNormal,
     _zero_congruence,
     check_hom,
@@ -302,3 +303,80 @@ class TestCongruenceAgainstOracle:
             for seed in seeds:
                 got = normal_closure(g, seed)
                 assert got == oracle.normal_closure(g, seed), (name, seed)
+
+
+class TestRowFormsAgainstOracle:
+    """``check_hom``, the union-find closure and the sufficient condition,
+    which compare whole rows, against their per-element forms in
+    ``normality_oracle`` over the order-8 census, the acceptance corpus and
+    na8 x Z2, each with inputs where the answer is False."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, corpus, nonassoc8):
+        return [*census8, *corpus.values(), direct_product(nonassoc8, cyclic(2))]
+
+    def test_check_hom(self, tables):
+        verdicts = set()
+        for g in tables:
+            maps = [try_quotient(g, s).projection for s in enumerate_subgyrogroups(g) if is_normal(g, s)]
+            # relabellings that swap two nonzero elements, and the map onto z1
+            for i in range(1, g.order - 1):
+                f = list(g.elements())
+                f[i], f[i + 1] = i + 1, i
+                maps.append(Hom(g, g, tuple(f)))
+            maps.append(Hom(g, cyclic(1), (0,) * g.order))
+            for phi in maps:
+                want = oracle.check_hom(phi)
+                assert check_hom(phi) == want, (g, phi.map)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_check_hom_order_one_and_lists(self):
+        z1, z2 = cyclic(1), cyclic(2)
+        assert check_hom(Hom(z1, z1, [0])) and check_hom(Hom(z1, z2, (0,)))
+        assert check_hom(Hom(z2, z1, [0, 0]))
+        assert not check_hom(Hom(z2, z2, [1, 0])) and not oracle.check_hom(Hom(z2, z2, [1, 0]))
+        assert not check_hom(Hom(cyclic(3), cyclic(3), [0, 2, 2]))
+        # fails on the last row only: row 0 holds for every map fixing 0
+        assert not check_hom(Hom(z2, cyclic(3), (0, 1))) and not oracle.check_hom(Hom(z2, cyclic(3), (0, 1)))
+
+    def test_induced_isomorphism_onto_a_proper_image(self):
+        # the image {0, 2} of Z2 in Z4 is relabelled 0, 1; the image {0} of
+        # Z4 in Z2 is a table of order 1
+        hom = induced_isomorphism(Hom(cyclic(2), cyclic(4), (0, 2)))
+        assert hom.codomain.table == ((0, 1), (1, 0)) and hom.map == (0, 1)
+        hom = induced_isomorphism(Hom(cyclic(4), cyclic(2), (0, 0, 0, 0)))
+        assert hom.domain.order == 1 and hom.codomain.table == ((0,),) and hom.map == (0,)
+        assert _preserves([0], [[0]], ((0,),))
+
+    def test_zero_congruence(self, tables, nonassoc8):
+        differs = 0
+        for g in [*tables, direct_product(nonassoc8, klein_four())]:
+            seeds = [s.members for s in enumerate_subgyrogroups(g)]
+            seeds += [(a,) for a in g.elements()]
+            for seed in seeds:
+                want = oracle.zero_congruence(g, seed)
+                assert _zero_congruence(g, seed) == want, (g, seed)
+                differs += {x for x in g.elements() if want[x] == 0} != set(seed) | {0}
+        # the 0-class of a non-normal seed is larger than the seed
+        assert differs > 0
+        s3 = sym3()
+        # {0, 1} is a non-normal subgroup of S3, and its closure is all of S3
+        assert _zero_congruence(s3, [1]) == [0] * 6 == oracle.zero_congruence(s3, [1])
+        assert _zero_congruence(cyclic(1), [0]) == [0]
+        assert _zero_congruence(nonassoc8, [0]) == list(range(8))
+
+    def test_sufficient_condition(self, tables):
+        verdicts = set()
+        for g in tables:
+            for s in enumerate_subgyrogroups(g):
+                want = oracle.check_sufficient_normality(g, s)
+                assert check_sufficient_normality(g, s) == want, (g, s.members)
+                verdicts.add((want, is_normal(g, s)))
+        # holding, failing on a normal subgyrogroup, failing on a non-normal one
+        assert verdicts == {(True, True), (False, True), (False, False)}
+        s3 = sym3()
+        assert not check_sufficient_normality(s3, [0, 1])
+        assert not oracle.check_sufficient_normality(s3, [0, 1])
+        assert check_sufficient_normality(cyclic(1), [0])
+        assert check_sufficient_normality(s3, [0]) and oracle.check_sufficient_normality(s3, [0])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import lattice_oracle
+from core_oracle import is_gyration_invariant_per_element
 from lattice_oracle import (
     enumerate_subgyrogroups_found_set,
     enumerate_subgyrogroups_pairwise,
@@ -320,6 +321,20 @@ class TestGyrationInvariance:
                     assert is_gyration_invariant(g, subset) == want, (g, sorted(subset))
                     outcomes.add(want)
         assert outcomes == {True, False}
+
+    def test_every_subset_of_na8_and_order_one(self, nonassoc8):
+        # against gyrations built from the gyrator identity, on all 256
+        # subsets of na8, empty and one-member sets among them
+        outcomes = set()
+        for bits in range(256):
+            subset = [x for x in range(8) if bits >> x & 1]
+            want = is_gyration_invariant_per_element(nonassoc8, subset)
+            assert is_gyration_invariant(nonassoc8, subset) == want, subset
+            outcomes.add(want)
+        assert outcomes == {True, False}
+        assert not is_gyration_invariant(nonassoc8, [4])
+        z1 = cyclic(1)
+        assert is_gyration_invariant(z1, [0]) and is_gyration_invariant_per_element(z1, [0])
 
 
 class TestLattice:

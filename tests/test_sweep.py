@@ -3,10 +3,20 @@ from itertools import combinations
 
 import pytest
 
+from nuclei_oracle import gyration
 from sweep_oracle import (
     commutes_with_gyrations_per_c,
+    commutes_with_gyrations_per_pair,
+    generate_monotone_per_pair,
+    inverse_symmetry_per_pair,
     is_group_all_pairs,
     lg_prime_word_oracle_perms,
+    loop_property_per_pair,
+    multiple_laws_per_pair,
+    preserves_per_pair,
+    subgroup_forms_agree_per_triple,
+    translation_form_per_pair,
+    translation_sandwich_per_pair,
 )
 
 from gyrokit import sweep
@@ -14,13 +24,22 @@ from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
 from gyrokit.core import InternalConsistencyError, Perm, direct_product
 from gyrokit.gyrofile import save_table
-from gyrokit.normality import Hom, check_hom, is_normal, try_quotient
+from gyrokit.normality import Hom, _preserves, check_hom, is_normal, try_quotient
 from gyrokit.nuclei import PermGroup, left_translations
 from gyrokit.search import automorphisms
-from gyrokit.substructure import enumerate_subgyrogroups
+from gyrokit.substructure import SubSet, enumerate_subgyrogroups, generate
 from gyrokit.sweep import (
+    _commutator_rows,
     _commutes_with_gyrations,
+    _generate_monotone,
+    _integral_multiples,
+    _inverse_symmetry,
     _is_group,
+    _loop_property,
+    _multiple_laws_hold,
+    _subgroup_forms_agree,
+    _translation_form,
+    _translation_sandwich,
     lg_prime_word_oracle,
     run_theorem_sweep,
     sweep_table,
@@ -163,8 +182,25 @@ class TestCommutesWithGyrationsAgainstOracle:
                     proj = try_quotient(g, s).projection
                     assert _commutes_with_gyrations(proj)
                     assert commutes_with_gyrations_per_c(proj)
+                    assert commutes_with_gyrations_per_pair(proj)
                     seen += 1
         assert seen == 70  # the normal subgyrogroups of the 15 tables
+
+    def test_census8_and_na8xz2_projections_and_relabellings(self, census8, nonassoc8):
+        # every quotient projection, and every relabelling that swaps two
+        # nonzero elements, which commutes with gyrations only sometimes
+        verdicts = set()
+        for g in [*census8, direct_product(nonassoc8, cyclic(2))]:
+            maps = [try_quotient(g, s).projection for s in enumerate_subgyrogroups(g) if is_normal(g, s)]
+            for i, j in combinations(range(1, g.order), 2):
+                f = list(g.elements())
+                f[i], f[j] = j, i
+                maps.append(Hom(g, g, tuple(f)))
+            for phi in maps:
+                want = commutes_with_gyrations_per_c(phi)
+                assert _commutes_with_gyrations(phi) == commutes_with_gyrations_per_pair(phi) == want
+                verdicts.add(want)
+        assert verdicts == {False, True}
 
     def test_maps_that_are_not_homomorphisms(self, nonassoc8):
         # a relabelling of na8 that fixes 0 and breaks both properties, and
@@ -223,3 +259,249 @@ class TestAutomorphismClosure:
         # planted, whose closure is all 5,040 permutations of 1..7, the sweep
         # costs 1,120 products
         assert mul_counter[0] <= MUL_BUDGET_Z2XZ2XZ2
+
+
+def _oracle_gyr(g):
+    """gyr(a, b) as a ``Perm`` built from the gyrator identity."""
+    return lambda a, b: Perm(gyration(g, a, b))
+
+
+def _numbered_gyr(gid, perms):
+    """gyr(a, b) read from a numbering, broken or not."""
+    return lambda a, b: perms[gid[a][b]]
+
+
+def _with_cell(gid, a, b, k):
+    """A copy of ``gid`` with cell (a, b) set to k."""
+    broken = [list(row) for row in gid]
+    broken[a][b] = k
+    return broken
+
+
+class TestRowFormsAgainstOracles:
+    """Each check that reads the gyration numbering or compares whole rows,
+    against its per-pair form in ``sweep_oracle``: the same verdict on every
+    table, and False on a broken input for both."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, corpus, nonassoc8):
+        # the order-8 census, the acceptance corpus (z1 among it), na8 x Z2
+        return [*census8, *corpus.values(), direct_product(nonassoc8, cyclic(2))]
+
+    def test_gyration_checks_match(self, tables):
+        for g in tables:
+            gid, perms = g._gyration_numbering()
+            gyr = _oracle_gyr(g)
+            assert _loop_property(g.table, gid) == loop_property_per_pair(g.table, gyr) is True
+            assert _inverse_symmetry(gid, perms) == inverse_symmetry_per_pair(g.order, gyr) is True
+            assert _translation_form(g.table, gid, perms) == translation_form_per_pair(g.table, gyr) is True
+            assert _translation_sandwich(g.table, g.coadd) is True
+            assert translation_sandwich_per_pair(g.table, g.coadd) is True
+
+    def test_broken_numbering_fails_both(self, nonassoc8):
+        t = nonassoc8.table
+        gid, perms = nonassoc8._gyration_numbering()
+        assert len(perms) == 2 and gid[4][2] == 1
+        bad_gid = _with_cell(gid, 4, 2, 0)
+        assert not _loop_property(t, bad_gid)
+        assert not loop_property_per_pair(t, _numbered_gyr(bad_gid, perms))
+        # gyr[4, 2] numbered as the identity, gyr[2, 4] still not: every
+        # numbered gyration is an involution, yet the two are not inverses
+        assert not _inverse_symmetry(bad_gid, perms)
+        assert not inverse_symmetry_per_pair(8, _numbered_gyr(bad_gid, perms))
+        # the non-identity gyration replaced by L_6, a 4-cycle whose inverse
+        # is missing from the numbering: False, no raise
+        bad_perms = (perms[0], Perm(t[6]))
+        assert not _inverse_symmetry(gid, bad_perms)
+        assert not inverse_symmetry_per_pair(8, _numbered_gyr(gid, bad_perms))
+        assert not _translation_form(t, gid, bad_perms)
+        assert not translation_form_per_pair(t, _numbered_gyr(gid, bad_perms))
+
+    def test_broken_coaddition_fails_both(self, nonassoc8):
+        coadd = nonassoc8.coadd
+        x = nonassoc8.table[3][5]
+        bad = lambda y, a: (coadd(y, a) + 1) % 8 if (y, a) == (x, 3) else coadd(y, a)  # noqa: E731
+        assert not _translation_sandwich(nonassoc8.table, bad)
+        assert not translation_sandwich_per_pair(nonassoc8.table, bad)
+
+    def test_multiple_laws_match(self, tables, nonassoc8):
+        for g in tables:
+            assert _multiple_laws_hold(g.table, g.inv, *_integral_multiples(g.order, g.int_multiple))
+            assert multiple_laws_per_pair(g.table, g.inv, g.int_multiple)
+        for m, a in [(1, 1), (3, 6), (-2, 5), (64, 6), (-56, 7)]:
+            def bad(k, x, m=m, a=a):
+                y = nonassoc8.int_multiple(k, x)
+                return (y + 1) % 8 if (k, x) == (m, a) else y
+
+            assert not _multiple_laws_hold(nonassoc8.table, nonassoc8.inv, *_integral_multiples(8, bad)), (m, a)
+            assert not multiple_laws_per_pair(nonassoc8.table, nonassoc8.inv, bad), (m, a)
+        # correct multiples and a broken table: only the law
+        # (m + k).a = m.a + k.a reads the table
+        table = [list(row) for row in nonassoc8.table]
+        table[6][6], table[6][7] = table[6][7], table[6][6]
+        ms, mult = _integral_multiples(8, nonassoc8.int_multiple)
+        assert not _multiple_laws_hold(table, nonassoc8.inv, ms, mult)
+        assert not multiple_laws_per_pair(table, nonassoc8.inv, nonassoc8.int_multiple)
+
+    def test_integral_multiples_read_once_each(self, nonassoc8):
+        calls = []
+
+        def counting(m, a):
+            calls.append((m, a))
+            return nonassoc8.int_multiple(m, a)
+
+        ms, mult = _integral_multiples(8, counting)
+        assert len(calls) == len(set(calls)) == 8 * len(ms)
+        assert set(range(-16, 17)) <= set(ms) and 64 in ms and -56 in ms and 63 not in ms
+
+    def test_subgroup_forms_match(self, tables, nonassoc8):
+        for g in tables:
+            lattice = enumerate_subgyrogroups(g)
+            want = subgroup_forms_agree_per_triple(g, lattice, _oracle_gyr(g))
+            assert _subgroup_forms_agree(g, lattice, g._gyration_numbering()) == want is True
+        # the identity replaced by L_6, which moves 0: H = {0} is a subgroup
+        # whose gyration form fails
+        lattice = enumerate_subgyrogroups(nonassoc8)
+        gid, perms = nonassoc8._gyration_numbering()
+        bad = (Perm(nonassoc8.table[6]), perms[1])
+        assert not _subgroup_forms_agree(nonassoc8, lattice, (gid, bad))
+        assert not subgroup_forms_agree_per_triple(nonassoc8, lattice, _numbered_gyr(gid, bad))
+
+    def test_generate_monotone_matches(self, tables, nonassoc8):
+        for g in tables:
+            sets = [s.as_set() for s in enumerate_subgyrogroups(g)]
+            close = lambda s, g=g: generate(g, s).as_set()  # noqa: E731
+            assert _generate_monotone(sets, [close(s) for s in sets])
+            assert generate_monotone_per_pair(sets, close)
+        sets = [s.as_set() for s in enumerate_subgyrogroups(nonassoc8)]
+        whole = frozenset(range(8))
+        bad = lambda s: frozenset({0}) if s == whole else generate(nonassoc8, s).as_set()  # noqa: E731
+        assert not _generate_monotone(sets, [bad(s) for s in sets])
+        assert not generate_monotone_per_pair(sets, bad)
+
+    def test_commutator_rows_match(self, tables, nonassoc8):
+        for g in tables:
+            comm = _commutator_rows(g)
+            for s in enumerate_subgyrogroups(g):
+                if is_normal(g, s):
+                    proj = try_quotient(g, s).projection
+                    k_comm = _commutator_rows(proj.codomain)
+                    assert _preserves(proj.map, comm, k_comm)
+                    assert preserves_per_pair(proj.map, comm, k_comm)
+        # a bijection of na8 that is no homomorphism and moves the commutator 1
+        comm = _commutator_rows(nonassoc8)
+        swap = (0, 2, 1, 3, 4, 5, 6, 7)
+        assert {c for row in comm for c in row} == {0, 1}
+        assert not check_hom(Hom(nonassoc8, nonassoc8, swap))
+        assert not _preserves(swap, comm, comm)
+        assert not preserves_per_pair(swap, comm, comm)
+
+    def test_order_one_and_the_trivial_subgroup(self, nonassoc8):
+        # a restriction to {0} and every row at order 1 are one-member tuples
+        z1 = cyclic(1)
+        gid, perms = z1._gyration_numbering()
+        assert _loop_property(z1.table, gid) and _inverse_symmetry(gid, perms)
+        assert _translation_form(z1.table, gid, perms)
+        assert _translation_sandwich(z1.table, z1.coadd)
+        assert _multiple_laws_hold(z1.table, z1.inv, *_integral_multiples(1, z1.int_multiple))
+        assert _subgroup_forms_agree(z1, enumerate_subgyrogroups(z1), (gid, perms))
+        assert _preserves((0,), [[0]], ((0,),)) and _preserves([0], ((0,),), [[0]])
+        assert _commutes_with_gyrations(Hom(z1, z1, [0]))
+        trivial = [SubSet(nonassoc8, (0,))]
+        assert _subgroup_forms_agree(nonassoc8, trivial, nonassoc8._gyration_numbering())
+        assert _generate_monotone([frozenset({0})], [frozenset({0})])
+
+
+def _swap12(f):
+    return tuple({1: 2, 2: 1}.get(v, v) for v in f)
+
+
+def _break_inverse(real, g):
+    return lambda gid, perms: real(gid, (perms[0], Perm(g.table[6])))
+
+
+def _break_translation_form(real, g):
+    return lambda table, gid, perms: real(table, gid, (perms[0], Perm(g.table[6])))
+
+
+def _break_loop(real, g):
+    return lambda table, gid: real(table, _with_cell(gid, 4, 2, 0))
+
+
+def _break_sandwich(real, g):
+    def broken(table, coadd):
+        return real(table, lambda y, a: (coadd(y, a) + 1) % 8 if a == 3 else coadd(y, a))
+
+    return broken
+
+
+def _break_multiples(real, g):
+    return lambda n, multiple: real(n, lambda m, a: 0 if (m, a) == (1, 1) else multiple(m, a))
+
+
+def _break_monotone(real, g):
+    return lambda sets, closures: real(sets, closures[:-1] + [frozenset({0})])
+
+
+def _break_subgroup_forms(real, g):
+    return lambda h, lattice, numbering: real(h, lattice, (numbering[0], (Perm(g.table[6]),) + numbering[1][1:]))
+
+
+def _break_commutator_rows(real, g):
+    def broken(f, rows, k_rows):
+        bad = [list(row) for row in rows]
+        bad[3][5] = (bad[3][5] + 1) % 8
+        return real(f, bad, k_rows)
+
+    return broken
+
+
+def _break_projection(real, g):
+    # only the projection onto the quotient by {0}, a relabelling of na8
+    return lambda phi: real(Hom(phi.domain, phi.codomain, _swap12(phi.map)) if phi.codomain.order == 8 else phi)
+
+
+class TestBrokenInputFailsItsCheck:
+    """A check handed a broken input fails, and it alone: every other check
+    passes and the check ids stay in order."""
+
+    @pytest.mark.parametrize(
+        "name, breaker, check_id",
+        [
+            ("_loop_property", _break_loop, "gyration-loop-property"),
+            ("_inverse_symmetry", _break_inverse, "gyration-inverse-symmetry"),
+            ("_translation_form", _break_translation_form, "gyration-translation-form"),
+            ("_translation_sandwich", _break_sandwich, "translation-sandwich"),
+            ("_integral_multiples", _break_multiples, "integral-multiple-laws"),
+            ("_generate_monotone", _break_monotone, "generate-monotone"),
+            ("_subgroup_forms_agree", _break_subgroup_forms, "subgroup-characterizations-agree"),
+            ("_preserves", _break_commutator_rows, "homs-preserve-commutators"),
+            ("_commutes_with_gyrations", _break_projection, "quotient-kernel-roundtrip"),
+            ("check_hom", _break_projection, "quotient-kernel-roundtrip"),
+        ],
+    )
+    def test_on_na8(self, name, breaker, check_id, nonassoc8, monkeypatch):
+        clean = sweep_table("na8", nonassoc8)
+        assert clean.failures == 0
+        monkeypatch.setattr(sweep, name, breaker(getattr(sweep, name), nonassoc8))
+        rec = sweep_table("na8", nonassoc8)
+        assert [line for line in rec.lines if ":: FAIL" in line] == [f"na8 :: {check_id} :: FAIL"]
+        assert [line.split(" :: ")[1] for line in rec.lines] == [
+            line.split(" :: ")[1] for line in clean.lines
+        ]
+
+    def test_sufficient_condition_on_s3(self, monkeypatch):
+        # in a group the condition is coset symmetry, which holds exactly for
+        # the normal subgroups; asked about the whole group instead, it
+        # holds for the three non-normal subgroups of order 2 too
+        s3 = sym3()
+        clean = sweep_table("s3", s3)
+        real = sweep.check_sufficient_normality
+        monkeypatch.setattr(sweep, "check_sufficient_normality", lambda g, s: real(g, range(g.order)))
+        rec = sweep_table("s3", s3)
+        assert [line for line in rec.lines if ":: FAIL" in line] == [
+            "s3 :: sufficient-condition-implies-normal :: FAIL"
+        ]
+        assert [line.split(" :: ")[1] for line in rec.lines] == [
+            line.split(" :: ")[1] for line in clean.lines
+        ]
