@@ -6,15 +6,18 @@ derived from the table via the gyrator identity
 
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
-and numbered in one place, ``_number_gyrations``, which ``verify_axioms``
-and ``GyroTable`` both call.  All values are immutable after construction
-except the per-cell gyration cache, filled from that numbering, and one
-per-table memo, ``_memo``, of structures derived from the table; each key
-is filled by the module that owns it (``"gyration numbering"``,
-``"gyrations"`` and ``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice
-members"`` by ``substructure``, ``("quotient", N)`` by ``normality``,
-``"reversal kernel"`` by ``nuclei``, ``"commutator subgyrogroup"`` by
-``commutator``).  Every fill is idempotent (safe for concurrent readers).
+and numbered in one place, ``_number_gyrations``: a checked ``GyroTable``
+keeps the numbering of its axiom check (``_verify_rows``), an unchecked one
+numbers on first use.  One scan, ``_is_associative_on``, decides
+associativity for ``is_group`` and ``substructure.is_subgroup``.  All
+values are immutable after construction except the per-cell gyration cache,
+filled from that numbering, and one per-table memo, ``_memo``, of
+structures derived from the table; each key is filled by the module that
+owns it (``"gyration numbering"``, ``"gyrations"`` and ``("cycle", a)``
+here, ``("cosets", H)`` and ``"lattice members"`` by ``substructure``,
+``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by ``nuclei``,
+``"commutator subgyrogroup"`` by ``commutator``).  Every fill is
+idempotent (safe for concurrent readers).
 """
 
 from __future__ import annotations
@@ -134,16 +137,6 @@ class AxiomReport:
         return f"FAIL (order {self.order}): {head}{more}"
 
 
-class _Rows(tuple):
-    """A table as ``_normalize_rows`` returns it: a tuple of tuple rows of
-    ints in 0..n-1.  Its rows are immutable, so ``_normalize_rows`` hands an
-    instance back unchanged; a table built with ``check=True`` is normalised
-    once, not again by ``verify_axioms``.  ``GyroTable`` stores a plain
-    tuple: CPython indexes an exact tuple faster than a subclass."""
-
-    __slots__ = ()
-
-
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     """Coerce to a tuple of tuple rows; raise MalformedTableError otherwise.
 
@@ -151,8 +144,6 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     other row (an ``int`` subclass, or a bad entry) goes through the entries
     one by one, which accepts ``int`` subclasses other than ``bool`` and
     names the first bad entry."""
-    if type(table) is _Rows:
-        return table
     try:
         rows = tuple(tuple(row) for row in table)
     except TypeError as exc:
@@ -167,7 +158,7 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
             for b, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise MalformedTableError(f"entry ({a},{b}) = {v!r} out of range 0..{n - 1}")
-    return _Rows(rows)
+    return rows
 
 
 def _getter(perm: tuple[int, ...]):
@@ -246,6 +237,17 @@ def _number_gyrations(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]
     return (_gyrations_by_bytes if len(rows) <= 256 else _gyrations_by_tuples)(rows, linv)
 
 
+def _is_associative_on(rows, members) -> bool:
+    """Whether (a (+) b) (+) h = a (+) (b (+) h) for all a, b, h in
+    ``members``, a set closed under the operation.  One compare per pair
+    a, b: row a (+) b against L_a L_b, both restricted to the set, as
+    tuples in C, with one getter per b for its restricted L_b."""
+    pick = _getter(members)
+    on_h = {x: pick(rows[x]) for x in members}
+    after = [_getter(on_h[b]) for b in members]  # seq -> (seq[b + h] for h)
+    return all(on_h[x] == after_b(rows[a]) for a in members for after_b, x in zip(after, on_h[a]))
+
+
 def verify_axioms(table) -> AxiomReport:
     """Check whether a candidate n x n table defines a gyrogroup with identity 0.
 
@@ -291,7 +293,14 @@ def verify_axioms(table) -> AxiomReport:
     with their reference counts.  A failing pair adds its witness scan, at
     most n steps.
     """
-    rows = _normalize_rows(table)
+    return _verify_rows(_normalize_rows(table))[0]
+
+
+def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
+    """``verify_axioms`` on normalised rows: the report and, for a passing
+    table, ``(linv, gid, gyrs)``, its left inverses and gyration numbering;
+    ``None`` otherwise.  On a passing table the n permutation rows hold n
+    zeros, one per column by G2, so each left inverse is unique."""
     n = len(rows)
     ident = list(range(n))
     violations: list[Violation] = []
@@ -300,7 +309,7 @@ def verify_axioms(table) -> AxiomReport:
         if sorted(row) != ident:
             violations.append(Violation("ROW-BIJ", (a,), f"row {a} is not a permutation"))
     if violations:
-        return AxiomReport(n, tuple(violations))
+        return AxiomReport(n, tuple(violations)), None
 
     for a in range(n):
         if rows[0][a] != a:
@@ -314,7 +323,7 @@ def verify_axioms(table) -> AxiomReport:
         if linv[a] is None:
             violations.append(Violation("G2", (a,), f"no left inverse for {a}"))
     if any(v.axiom == "G2" for v in violations):
-        return AxiomReport(n, tuple(violations))
+        return AxiomReport(n, tuple(violations)), None
 
     # gyrs lists the distinct gyrations in order of first appearance, each
     # hashed once; gid[a][b] is the index of gyr[a, b] in it
@@ -345,7 +354,7 @@ def verify_axioms(table) -> AxiomReport:
             if gid[x][b] != ga[b]:
                 violations.append(Violation("G4", (a, b), "left loop property fails"))
 
-    return AxiomReport(n, tuple(violations))
+    return AxiomReport(n, tuple(violations)), None if violations else (linv, gid, gyrs)
 
 
 class GyroTable:
@@ -354,18 +363,28 @@ class GyroTable:
     The constructor runs the full axiom check unless ``check=False`` is
     passed by internal code whose construction guarantees validity (direct
     products, quotients, relabelings).  Structural sanity (permutation rows,
-    identity row, unique left inverses) is enforced in either case.
+    identity row, unique left inverses) is enforced in either case, by the
+    axioms or by a scan of its own.  A checked table keeps the inverses and
+    the gyration numbering of its axiom check.
     """
 
     __slots__ = ("order", "table", "inv", "_gyr", "_memo")
 
     def __init__(self, table, *, check: bool = True):
         rows = _normalize_rows(table)
-        if check:
-            report = verify_axioms(rows)
-            if not report.passed:
-                raise AxiomError(report)
         n = len(rows)
+        self.order = n
+        self.table = rows
+        # derived structures, one key per owner; see the module docstring
+        self._memo: dict = {}
+        if check:
+            report, passed = _verify_rows(rows)
+            if passed is None:
+                raise AxiomError(report)
+            linv, gid, gyrs = passed
+            self.inv = tuple(linv)
+            self._store_numbering(gid, gyrs)
+            return
         ident = list(range(n))
         # permutation rows with their 0s in distinct columns: every element
         # has exactly one left inverse, the row whose 0 is in its column
@@ -383,12 +402,8 @@ class GyroTable:
             inv[z] = b
         if rows[0] != tuple(ident):
             raise MalformedTableError("index 0 is not a left identity")
-        self.order = n
-        self.table = tuple(rows)
         self.inv = tuple(inv)
         self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
-        # derived structures, one key per owner; see the module docstring
-        self._memo: dict = {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -417,25 +432,29 @@ class GyroTable:
         """``(gid, perms)``: ``perms`` lists the distinct gyrations, the
         identity first, and ``gid[a][b]`` is the index of gyr[a, b] in it.
 
-        Numbered once per table by ``_number_gyrations``, the routine
-        ``verify_axioms`` uses, and memoised under ``"gyration
-        numbering"``; the first call also fills every cell of the ``gyr``
-        cache with the shared ``Perm``s.  All n^2 gyrations are built at
-        once: O(n^2) interpreted steps and O(n^3) element copies in C."""
+        Numbered once per table by ``_number_gyrations``: by the axiom
+        check of a checked table, or by the first call here.  All n^2
+        gyrations are built at once: O(n^2) interpreted steps and O(n^3)
+        element copies in C."""
         found = self._memo.get("gyration numbering")
         if found is None:
-            gid, gyrs = _number_gyrations(self.table, self.inv)
-            perms = tuple(map(Perm._unchecked, gyrs))
-            self._gyr = [[perms[k] for k in row] for row in gid]  # idempotent fill
-            found = self._memo["gyration numbering"] = (gid, perms)
+            found = self._store_numbering(*_number_gyrations(self.table, self.inv))
+        return found
+
+    def _store_numbering(self, gid, gyrs) -> tuple[list[list[int]], tuple[Perm, ...]]:
+        """Memoise ``(gid, gyrs)`` under ``"gyration numbering"`` as
+        ``Perm``s, and fill every ``gyr`` cache cell with them (idempotent)."""
+        perms = tuple(map(Perm._unchecked, gyrs))
+        self._gyr = [[perms[k] for k in row] for row in gid]
+        found = self._memo["gyration numbering"] = (gid, perms)
         return found
 
     def gyr(self, a: int, b: int) -> Perm:
         """The gyration generated by a and b, from the gyrator identity.  An
         a or b outside 0..n-1 raises ValueError before the cache is read.
 
-        The first call numbers all n^2 gyrations (``_gyration_numbering``)
-        and fills the whole cache; every later call is one lookup."""
+        The cache is filled whole, from ``_gyration_numbering``, so every
+        call but the first on an unchecked table is one lookup."""
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise self._out_of_range(b if 0 <= a < n else a)
@@ -462,27 +481,31 @@ class GyroTable:
     def int_multiple(self, m: int, a: int) -> int:
         """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a).
 
-        For m >= 0 the recursion says m.a = L_a^m(0).  L_a is a permutation,
-        so the orbit of 0 under it is a cycle 0, L_a(0), L_a^2(0), ... of some
-        length k, and L_a^m(0) is entry m mod k of that cycle.  The cycle is
-        memoised per element under ``("cycle", a)``, so a call with m >= 0
-        after the first is one lookup.  Negative m goes through ``neg``.
-        This is the definition, not a law of multiples, so the sweep check
+        For m >= 0 the recursion says m.a = L_a^m(0), entry m mod k of the
+        cycle of L_a through 0 (``_cycle``), so a call with m >= 0 after
+        the first is one lookup.  Negative m goes through ``neg``.  This is
+        the definition, not a law of multiples, so the sweep check
         ``integral-multiple-laws`` still tests the laws.  An a outside
         0..n-1 raises ValueError before any cycle is read or stored."""
+        if not 0 <= a < self.order:
+            raise self._out_of_range(a)
+        cyc = self._cycle(a)
+        if m < 0:
+            return self.int_multiple(-m, self.neg(a))
+        return cyc[m % len(cyc)]
+
+    def _cycle(self, a: int) -> tuple[int, ...]:
+        """The cycle 0, L_a(0), L_a^2(0), ... of the permutation L_a,
+        memoised under ``("cycle", a)``."""
         cyc = self._memo.get(("cycle", a))
         if cyc is None:
-            if not 0 <= a < self.order:
-                raise self._out_of_range(a)
             row = self.table[a]
             cycle, x = [0], row[0]
             while x != 0:
                 cycle.append(x)
                 x = row[x]
             cyc = self._memo[("cycle", a)] = tuple(cycle)
-        if m < 0:
-            return self.int_multiple(-m, self.neg(a))
-        return cyc[m % len(cyc)]
+        return cyc
 
     def left_translation(self, a: int) -> Perm:
         """The permutation x -> a (+) x, i.e. row a of the table.  An a
@@ -495,13 +518,8 @@ class GyroTable:
 
     def is_group(self) -> bool:
         """True iff the operation is associative, equivalently all gyrations
-        are the identity.  Decided by the associativity scan, one row
-        compare per pair: row a (+) b against L_a L_b as tuples in C.  The
-        sweep check ``subgroup-characterizations-agree`` compares it with
-        the gyration form on every subgyrogroup, the whole table included."""
-        rows = self.table
-        get = [_getter(row) for row in rows]
-        return all(rows[x] == get_b(ra) for ra in rows for get_b, x in zip(get, ra))
+        are the identity (``_is_associative_on`` over every element)."""
+        return _is_associative_on(self.table, self.elements())
 
     def is_gyrocommutative(self) -> bool:
         """True iff a (+) b = gyr[a, b](b (+) a) for all a, b, read from

@@ -334,17 +334,6 @@ def run_search(config: SearchConfig) -> SearchResult:
 # -- isomorphism layer ---------------------------------------------------------
 
 
-def _cycle_lengths(rows) -> list[int]:
-    """The length of the cycle of L_a through 0, for each a."""
-    out = []
-    for row in rows:
-        k, x = 1, row[0]
-        while x:
-            k, x = k + 1, row[x]
-        out.append(k)
-    return out
-
-
 def _isomorphisms(g: GyroTable, h: GyroTable):
     """Every operation-preserving bijection g -> h fixing 0 (equal orders), in
     lexicographic order of its images, forced by closure (after Miller's
@@ -369,7 +358,8 @@ def _isomorphisms(g: GyroTable, h: GyroTable):
     order of their images: the first is the least witness, and the list
     from a table to itself is sorted."""
     n = g.order
-    lg, lh = _cycle_lengths(g.table), _cycle_lengths(h.table)
+    lg = [len(g._cycle(a)) for a in range(n)]
+    lh = [len(h._cycle(a)) for a in range(n)]
     # a + b is g_sides[0][a][b] in g, and b + a is g_sides[1][a][b]; so in h
     g_sides = (g.table, tuple(zip(*g.table)))
     h_sides = (h.table, tuple(zip(*h.table)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from axioms_oracle import verify_axioms_per_pair
 from core_oracle import is_group_per_triple, is_gyrocommutative_per_pair
 
+from gyrokit import core
 from gyrokit.core import (
     AxiomError,
     GyroTable,
@@ -22,7 +23,9 @@ from gyrokit.core import (
     verify_axioms,
 )
 from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.normality import check_sufficient_normality
 from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
+from gyrokit.substructure import is_L_subgyrogroup
 
 
 def z4_rows():
@@ -360,6 +363,67 @@ class TestGyrationStoreAboveOrder256:
             assert len(expected) < table.order
 
 
+class TestOneNumberingPerTable:
+    """A checked table keeps the gyration numbering its axiom check built,
+    so it numbers once, at construction; an unchecked one numbers on first
+    use.  Every later reader shares that numbering."""
+
+    @pytest.fixture(params=[2, 8], ids=["na8xZ2", "na8xZ8"])
+    def rows(self, request, nonassoc8):
+        return direct_product(nonassoc8, cyclic(request.param)).table
+
+    @pytest.fixture
+    def calls(self, rows, monkeypatch):
+        """Counts ``core._number_gyrations`` calls made after ``rows`` is built."""
+        count = [0]
+        real = core._number_gyrations
+
+        def counting(rows, linv):
+            count[0] += 1
+            return real(rows, linv)
+
+        monkeypatch.setattr(core, "_number_gyrations", counting)
+        return count
+
+    @staticmethod
+    def read_gyrations(g):
+        g.gyr(1, 2)
+        g.gyrations()
+        nl = left_nucleus(g)
+        middle_nucleus(g)
+        right_nucleus(g)
+        is_L_subgyrogroup(g, nl)
+        check_sufficient_normality(g, nl)
+
+    def test_checked_table_numbers_once(self, rows, calls):
+        g = GyroTable(rows)
+        assert list(g._memo) == ["gyration numbering"]
+        assert calls[0] == 1
+        self.read_gyrations(g)
+        assert calls[0] == 1
+        _, perms = g._gyration_numbering()
+        assert {id(p) for row in g._gyr for p in row} == set(map(id, perms))
+        unchecked = GyroTable(rows, check=False)
+        assert g.inv == unchecked.inv
+        assert g._gyration_numbering() == unchecked._gyration_numbering()
+
+    def test_unchecked_table_numbers_on_first_use(self, rows, calls):
+        g = GyroTable(rows, check=False)
+        assert calls[0] == 0 and g._memo == {}
+        self.read_gyrations(g)
+        assert calls[0] == 1
+
+
+# tables the unchecked constructor's structural scan refuses, with its message
+MALFORMED = [
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+    # element 0 is met before row 2, which is no permutation either
+    ([[0, 1, 2], [0, 2, 1], [1, 1, 0]], "element 0 has 2 left inverses"),
+    ([[0, 1, 2], [2, 0, 1], [1, 0, 2]], "element 1 has 2 left inverses"),
+    ([[1, 0], [0, 1]], "index 0 is not a left identity"),
+]
+
+
 class TestGyroTableBasics:
     def test_construction_validates(self):
         rows = z4_rows()
@@ -413,20 +477,22 @@ class TestGyroTableBasics:
                 assert g.add(a, g.neg(a)) == 0
                 assert g.neg(g.neg(a)) == a
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
-            # element 0 is met before row 2, which is no permutation either
-            ([[0, 1, 2], [0, 2, 1], [1, 1, 0]], "element 0 has 2 left inverses"),
-            ([[0, 1, 2], [2, 0, 1], [1, 0, 2]], "element 1 has 2 left inverses"),
-            ([[1, 0], [0, 1]], "index 0 is not a left identity"),
-        ],
-    )
+    @pytest.mark.parametrize("rows, message", MALFORMED)
     def test_unchecked_construction_refuses_malformed(self, rows, message):
         with pytest.raises(MalformedTableError) as exc_info:
             GyroTable(rows, check=False)
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("rows", [rows for rows, _ in MALFORMED])
+    def test_checked_construction_reports_the_axiom_check(self, rows):
+        # the checked constructor runs no structural scan of its own: the
+        # axiom check's report is what it raises
+        report = verify_axioms(rows)
+        assert not report.passed
+        with pytest.raises(AxiomError) as exc_info:
+            GyroTable(rows)
+        assert exc_info.value.report == report
+        assert str(exc_info.value) == f"not a gyrogroup table: {report.summary()}"
 
     def test_trivial_table_accepted(self):
         t = GyroTable([[0]])
@@ -548,7 +614,8 @@ class TestIntegralMultiples:
         assert ("cycle", a) not in z4._memo
 
     def test_cycles_memoised_per_element(self):
-        z6 = cyclic(6)
+        # unchecked, so the memo starts empty (a checked table holds its numbering)
+        z6 = GyroTable(cyclic(6).table, check=False)
         assert z6.int_multiple(7, 2) == 2
         assert z6._memo == {("cycle", 2): (0, 2, 4)}
         assert z6.int_multiple(-1, 2) == 4
