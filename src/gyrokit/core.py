@@ -6,18 +6,19 @@ derived from the table via the gyrator identity
 
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
-and numbered in one place, ``_number_gyrations``: a checked ``GyroTable``
-keeps the numbering of its axiom check (``_verify_rows``), an unchecked one
-numbers on first use.  One scan, ``_is_associative_on``, decides
-associativity for ``is_group`` and ``substructure.is_subgroup``.  All
-values are immutable after construction except the per-cell gyration cache,
-filled from that numbering, and one per-table memo, ``_memo``, of
-structures derived from the table; each key is filled by the module that
-owns it (``"gyration numbering"``, ``"gyrations"`` and ``("cycle", a)``
-here, ``("cosets", H)`` and ``"lattice members"`` by ``substructure``,
-``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by ``nuclei``,
-``"commutator subgyrogroup"`` by ``commutator``).  Every fill is
-idempotent (safe for concurrent readers).
+and numbered in one place, ``_number_gyrations``.  Every ``GyroTable`` is
+built by its axiom check (``_verify_rows``), so every table is a verified
+gyrogroup and keeps the numbering of that check, made once at
+construction.  One scan, ``_is_associative_on``, decides associativity for
+``is_group`` and ``substructure.is_subgroup``.  All values are immutable
+after construction except one per-table memo, ``_memo``, of structures
+derived from the table; each key is filled by the module that owns it
+(``"gyration numbering"``, stored at construction, ``"gyrations"`` and
+``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
+``substructure``, ``("normal", N)`` and ``("quotient", N)`` by
+``normality``, ``"reversal kernel"`` by ``nuclei``, ``"commutator
+subgyrogroup"`` by ``commutator``).  Every fill is idempotent (safe for
+concurrent readers).
 """
 
 from __future__ import annotations
@@ -360,50 +361,30 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
 class GyroTable:
     """A validated finite gyrogroup.
 
-    The constructor runs the full axiom check unless ``check=False`` is
-    passed by internal code whose construction guarantees validity (direct
-    products, quotients, relabelings).  Structural sanity (permutation rows,
-    identity row, unique left inverses) is enforced in either case, by the
-    axioms or by a scan of its own.  A checked table keeps the inverses and
-    the gyration numbering of its axiom check.
+    The constructor runs the full axiom check (``_verify_rows``) and raises
+    ``AxiomError`` with its report on a failing table, so every table in
+    the process is a gyrogroup, including those the package builds itself
+    (direct products, quotients, relabelings, search leaves).  It keeps the
+    left inverses and the gyration numbering of that check: a table numbers
+    its gyrations once, at construction.
     """
 
     __slots__ = ("order", "table", "inv", "_gyr", "_memo")
 
-    def __init__(self, table, *, check: bool = True):
+    def __init__(self, table):
         rows = _normalize_rows(table)
-        n = len(rows)
-        self.order = n
+        report, passed = _verify_rows(rows)
+        if passed is None:
+            raise AxiomError(report)
+        linv, gid, gyrs = passed
+        self.order = len(rows)
         self.table = rows
+        self.inv = tuple(linv)
+        perms = tuple(map(Perm._unchecked, gyrs))
+        # _gyr[a][b] is gyr[a, b], a shared Perm of the numbering, for gyr
+        self._gyr: list[list[Perm]] = [[perms[k] for k in row] for row in gid]
         # derived structures, one key per owner; see the module docstring
-        self._memo: dict = {}
-        if check:
-            report, passed = _verify_rows(rows)
-            if passed is None:
-                raise AxiomError(report)
-            linv, gid, gyrs = passed
-            self.inv = tuple(linv)
-            self._store_numbering(gid, gyrs)
-            return
-        ident = list(range(n))
-        # permutation rows with their 0s in distinct columns: every element
-        # has exactly one left inverse, the row whose 0 is in its column
-        zeros = [row.index(0) if sorted(row) == ident else None for row in rows]
-        if None in zeros or sorted(zeros) != ident:
-            # name the first bad row or element in a row-by-row scan
-            for a in range(n):
-                if sorted(rows[a]) != ident:
-                    raise MalformedTableError(f"row {a} is not a permutation")
-                k = sum(row[a] == 0 for row in rows)
-                if k != 1:
-                    raise MalformedTableError(f"element {a} has {k} left inverses")
-        inv = [0] * n
-        for b, z in enumerate(zeros):
-            inv[z] = b
-        if rows[0] != tuple(ident):
-            raise MalformedTableError("index 0 is not a left identity")
-        self.inv = tuple(inv)
-        self._gyr: list[list[Perm | None]] = [[None] * n for _ in range(n)]
+        self._memo: dict = {"gyration numbering": (gid, perms)}
 
     # -- basic operations ---------------------------------------------------
 
@@ -431,38 +412,18 @@ class GyroTable:
     def _gyration_numbering(self) -> tuple[list[list[int]], tuple[Perm, ...]]:
         """``(gid, perms)``: ``perms`` lists the distinct gyrations, the
         identity first, and ``gid[a][b]`` is the index of gyr[a, b] in it.
-
-        Numbered once per table by ``_number_gyrations``: by the axiom
-        check of a checked table, or by the first call here.  All n^2
-        gyrations are built at once: O(n^2) interpreted steps and O(n^3)
-        element copies in C."""
-        found = self._memo.get("gyration numbering")
-        if found is None:
-            found = self._store_numbering(*_number_gyrations(self.table, self.inv))
-        return found
-
-    def _store_numbering(self, gid, gyrs) -> tuple[list[list[int]], tuple[Perm, ...]]:
-        """Memoise ``(gid, gyrs)`` under ``"gyration numbering"`` as
-        ``Perm``s, and fill every ``gyr`` cache cell with them (idempotent)."""
-        perms = tuple(map(Perm._unchecked, gyrs))
-        self._gyr = [[perms[k] for k in row] for row in gid]
-        found = self._memo["gyration numbering"] = (gid, perms)
-        return found
+        Built once, by the axiom check at construction
+        (``_number_gyrations``)."""
+        return self._memo["gyration numbering"]
 
     def gyr(self, a: int, b: int) -> Perm:
-        """The gyration generated by a and b, from the gyrator identity.  An
-        a or b outside 0..n-1 raises ValueError before the cache is read.
-
-        The cache is filled whole, from ``_gyration_numbering``, so every
-        call but the first on an unchecked table is one lookup."""
+        """The gyration generated by a and b, from the gyrator identity, as
+        numbered at construction.  An a or b outside 0..n-1 raises
+        ValueError."""
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise self._out_of_range(b if 0 <= a < n else a)
-        cached = self._gyr[a][b]
-        if cached is None:
-            self._gyration_numbering()
-            cached = self._gyr[a][b]
-        return cached
+        return self._gyr[a][b]
 
     def gyrations(self) -> frozenset:
         """The distinct gyrations gyr[a, b] over all pairs: the numbered
@@ -565,4 +526,4 @@ def direct_product(g: GyroTable, h: GyroTable, *, order_cap: int = DEFAULT_ORDER
         for x in range(m):
             hx = ht[x]
             rows.append(tuple(ga[b] * m + hx[y] for b in range(g.order) for y in range(m)))
-    return GyroTable(rows, check=False)
+    return GyroTable(rows)

@@ -9,8 +9,11 @@ and L-subgyrogroups", J. Geom. Symmetry Phys. 37, 2015).  So N is normal
 iff its left cosets partition the carrier and (+) is well defined on them.
 The cosets come from the one opening scan of ``substructure``, which
 ``left_cosets`` also uses; ``_coset_classes`` adds the compatibility scan,
-O(n^2) over the table, with no closure, and proves the test exact.  The
-quotient is then read off the classes and memoised per table.
+O(n^2) over the table, with no closure, and proves the test exact.
+``is_normal`` memoises only that verdict, under ``("normal", N)``, and
+builds no table; ``try_quotient`` reads the quotient off the classes,
+builds its table with the validating constructor and memoises it under
+``("quotient", N)``, at most once per table and N.
 
 A closure routine computes the least congruence Cg(S x {0}) identifying a
 set S with 0, closed under every left and right translation: each merged
@@ -19,8 +22,9 @@ pair is pushed through its rows and columns, compared as tuples (Freese,
 0-class is the normal closure of S; it also names the witness when N is
 not normal.
 
-Each function computes its answer once.  The facts that answer must satisfy
-(the quotient table passes the axioms, the projection is a homomorphism
+Each function computes its answer once.  A quotient table passes the
+axioms by construction: every ``GyroTable`` is built by the axiom check.
+The other facts the answers must satisfy (the projection is a homomorphism
 commuting with gyrations with kernel N, kernels and intersections of normal
 subgyrogroups are normal, images are subgyrogroups) are checked by the sweep
 (``quotient-kernel-roundtrip``, ``normal-intersections``,
@@ -189,60 +193,60 @@ def _coset_classes(g: GyroTable, n_set: frozenset) -> tuple[CosetFamily, list[in
     return family, ci, qt
 
 
-def _quotient(g: GyroTable, subset) -> Quotient | None:
-    """The quotient by N if N is normal, else None; memoised per table
-    either way.  A non-subgyrogroup raises ValueError."""
-    key = ("quotient", _members(subset))
-    if key in g._memo:
-        return g._memo[key]
-    scan = _coset_classes(g, _require_subgyrogroup(g, key[1]))
-    quotient = None
-    if scan is not None:
-        family, ci, qt = scan
-        quotient_table = GyroTable(qt, check=False)
-        quotient = Quotient(
-            parent=g,
-            normal_members=family.subgroup_members,
-            cosets=family,
-            table=quotient_table,
-            projection=Hom(g, quotient_table, tuple(ci)),
-        )
-    g._memo[key] = quotient  # idempotent fill
-    return quotient
-
-
 def try_quotient(g: GyroTable, subset) -> Quotient:
     """Build the quotient by N or raise NotNormal with a witness.
 
     N is normal iff its left cosets partition the carrier compatibly with
     (+) (``_coset_classes``, one O(n^2) scan); the quotient table and the
-    projection are read off the classes.  Quotients and rejections are
-    memoised per table by N.  On a rejection the union-find
+    projection are read off the classes.  The table is built by the
+    validating constructor, so it passes the axioms or raises
+    ``AxiomError``.  A quotient is built at most once per table and N and
+    memoised under ``("quotient", N)``; the verdict goes under
+    ``("normal", N)``, as in ``is_normal``.  On a rejection the union-find
     closure Cg(N x {0}) names the witness: ``NotNormal`` carries the step
     ``"congruence"`` and the least element outside N that the closure
     forces into the class of 0.  The sweep check
-    ``quotient-kernel-roundtrip`` verifies each quotient it uses."""
+    ``quotient-kernel-roundtrip`` verifies each quotient it uses.  A
+    non-subgyrogroup raises ValueError."""
     n_set = _members(subset)
-    quotient = _quotient(g, n_set)
-    if quotient is not None:
-        return quotient
-    root = _zero_congruence(g, n_set)
-    outside = [x for x in g.elements() if root[x] == 0 and x not in n_set]
-    if not outside:
-        raise InternalConsistencyError(
-            f"the coset test rejects {sorted(n_set)}, but it is the 0-class of its congruence"
+    found = g._memo.get(("quotient", n_set))
+    if found is not None:
+        return found
+    scan = _coset_classes(g, _require_subgyrogroup(g, n_set))
+    g._memo[("normal", n_set)] = scan is not None  # idempotent fill
+    if scan is None:
+        root = _zero_congruence(g, n_set)
+        outside = [x for x in g.elements() if root[x] == 0 and x not in n_set]
+        if not outside:
+            raise InternalConsistencyError(
+                f"the coset test rejects {sorted(n_set)}, but it is the 0-class of its congruence"
+            )
+        x = outside[0]
+        raise NotNormal(
+            "congruence", (x,), f"the congruence generated by N identifies {x} with 0"
         )
-    x = outside[0]
-    raise NotNormal(
-        "congruence", (x,), f"the congruence generated by N identifies {x} with 0"
+    family, ci, qt = scan
+    quotient_table = GyroTable(qt)
+    found = g._memo[("quotient", n_set)] = Quotient(  # idempotent fill
+        parent=g,
+        normal_members=family.subgroup_members,
+        cosets=family,
+        table=quotient_table,
+        projection=Hom(g, quotient_table, tuple(ci)),
     )
+    return found
 
 
 def is_normal(g: GyroTable, subset) -> bool:
     """Whether the subgyrogroup N is normal, by the coset test of
-    ``try_quotient``; a rejection costs one O(n^2) scan and no closure.
-    A non-subgyrogroup raises ValueError."""
-    return _quotient(g, subset) is not None
+    ``try_quotient`` (``_coset_classes``), one O(n^2) scan; no closure and
+    no quotient table.  The verdict is memoised per table under
+    ``("normal", N)``.  A non-subgyrogroup raises ValueError."""
+    key = ("normal", _members(subset))
+    found = g._memo.get(key)
+    if found is None:
+        found = g._memo[key] = _coset_classes(g, _require_subgyrogroup(g, key[1])) is not None
+    return found
 
 
 def intersect_normals(g: GyroTable, normals: Sequence) -> SubSet:
@@ -296,15 +300,16 @@ def induced_isomorphism(phi: Hom) -> Hom:
     q = try_quotient(phi.domain, ker)
     img = image(phi)
     # image as a table in its own right, indexed by ascending members: row
-    # a restricted to the image, then each entry mapped to its position
+    # a restricted to the image, then each entry mapped to its position;
+    # onto the whole codomain, that is the codomain's own table
     position = [0] * phi.codomain.order
     for i, m in enumerate(img.members):
         position[m] = i
-    pick = _getter(img.members)
-    img_table = GyroTable(
-        [_getter(pick(phi.codomain.table[a]))(position) for a in img.members],
-        check=False,
-    )
+    if len(img.members) == phi.codomain.order:
+        img_table = phi.codomain
+    else:
+        pick = _getter(img.members)
+        img_table = GyroTable([_getter(pick(phi.codomain.table[a]))(position) for a in img.members])
     induced = [0] * q.table.order
     for a in phi.domain.elements():
         induced[q.projection(a)] = position[phi.map[a]]

@@ -18,11 +18,12 @@ forced index is assigned only its forced row.  A row forced twice must be
 the same row both times, and a forced row may not clash with a placed
 column.  Each node undoes only the forced entries it added.
 
-Every surviving leaf is re-verified from scratch with the full axiom check,
-so the pruning only needs to be sound, never exact.  Optional symmetry
-breaking discards prefixes that are provably not the lexicographically least
-relabeling of any completion, so each isomorphism class keeps exactly its
-minimal table.  At row 1 the cut is decided by cycle type alone, and only
+Every surviving leaf is built by the validating ``GyroTable`` constructor,
+which runs the full axiom check from scratch and keeps the leaf's gyration
+numbering, so the pruning only needs to be sound, never exact.  Optional
+symmetry breaking discards prefixes that are provably not the
+lexicographically least relabeling of any completion, so each isomorphism
+class keeps exactly its minimal table.  At row 1 the cut is decided by cycle type alone, and only
 the rows it keeps are generated (``_cycle_type_rows``).  A leaf has passed
 the cut on all its rows, so it is its own canonical form and is kept as it
 is; only without symmetry breaking does canonical-form deduplication run
@@ -47,11 +48,11 @@ import time
 from dataclasses import dataclass
 
 from .core import (
+    AxiomError,
     GyroTable,
     InternalConsistencyError,
     Perm,
     ResourceCapError,
-    verify_axioms,
 )
 
 DEFAULT_AUT_CAP = 16
@@ -193,10 +194,10 @@ class _Search:
     def _leaf(self):
         rows = [r for r in self.rows if r is not None]
         self.leaves += 1
-        report = verify_axioms(rows)
-        if not report.passed:
+        try:
+            table = GyroTable(rows)
+        except AxiomError:
             return
-        table = GyroTable(rows, check=False)
         if self.config.mode == MODE_FIRST_NONASSOCIATIVE:
             if table.is_group():
                 return
@@ -255,7 +256,8 @@ class _Search:
         verified before the deadline.  Without it, each leaf is
         canonicalised, and the deadline is checked before each canonical
         form, so a partial result holds the classes of the leaves
-        canonicalised before it."""
+        canonicalised before it.  Either way the tables returned are the
+        ones built during the run, not rebuilt from their rows."""
         complete = True
         try:
             self._dfs(1, [])
@@ -263,16 +265,16 @@ class _Search:
             complete = False
         tables = self.found
         if self.config.mode == MODE_EXHAUSTIVE:
-            if self.config.symmetry_breaking:
-                canon = {t.table for t in tables}
-            else:
-                canon = set()
+            if not self.config.symmetry_breaking:
+                canon = {}
                 for t in tables:
                     if self.deadline is not None and time.monotonic() > self.deadline:
                         complete = False
                         break
-                    canon.add(canonical_form(t, cap=self.n).table)
-            tables = [GyroTable(rows, check=False) for rows in sorted(canon)]
+                    c = canonical_form(t, cap=self.n)
+                    canon.setdefault(c.table, c)
+                tables = canon.values()
+            tables = sorted(tables, key=lambda t: t.table)
         if self.config.max_results is not None:
             tables = tables[: self.config.max_results]
         return SearchResult(tuple(tables), complete, self.leaves, self.nodes)
@@ -579,4 +581,4 @@ def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
     if best is None:
         return g
     rows = [tuple(range(n))] + [tuple(best[r : r + n]) for r in range(0, len(best), n)]
-    return GyroTable(rows, check=False)
+    return GyroTable(rows)

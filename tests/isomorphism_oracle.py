@@ -102,4 +102,4 @@ def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
         )
         if best is None or relabeled < best:
             best = relabeled
-    return GyroTable(best, check=False)
+    return GyroTable(best)

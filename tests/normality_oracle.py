@@ -22,7 +22,7 @@ from typing import Iterable
 
 from lattice_oracle import left_cosets
 
-from gyrokit.core import GyroTable, InternalConsistencyError, verify_axioms
+from gyrokit.core import AxiomError, GyroTable, InternalConsistencyError
 from gyrokit.normality import Hom, NotNormal, Quotient
 from gyrokit.substructure import (
     DEFAULT_LATTICE_CAP,
@@ -149,11 +149,10 @@ def try_quotient(g: GyroTable, subset) -> Quotient:
                         "gyration-descent", (a, b, c), "gyrations do not descend to cosets"
                     )
 
-    report = verify_axioms(table)
-    if not report.passed:
-        raise NotNormal("axioms", (), f"induced table fails axioms: {report.summary()}")
-
-    quotient_table = GyroTable(table, check=False)
+    try:
+        quotient_table = GyroTable(table)
+    except AxiomError as exc:
+        raise NotNormal("axioms", (), f"induced table fails axioms: {exc.report.summary()}") from None
     projection = Hom(g, quotient_table, tuple(ci))
     if not check_hom(projection):
         raise InternalConsistencyError("projection is not a homomorphism")

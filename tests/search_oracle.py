@@ -13,15 +13,15 @@ left Bol identity: it builds every column-compatible permutation row, pairs
 inverse rows, and tests each placement with the translation-form gyration
 checks of ``_partial_ok``.  The tests compare its canonical tables and its
 verified labelled leaves (``found``) with the library's.  It shares the
-symmetry cut, ``canonical_form`` and ``verify_axioms`` with the library,
-not the row generation or pruning.
+symmetry cut, ``canonical_form`` and the validating ``GyroTable``
+constructor with the library, not the row generation or pruning.
 """
 
 from __future__ import annotations
 
 import time
 
-from gyrokit.core import GyroTable, verify_axioms
+from gyrokit.core import AxiomError, GyroTable
 from gyrokit.search import (
     MODE_EXHAUSTIVE,
     MODE_FIRST_NONASSOCIATIVE,
@@ -203,10 +203,10 @@ class _Search:
     def _leaf(self):
         rows = [r for r in self.rows if r is not None]
         self.leaves += 1
-        report = verify_axioms(rows)
-        if not report.passed:
+        try:
+            table = GyroTable(rows)
+        except AxiomError:
             return
-        table = GyroTable(rows, check=False)
         if self.config.mode == MODE_FIRST_NONASSOCIATIVE:
             if table.is_group():
                 return
@@ -264,7 +264,7 @@ class _Search:
                     complete = False
                     break
                 canon.add(canonical_form(t, cap=self.n).table)
-            tables = [GyroTable(rows, check=False) for rows in sorted(canon)]
+            tables = [GyroTable(rows) for rows in sorted(canon)]
         if self.config.max_results is not None:
             tables = tables[: self.config.max_results]
         return SearchResult(tuple(tables), complete, self.leaves, self.nodes)

@@ -6,7 +6,7 @@ import pytest
 from gyrokit import cli, search
 from gyrokit.cli import analyze_object, main
 from gyrokit.commutator import commutator_subgyrogroup, nc_commutator
-from gyrokit.core import ResourceCapError
+from gyrokit.core import Perm, ResourceCapError
 from gyrokit.gyrofile import (
     GyroParseError,
     format_gyro,
@@ -205,6 +205,14 @@ class TestIsoCommand:
     def test_isomorphic(self, corpus_dir, capsys):
         assert main(["iso", str(corpus_dir / "z4.gyro"), str(corpus_dir / "z4.gyro")]) == 0
         assert "witness" in capsys.readouterr().out
+
+    def test_broken_witness_exit_2(self, corpus_dir, capsys, monkeypatch):
+        # a search that yields the swap 1 <-> 2 on Z4, no homomorphism
+        monkeypatch.setattr(search, "_isomorphisms", lambda g, h: iter([Perm((0, 2, 1, 3))]))
+        z4 = str(corpus_dir / "z4.gyro")
+        assert main(["iso", z4, z4]) == 2
+        out = capsys.readouterr().out
+        assert out == "internal consistency violation: isomorphism witness fails the full table scan\n"
 
 
 class TestSearchCommand:

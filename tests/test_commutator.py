@@ -109,7 +109,7 @@ class TestCommutatorSubgyrogroup:
     def test_computed_once_per_table(self, monkeypatch, nonassoc8):
         # analyze reads G' twice, directly and through nc_commutator, and
         # hunt a third time: n^2 commutators in all
-        g = GyroTable(nonassoc8.table, check=False)
+        g = GyroTable(nonassoc8.table)
         calls = [0]
         real = commutator_module.commutator
 

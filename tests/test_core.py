@@ -23,8 +23,9 @@ from gyrokit.core import (
     verify_axioms,
 )
 from gyrokit.catalog import cyclic, klein_four, sym3
-from gyrokit.normality import check_sufficient_normality
+from gyrokit.normality import check_sufficient_normality, try_quotient
 from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
+from gyrokit.search import MODE_FIRST_NONASSOCIATIVE, SearchConfig, canonical_form, run_search
 from gyrokit.substructure import is_L_subgyrogroup
 
 
@@ -328,10 +329,10 @@ class TestVerifyAxiomsAboveOrder256:
 
 
 class TestGyrationStoreAboveOrder256:
-    """na8 x Z33, order 264 and unchecked, whose gyrations are numbered as
-    tuples: the store against the translation form and the tuple path, and
-    the nuclei read from it against those of na8 times all of Z33 (the
-    nuclei of a product with a group are products)."""
+    """na8 x Z33, order 264, whose gyrations are numbered as tuples: the
+    store against the translation form and the tuple path, and the nuclei
+    read from it against those of na8 times all of Z33 (the nuclei of a
+    product with a group are products)."""
 
     @pytest.fixture(scope="class")
     def table(self, nonassoc8):
@@ -347,7 +348,7 @@ class TestGyrationStoreAboveOrder256:
             lab = table.left_translation(table.add(a, b))
             la, lb = table.left_translation(a), table.left_translation(b)
             assert table.gyr(a, b) == lab.inverse() * la * lb
-        # the first call filled every cell with the numbered perms
+        # every cell holds one of the numbered perms
         _, perms = table._gyration_numbering()
         assert {id(p) for row in table._gyr for p in row} == set(map(id, perms))
 
@@ -364,17 +365,18 @@ class TestGyrationStoreAboveOrder256:
 
 
 class TestOneNumberingPerTable:
-    """A checked table keeps the gyration numbering its axiom check built,
-    so it numbers once, at construction; an unchecked one numbers on first
-    use.  Every later reader shares that numbering."""
+    """Every table numbers its gyrations once, in the axiom check at
+    construction, and every later reader shares that numbering.  The tables
+    the package builds itself (search leaves, direct products, quotients,
+    canonical forms) are no exception."""
 
-    @pytest.fixture(params=[2, 8], ids=["na8xZ2", "na8xZ8"])
+    @pytest.fixture(scope="class", params=[2, 8], ids=["na8xZ2", "na8xZ8"])
     def rows(self, request, nonassoc8):
         return direct_product(nonassoc8, cyclic(request.param)).table
 
     @pytest.fixture
-    def calls(self, rows, monkeypatch):
-        """Counts ``core._number_gyrations`` calls made after ``rows`` is built."""
+    def calls(self, monkeypatch):
+        """Counts ``core._number_gyrations`` calls made from here on."""
         count = [0]
         real = core._number_gyrations
 
@@ -401,26 +403,44 @@ class TestOneNumberingPerTable:
         assert calls[0] == 1
         self.read_gyrations(g)
         assert calls[0] == 1
-        _, perms = g._gyration_numbering()
-        assert {id(p) for row in g._gyr for p in row} == set(map(id, perms))
-        unchecked = GyroTable(rows, check=False)
-        assert g.inv == unchecked.inv
-        assert g._gyration_numbering() == unchecked._gyration_numbering()
+        gid, perms = g._gyration_numbering()
+        assert all(g._gyr[a][b] is perms[k] for a, row in enumerate(gid) for b, k in enumerate(row))
+        n = len(rows)
+        assert g.inv == tuple(next(b for b in range(n) if rows[b][a] == 0) for a in range(n))
+        direct_gid, gyrs = core._number_gyrations(rows, g.inv)
+        assert gid == direct_gid and perms == tuple(map(Perm, gyrs))
 
-    def test_unchecked_table_numbers_on_first_use(self, rows, calls):
-        g = GyroTable(rows, check=False)
-        assert calls[0] == 0 and g._memo == {}
+    def test_search_leaf_numbers_once(self, calls):
+        result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
+        assert result.leaves == 2 and calls[0] == result.leaves
+        (g,) = result.tables
         self.read_gyrations(g)
+        assert calls[0] == result.leaves
+
+    def test_built_tables_number_once(self, nonassoc8, calls):
+        z2 = cyclic(2)
+        sigma = (0, 3, 1, 7, 2, 6, 4, 5)
+        inv = [sigma.index(x) for x in range(8)]
+        relabelled = GyroTable([[sigma[nonassoc8.table[inv[x]][inv[y]]] for y in range(8)] for x in range(8)])
+        calls[0] = 0
+        product = direct_product(nonassoc8, z2)
         assert calls[0] == 1
+        quotient = try_quotient(product, [0, 1])
+        assert quotient.table.table == nonassoc8.table and calls[0] == 2
+        assert try_quotient(product, [0, 1]) is quotient and calls[0] == 2
+        canon = canonical_form(relabelled)
+        assert canon.table == nonassoc8.table != relabelled.table and calls[0] == 3
+        for g in (product, quotient.table, canon):
+            self.read_gyrations(g)
+        assert calls[0] == 3
 
 
-# tables the unchecked constructor's structural scan refuses, with its message
+# square tables of entries in range that are no gyrogroup tables
 MALFORMED = [
-    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
-    # element 0 is met before row 2, which is no permutation either
-    ([[0, 1, 2], [0, 2, 1], [1, 1, 0]], "element 0 has 2 left inverses"),
-    ([[0, 1, 2], [2, 0, 1], [1, 0, 2]], "element 1 has 2 left inverses"),
-    ([[1, 0], [0, 1]], "index 0 is not a left identity"),
+    [[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+    [[0, 1, 2], [0, 2, 1], [1, 1, 0]],
+    [[0, 1, 2], [2, 0, 1], [1, 0, 2]],
+    [[1, 0], [0, 1]],
 ]
 
 
@@ -455,7 +475,7 @@ class TestGyroTableBasics:
     )
     def test_accessors_refuse_out_of_range(self, call, x):
         z4 = cyclic(4)
-        for a in z4.elements():  # every in-range gyration cached first
+        for a in z4.elements():  # every in-range gyration read first
             for b in z4.elements():
                 z4.gyr(a, b)
         with pytest.raises(ValueError, match=f"^element {x} out of range 0..3$"):
@@ -477,16 +497,10 @@ class TestGyroTableBasics:
                 assert g.add(a, g.neg(a)) == 0
                 assert g.neg(g.neg(a)) == a
 
-    @pytest.mark.parametrize("rows, message", MALFORMED)
-    def test_unchecked_construction_refuses_malformed(self, rows, message):
-        with pytest.raises(MalformedTableError) as exc_info:
-            GyroTable(rows, check=False)
-        assert str(exc_info.value) == message
-
-    @pytest.mark.parametrize("rows", [rows for rows, _ in MALFORMED])
+    @pytest.mark.parametrize("rows", MALFORMED)
     def test_checked_construction_reports_the_axiom_check(self, rows):
-        # the checked constructor runs no structural scan of its own: the
-        # axiom check's report is what it raises
+        # the constructor runs no structural scan of its own: the axiom
+        # check's report is what it raises
         report = verify_axioms(rows)
         assert not report.passed
         with pytest.raises(AxiomError) as exc_info:
@@ -614,12 +628,13 @@ class TestIntegralMultiples:
         assert ("cycle", a) not in z4._memo
 
     def test_cycles_memoised_per_element(self):
-        # unchecked, so the memo starts empty (a checked table holds its numbering)
-        z6 = GyroTable(cyclic(6).table, check=False)
+        # a fresh table's memo holds only its gyration numbering
+        z6 = GyroTable(cyclic(6).table)
+        numbering = z6._memo["gyration numbering"]
         assert z6.int_multiple(7, 2) == 2
-        assert z6._memo == {("cycle", 2): (0, 2, 4)}
+        assert z6._memo == {"gyration numbering": numbering, ("cycle", 2): (0, 2, 4)}
         assert z6.int_multiple(-1, 2) == 4
-        assert set(z6._memo) == {("cycle", 2), ("cycle", 4)}
+        assert set(z6._memo) == {"gyration numbering", ("cycle", 2), ("cycle", 4)}
 
 
 def int_multiple_by_loop(g: GyroTable, m: int, a: int) -> int:
@@ -744,7 +759,7 @@ class TestConcurrentReads:
     def test_gyration_cache_fill_is_safe_under_threads(self, nonassoc8):
         import concurrent.futures
 
-        g = GyroTable(nonassoc8.table)  # fresh instance, empty cache
+        g = GyroTable(nonassoc8.table)  # fresh instance
         pairs = [(a, b) for a in g.elements() for b in g.elements()]
 
         def snapshot(_):

@@ -2,7 +2,8 @@ import pytest
 
 import normality_oracle as oracle
 from gyrokit.catalog import cyclic, klein_four, sym3
-from gyrokit.core import direct_product, verify_axioms
+from gyrokit.cli import analyze_object
+from gyrokit.core import GyroTable, direct_product, verify_axioms
 from gyrokit.normality import (
     Hom,
     _preserves,
@@ -59,6 +60,34 @@ class TestTryQuotient:
         for g in corpus.values():
             assert is_normal(g, [0])
             assert is_normal(g, range(g.order))
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Counts the ``GyroTable``s constructed from here on."""
+        count = [0]
+        real = GyroTable.__init__
+
+        def counting(self, table):
+            count[0] += 1
+            real(self, table)
+
+        monkeypatch.setattr(GyroTable, "__init__", counting)
+        return count
+
+    def test_is_normal_builds_no_table(self, nonassoc8, constructions):
+        g = direct_product(nonassoc8, klein_four())  # fresh: only its numbering is memoised
+        constructions[0] = 0
+        obj = analyze_object(g)
+        assert len(obj["normal_subgyrogroups"]) > 2
+        assert not [key for key in g._memo if isinstance(key, tuple) and key[0] == "quotient"]
+        assert constructions[0] == 0
+
+    def test_quotient_built_once(self, nonassoc8, constructions):
+        g = direct_product(nonassoc8, klein_four())
+        constructions[0] = 0
+        first = try_quotient(g, [0, 1, 2, 3])
+        assert try_quotient(g, [3, 2, 1, 0]) is first
+        assert first.table.table == nonassoc8.table and constructions[0] == 1
 
     def test_non_subgyrogroup_rejected(self):
         s3 = sym3()

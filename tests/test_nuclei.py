@@ -210,7 +210,7 @@ class TestLgPrime:
         "run", [analyze_object, lambda g: sweep_table("na8", g)], ids=["analyze", "sweep"]
     )
     def test_closure_built_once_per_table(self, monkeypatch, nonassoc8, run):
-        g = GyroTable(nonassoc8.table, check=False)
+        g = GyroTable(nonassoc8.table)
         degrees = self.closure_degrees(monkeypatch)
         run(g)
         assert degrees.count(2 * g.order) == 1
@@ -219,7 +219,7 @@ class TestLgPrime:
 
     @pytest.mark.parametrize("fn", [lg_prime, radical])
     def test_cap_holds_after_memo(self, nonassoc8, fn):
-        g = GyroTable(nonassoc8.table, check=False)
+        g = GyroTable(nonassoc8.table)
         kernel = lg_prime(g)
         size = g._memo["reversal kernel"][0]
         assert size == len(lmlt(g).elements) * len(kernel) > g.order

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gyrokit import search
 from gyrokit.catalog import all_groups, cyclic, klein_four, sym3
-from gyrokit.core import GyroTable, Perm, ResourceCapError, direct_product, verify_axioms
+from gyrokit.core import GyroTable, InternalConsistencyError, Perm, ResourceCapError, direct_product, verify_axioms
 from gyrokit.search import (
     MODE_FIRST_NONASSOCIATIVE,
     SearchConfig,
@@ -51,7 +51,7 @@ def relabel(g: GyroTable, sigma: tuple) -> GyroTable:
     rows = [
         [sigma[g.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)
     ]
-    return GyroTable(rows, check=False)
+    return GyroTable(rows)
 
 
 class TestEnumerate:
@@ -120,7 +120,7 @@ class TestEnumerate:
             canonicalised.append(canonical_form(g, cap=cap).table)
             if len(canonicalised) == 5:
                 clock.now = 10.0
-            return GyroTable(canonicalised[-1], check=False)
+            return GyroTable(canonicalised[-1])
 
         monkeypatch.setattr(search, "canonical_form", canon)
         result = run_search(SearchConfig(order=6, time_budget=1.0, symmetry_breaking=False))
@@ -371,6 +371,13 @@ class TestAreIsomorphic:
         h = relabel(nonassoc8, sigma)
         ok, witness = are_isomorphic(nonassoc8, h)
         assert ok
+
+    def test_witness_recheck_refuses_a_non_homomorphism(self, monkeypatch):
+        # a broken isomorphism search: the swap 1 <-> 2 on Z4 is a bijection
+        # fixing 0 but not a homomorphism (1 + 1 = 2, while 2 + 2 = 0)
+        monkeypatch.setattr(search, "_isomorphisms", lambda g, h: iter([Perm((0, 2, 1, 3))]))
+        with pytest.raises(InternalConsistencyError, match="^isomorphism witness fails"):
+            are_isomorphic(cyclic(4), cyclic(4))
 
 
 class TestAutomorphisms:

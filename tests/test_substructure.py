@@ -241,8 +241,8 @@ class TestCosetsAgainstOracle:
 
 
 class TestCosetMemo:
-    # Tables that pin the whole memo are built unchecked, so it starts
-    # empty: a checked table holds its axiom check's gyration numbering.
+    # Tables that pin the whole memo are built fresh, so it starts with
+    # the gyration numbering of their axiom check alone.
 
     def test_not_partition_same_pair_each_call(self, nonassoc8):
         raised = []
@@ -255,26 +255,27 @@ class TestCosetMemo:
 
     @pytest.mark.parametrize("members", [[0, 1], [1, 2], [0, 2, 4]])
     def test_rejected_subsets_never_stored(self, members):
-        z4 = GyroTable(cyclic(4).table, check=False)
+        z4 = GyroTable(cyclic(4).table)
         for _ in range(2):
             with pytest.raises(ValueError):
                 left_cosets(z4, members)
-        assert z4._memo == {}
+        assert list(z4._memo) == ["gyration numbering"]
 
     def test_subset_and_list_share_an_entry(self):
-        z6 = GyroTable(cyclic(6).table, check=False)
+        z6 = GyroTable(cyclic(6).table)
         fam = left_cosets(z6, SubSet.of(z6, [0, 3]))
         assert left_cosets(z6, [3, 0]) is fam
-        assert list(z6._memo) == [("cosets", frozenset({0, 3}))]
+        assert list(z6._memo) == ["gyration numbering", ("cosets", frozenset({0, 3}))]
 
     def test_normality_has_its_own_key(self):
-        s3 = GyroTable(sym3().table, check=False)
+        s3 = GyroTable(sym3().table)
         h = [0, 3, 4]
         fam = left_cosets(s3, h)
         assert is_normal(s3, h)
-        assert set(s3._memo) == {("cosets", frozenset(h)), ("quotient", frozenset(h))}
+        assert set(s3._memo) == {"gyration numbering", ("cosets", frozenset(h)), ("normal", frozenset(h))}
         assert s3._memo[("cosets", frozenset(h))] is fam
-        assert try_quotient(s3, h).cosets == fam
+        q = try_quotient(s3, h)
+        assert q.cosets == fam and s3._memo[("quotient", frozenset(h))] is q
 
     def test_lattice_members_skip_the_closure_check(self, monkeypatch):
         s3 = sym3()

@@ -19,7 +19,7 @@ from sweep_oracle import (
     translation_sandwich_per_pair,
 )
 
-from gyrokit import sweep
+from gyrokit import normality, sweep
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
 from gyrokit.core import InternalConsistencyError, Perm, direct_product
@@ -119,6 +119,33 @@ class TestSweep:
         for name, g in named:
             save_table(tmp_path / f"{name}.gyro", g)
         assert main(["sweep-theorems", str(tmp_path)]) == 2
+
+    def test_broken_quotient_fails_its_table(self, monkeypatch):
+        # the coset scan hands z4 a quotient table whose row 1 is row 0: the
+        # validating constructor refuses it with an AxiomError, a ValueError
+        def named():  # fresh tables, so no quotient is memoised
+            return [("z4", cyclic(4)), ("z6", cyclic(6))]
+
+        clean = run_theorem_sweep(named())
+        real = normality._coset_classes
+
+        def broken_on_z4(g, n_set):
+            scan = real(g, n_set)
+            if scan is not None and g.order == 4 and len(scan[2]) > 1:
+                family, ci, qt = scan
+                scan = family, ci, [qt[0], qt[0], *qt[2:]]
+            return scan
+
+        monkeypatch.setattr(normality, "_coset_classes", broken_on_z4)
+        report = run_theorem_sweep(named())
+        assert report.failures == 1
+        z4 = [line for line in report.lines if line.startswith("z4 ::")]
+        clean_z4 = [line for line in clean.lines if line.startswith("z4 ::")]
+        assert z4[-1].startswith("z4 :: internal-consistency :: FAIL :: not a gyrogroup table: FAIL (order ")
+        assert len(z4) > 1 and z4[:-1] == clean_z4[: len(z4) - 1]
+        assert [line for line in report.lines if line.startswith("z6 ::")] == [
+            line for line in clean.lines if line.startswith("z6 ::")
+        ]
 
     def test_non_normal_reversal_kernel_fails_its_check(self, monkeypatch):
         # {id, L_2} is a subgroup of lmlt(s3) inside lg_sharp, but the
