@@ -10,10 +10,11 @@ iff its left cosets partition the carrier and (+) is well defined on them.
 The cosets come from the one opening scan of ``substructure``, which
 ``left_cosets`` also uses; ``_coset_classes`` adds the compatibility scan,
 O(n^2) over the table, with no closure, and proves the test exact.
-``is_normal`` memoises only that verdict, under ``("normal", N)``, and
-builds no table; ``try_quotient`` reads the quotient off the classes,
-builds its table with the validating constructor and memoises it under
-``("quotient", N)``, at most once per table and N.
+The scan runs at most once per table and N: ``_coset_scan`` memoises its
+classes and quotient rows under ``("normal", N)``, or False when N is not
+normal, and builds no table.  ``is_normal`` reads the verdict off it;
+``try_quotient`` reads the quotient off the same classes, builds its table
+with the validating constructor and memoises it under ``("quotient", N)``.
 
 A closure routine computes the least congruence Cg(S x {0}) identifying a
 set S with 0, closed under every left and right translation: each merged
@@ -193,16 +194,28 @@ def _coset_classes(g: GyroTable, n_set: frozenset) -> tuple[CosetFamily, list[in
     return family, ci, qt
 
 
+def _coset_scan(g: GyroTable, n_set: frozenset) -> tuple[CosetFamily, list[int], list] | bool:
+    """``_coset_classes`` of the subgyrogroup N, or False if N is not
+    normal, memoised under ``("normal", N)``: ``is_normal`` and
+    ``try_quotient`` share one scan per table and N.  A non-subgyrogroup
+    raises ValueError and is never memoised."""
+    key = ("normal", n_set)
+    found = g._memo.get(key)
+    if found is None:
+        found = g._memo[key] = _coset_classes(g, _require_subgyrogroup(g, n_set)) or False
+    return found
+
+
 def try_quotient(g: GyroTable, subset) -> Quotient:
     """Build the quotient by N or raise NotNormal with a witness.
 
     N is normal iff its left cosets partition the carrier compatibly with
     (+) (``_coset_classes``, one O(n^2) scan); the quotient table and the
-    projection are read off the classes.  The table is built by the
-    validating constructor, so it passes the axioms or raises
-    ``AxiomError``.  A quotient is built at most once per table and N and
-    memoised under ``("quotient", N)``; the verdict goes under
-    ``("normal", N)``, as in ``is_normal``.  On a rejection the union-find
+    projection are read off the classes, which ``is_normal`` may already
+    have found (``_coset_scan``).  The table is built by the validating
+    constructor, so it passes the axioms or raises ``AxiomError``.  A
+    quotient is built at most once per table and N and memoised under
+    ``("quotient", N)``.  On a rejection the union-find
     closure Cg(N x {0}) names the witness: ``NotNormal`` carries the step
     ``"congruence"`` and the least element outside N that the closure
     forces into the class of 0.  The sweep check
@@ -212,9 +225,8 @@ def try_quotient(g: GyroTable, subset) -> Quotient:
     found = g._memo.get(("quotient", n_set))
     if found is not None:
         return found
-    scan = _coset_classes(g, _require_subgyrogroup(g, n_set))
-    g._memo[("normal", n_set)] = scan is not None  # idempotent fill
-    if scan is None:
+    scan = _coset_scan(g, n_set)
+    if not scan:
         root = _zero_congruence(g, n_set)
         outside = [x for x in g.elements() if root[x] == 0 and x not in n_set]
         if not outside:
@@ -239,14 +251,9 @@ def try_quotient(g: GyroTable, subset) -> Quotient:
 
 def is_normal(g: GyroTable, subset) -> bool:
     """Whether the subgyrogroup N is normal, by the coset test of
-    ``try_quotient`` (``_coset_classes``), one O(n^2) scan; no closure and
-    no quotient table.  The verdict is memoised per table under
-    ``("normal", N)``.  A non-subgyrogroup raises ValueError."""
-    key = ("normal", _members(subset))
-    found = g._memo.get(key)
-    if found is None:
-        found = g._memo[key] = _coset_classes(g, _require_subgyrogroup(g, key[1])) is not None
-    return found
+    ``try_quotient`` (``_coset_scan``), one O(n^2) scan per table and N; no
+    closure and no quotient table.  A non-subgyrogroup raises ValueError."""
+    return bool(_coset_scan(g, _members(subset)))
 
 
 def intersect_normals(g: GyroTable, normals: Sequence) -> SubSet:

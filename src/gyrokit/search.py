@@ -15,8 +15,19 @@ pruned by facts every gyrogroup table satisfies:
 The last two force rows: each placement checks the rows it determines
 against the rows already placed and records them for later indices, and a
 forced index is assigned only its forced row.  A row forced twice must be
-the same row both times, and a forced row may not clash with a placed
-column.  Each node undoes only the forced entries it added.
+the same row both times.  Column distinctness is kept as one set of claimed
+cells c * n + v (value v in column c), claimed and released a whole row at a
+time in C.  A placed row claims its cells, and so does a forced row when it
+is recorded, after one ``isdisjoint`` test against every placed and forced
+cell: a forced row will be placed at its index, so a row sharing a cell
+with it has no completion.  Candidate rows skip every claimed cell.  This
+cuts no leaf.  Each node releases only the cells of its own row and of the
+forced rows it added.
+
+A time budget is checked before every candidate row and inside the
+symmetry cut, once per relabeling it resumes or branches on, so a cut that
+ties millions of relabelings (the all-2-cycles row 1 at order 16 ties
+645,120) stops at the deadline too.
 
 Every surviving leaf is built by the validating ``GyroTable`` constructor,
 which runs the full axiom check from scratch and keeps the leaf's gyration
@@ -46,6 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add
 
 from .core import (
     AxiomError,
@@ -53,6 +65,7 @@ from .core import (
     InternalConsistencyError,
     Perm,
     ResourceCapError,
+    _getter,
 )
 
 DEFAULT_AUT_CAP = 16
@@ -106,7 +119,9 @@ class _Search:
         n = config.order
         self.n = n
         self.rows: list[tuple | None] = [tuple(range(n))] + [None] * (n - 1)
-        self.col_used = [set((c,)) for c in range(n)]  # row 0 pre-placed
+        self.gets: list = [_getter(self.rows[0])] + [None] * (n - 1)  # gets[x] = _getter(rows[x])
+        self.offsets = range(0, n * n, n)  # cell c * n + v holds value v in column c
+        self.claimed = set(map(add, self.offsets, self.rows[0]))  # row 0 placed
         self.forced: dict[int, tuple] = {}
         self.deadline = None
         if config.time_budget is not None:
@@ -119,57 +134,70 @@ class _Search:
     # -- candidate rows -------------------------------------------------------
 
     def _row_candidates(self, a: int):
-        """Column-compatible permutation rows for element a, in lex order.
+        """Candidate rows for element a, in lex order.
+
+        A forced index gets its forced row alone: ``_force`` claimed its
+        cells against every placed and forced cell.  Any other index gets
+        the permutations p with p(0) = a that hold no claimed cell: a cell
+        of a placed row would repeat a column entry, and a cell of a forced
+        row would repeat one once that row is placed.  Each column's free
+        values are listed once, when the first candidate is asked for.
 
         With symmetry breaking, row 1 gets only the rows the cut keeps, from
         ``_cycle_type_rows``: row 1 is never forced, and column c holds only
-        c, so its column-compatible rows are the fixed-point-free
-        permutations p with p(0) = 1, and the cut keeps one per cycle type
-        (the cycle through 0 marked)."""
+        c, so its candidates are the fixed-point-free permutations p with
+        p(0) = 1, and the cut keeps one per cycle type (the cycle through 0
+        marked)."""
         n = self.n
         if a == 1 and self.config.symmetry_breaking:
             yield from _cycle_type_rows(n)
             return
-        if a in self.forced:
-            p = self.forced[a]
-            if all(p[c] not in self.col_used[c] for c in range(1, n)):
-                yield p
+        p = self.forced.get(a)
+        if p is not None:
+            yield p
             return
-        col_used = self.col_used
-        prefix = [a]
+        claimed = self.claimed
+        allowed = [[v for v in range(n) if base + v not in claimed] for base in self.offsets]
+        row = [a] * n
         free = [True] * n
         free[a] = False
-
-        def extend(c: int):
-            if c == n:
-                yield tuple(prefix)
-                return
-            used_c = col_used[c]
-            for v in range(n):
-                if free[v] and v not in used_c:
-                    free[v] = False
-                    prefix.append(v)
-                    yield from extend(c + 1)
-                    prefix.pop()
-                    free[v] = True
-
-        yield from extend(1)
+        values = [None, iter(allowed[1])]  # values[c]: column c's free values left
+        c = 1
+        while c:
+            for v in values[c]:
+                if free[v]:
+                    break
+            else:  # column c is exhausted: free the value of column c - 1
+                values.pop()
+                c -= 1
+                free[row[c]] = True
+                continue
+            row[c] = v
+            if c == n - 1:
+                yield tuple(row)
+            else:
+                free[v] = False
+                c += 1
+                values.append(iter(allowed[c]))
 
     # -- forced rows ----------------------------------------------------------
 
     def _force(self, c: int, q: tuple, a: int, added: list[int]) -> bool:
         """Require row c to be q, rows 0..a being placed.  A placed row is
         compared; a later one is recorded in ``forced`` unless it already
-        is, and its index goes on ``added`` for the caller to undo.  False
-        on a contradiction: a different row, or a column clash."""
+        is, claims its cells, and its index goes on ``added`` for the caller
+        to release.  False on a contradiction: a different row, or a cell
+        that a placed or forced row already claims (two rows would share a
+        column entry)."""
         if c <= a:
             return self.rows[c] == q
         f = self.forced.get(c)
         if f is not None:
             return f == q
-        col_used = self.col_used
-        if any(q[z] in col_used[z] for z in range(1, self.n)):
+        cells = tuple(map(add, self.offsets, q))
+        if not self.claimed.isdisjoint(cells):
             return False
+        self.claimed.update(cells)
         self.forced[c] = q
         added.append(c)
         return True
@@ -177,14 +205,20 @@ class _Search:
     def _propagate(self, a: int, added: list[int]) -> bool:
         """Force the rows that placing row a determines: the inverse of
         L_a at the index of -a, and L_x L_y L_x at x + (y + x) for each
-        placed pair with a in {x, y} (the left Bol identity)."""
-        rows, n = self.rows, self.n
+        placed pair with a in {x, y} (the left Bol identity).  Each L_x L_y
+        L_x is two tuple compositions in C, ``gets[x](gets[y](rows[x]))``;
+        ``gets[a]`` is set here, so every placed row has its getter."""
+        rows, gets = self.rows, self.gets
         p = rows[a]
+        ga = gets[a] = _getter(p)
         if not self._force(p.index(0), _inverse_tuple(p), a, added):
             return False
-        for x, y in [(a, y) for y in range(a + 1)] + [(x, a) for x in range(1, a)]:
-            rx, ry = rows[x], rows[y]
-            q = tuple(rx[ry[rx[z]]] for z in range(n))
+        for y in range(a + 1):
+            q = ga(gets[y](p))
+            if not self._force(q[0], q, a, added):
+                return False
+        for x in range(1, a):
+            q = gets[x](ga(rows[x]))
             if not self._force(q[0], q, a, added):
                 return False
         return True
@@ -207,9 +241,12 @@ class _Search:
         self.found.append(table)
 
     def _dfs(self, a: int, records: list):
-        """Place row a and recurse.  ``records`` holds the relabelings that
-        tied with the identity in the symmetry cut of the parent node; the
-        cut here resumes them and hands its own ties to the child."""
+        """Place row a and recurse.  A candidate claims its cells, unless a
+        is forced: its row claimed them when it was forced.  ``records``
+        holds the relabelings that tied with the identity in the symmetry
+        cut of the parent node; the cut here resumes them and hands its own
+        ties to the child.  The deadline is checked on entry, before each
+        candidate, and inside the cut, each raising ``_Budget``."""
         if self.stop:
             return
         deadline = self.deadline
@@ -219,26 +256,29 @@ class _Search:
             self._leaf()
             return
         self.nodes += 1
+        claimed, offsets, forced = self.claimed, self.offsets, self.forced
+        claims = a not in forced  # a forced row claimed its cells when forced
         for p in self._row_candidates(a):
             # one node may have many candidates: check the clock for each
             if deadline is not None and time.monotonic() > deadline:
                 raise _Budget
             self.rows[a] = p
-            for c in range(1, self.n):
-                self.col_used[c].add(p[c])
+            if claims:
+                claimed.update(map(add, offsets, p))
             added: list[int] = []
             ties: list = []
             try:
                 if self._propagate(a, added) and (
                     not self.config.symmetry_breaking
-                    or next(_smaller_relabelings(self.rows, a, records, ties), None) is None
+                    or next(_smaller_relabelings(self.rows, a, records, ties, deadline), None)
+                    is None
                 ):
                     self._dfs(a + 1, ties)
             finally:
                 for c in added:
-                    del self.forced[c]
-                for c in range(1, self.n):
-                    self.col_used[c].discard(p[c])
+                    claimed.difference_update(map(add, offsets, forced.pop(c)))
+                if claims:
+                    claimed.difference_update(map(add, offsets, p))
                 self.rows[a] = None
             if self.stop:
                 return
@@ -464,7 +504,7 @@ def _relabeled_rows(rows, k: int, old, label, x: int, cur, best, tied: bool):
     return x, tied
 
 
-def _smaller_relabelings(rows, k: int, inherited=None, out=None):
+def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     """Yield each relabeling fixing 0 that makes rows 1..k smaller than the
     best so far, as its cells in row-major order; the identity labeling is
     the first incumbent.  Rows 0..k must be placed; later rows may be None.
@@ -497,13 +537,20 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None):
     order, so one the parent found larger is larger here too; and the
     parent found none smaller, or this node would not exist.  So ``out``
     equals the records of a scan over label 1 on 1..k with nothing
-    inherited, as long as nothing is yielded."""
+    inherited, as long as nothing is yielded.
+
+    With a ``deadline`` (the search's, in ``time.monotonic`` seconds), the
+    clock is read before each inherited record is resumed and on each entry
+    to the row-1 scan, and ``_Budget`` is raised once it has passed.
+    ``canonical_form`` passes none, so it always finishes."""
     n = len(rows)
     cells = k * n
     best = [v for row in rows[1 : k + 1] for v in row]
     cur = [0] * cells
     if inherited is not None:
         for old, label, x in inherited:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Budget
             x, tied = _relabeled_rows(rows, k, old, label, x, cur, best, True)
             if tied:
                 if out is not None:
@@ -518,6 +565,8 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None):
     def scan(y: int, tied: bool):
         # row 1 from column y on; tied: cells < y equal best's
         nonlocal best
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Budget
         mark = len(old)
         row = rows[old[1]]
         while y < n:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import eq
 from types import SimpleNamespace
 
 import isomorphism_oracle as oracle
@@ -185,11 +186,11 @@ class TestEnumerate:
     def test_order_nine(self):
         result = run_search(SearchConfig(order=9))
         assert result.complete
-        assert (result.nodes, result.leaves) == (16, 2)
+        assert (result.nodes, result.leaves) == (15, 2)
         assert len(result.tables) == 2
         assert all(verify_axioms(t.table).passed for t in result.tables)
 
-    @pytest.mark.parametrize("n, nodes, leaves", [(10, 26, 2), (11, 13, 1)])
+    @pytest.mark.parametrize("n, nodes, leaves", [(10, 25, 2), (11, 12, 1)])
     def test_orders_ten_and_eleven(self, n, nodes, leaves, exhaustive):
         result = exhaustive[n]
         assert result.complete
@@ -247,6 +248,75 @@ class TestEnumerate:
         assert s.forced == {2: (2, 3, 0, 1), 3: (3, 0, 1, 2)}
         assert sorted(added) == [2, 3]
 
+    def test_forced_row_cells_never_offered_to_another_index(self):
+        # a forced row will be placed at its index, and column entries are
+        # distinct, so no candidate for another index may share a cell (a
+        # column and its value) with it
+        s = search._Search(SearchConfig(order=6, symmetry_breaking=False))
+        before = list(s._row_candidates(1))
+        q = (3, 0, 4, 5, 1, 2)
+        assert s._force(3, q, 0, [])
+        clash = [p for p in before if any(map(eq, p, q))]
+        assert clash and list(s._row_candidates(1)) == [p for p in before if p not in clash]
+        for a in (2, 4, 5):
+            candidates = list(s._row_candidates(a))
+            assert candidates and not any(any(map(eq, p, q)) for p in candidates)
+        assert list(s._row_candidates(3)) == [q]
+
+    def test_force_refuses_a_clash_with_a_forced_row(self):
+        # row 4 may not put 0 in column 1, where forced row 3 has it, even
+        # though no placed row does; a refusal claims nothing
+        s = search._Search(SearchConfig(order=6, symmetry_breaking=False))
+        added = []
+        q = (3, 0, 4, 5, 1, 2)
+        assert s._force(3, q, 0, added)
+        claimed = set(s.claimed)
+        assert not s._force(4, (4, 0, 5, 1, 2, 3), 0, added)
+        assert s.forced == {3: q} and added == [3] and s.claimed == claimed
+        assert s._force(4, (4, 5, 3, 1, 2, 0), 0, added)
+        assert added == [3, 4] and len(s.claimed) == len(claimed) + 6
+
+    def test_propagate_calls_at_order_eight(self, monkeypatch):
+        # candidate rows skip the cells of placed and forced rows alike, so
+        # 1,497 rows reach _propagate
+        propagate = search._Search._propagate
+        calls = []
+
+        def counted(self, a, added):
+            calls.append(a)
+            return propagate(self, a, added)
+
+        monkeypatch.setattr(search._Search, "_propagate", counted)
+        result = run_search(SearchConfig(order=8))
+        assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
+        assert len(calls) == 1497
+
+    def test_deadline_checked_inside_the_cut(self, monkeypatch):
+        # at order 12 the cut at depth 1 over the all-2-cycles row 1 ties
+        # 3,840 relabelings; a clock that passes the deadline with the 50th
+        # relabeled row must stop the cut there, inside the first node
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        relabeled_rows = search._relabeled_rows
+        calls = [0]
+
+        def timed(*args):
+            calls[0] += 1
+            if calls[0] == 50:
+                clock.now = 10.0
+            return relabeled_rows(*args)
+
+        monkeypatch.setattr(search, "_relabeled_rows", timed)
+        result = run_search(SearchConfig(order=12, time_budget=1.0))
+        assert not result.complete and result.nodes == 1
+        assert calls[0] == 50
+
+    def test_canonical_form_has_no_deadline(self, monkeypatch):
+        # a clock far past any deadline leaves canonical_form unchanged
+        want = canonical_form(cyclic(8)).table
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: 1e18))
+        assert canonical_form(cyclic(8)).table == want
+
     def test_first_nonassociative_nodes_and_leaves(self):
         result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
         assert (result.nodes, result.leaves) == (8, 2)
@@ -285,8 +355,8 @@ class TestEnumerate:
         smaller_relabelings = search._smaller_relabelings
         inherited_sizes = []
 
-        def checked(rows, k, inherited, out):
-            first = next(smaller_relabelings(rows, k, inherited, out), None)
+        def checked(rows, k, inherited, out, deadline):
+            first = next(smaller_relabelings(rows, k, inherited, out, deadline), None)
             fresh = []
             assert (next(smaller_relabelings(rows, k, None, fresh), None) is None) == (
                 first is None

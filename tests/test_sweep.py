@@ -22,7 +22,7 @@ from sweep_oracle import (
 from gyrokit import normality, sweep
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
-from gyrokit.core import InternalConsistencyError, Perm, direct_product
+from gyrokit.core import GyroTable, InternalConsistencyError, Perm, direct_product
 from gyrokit.gyrofile import save_table
 from gyrokit.normality import Hom, _preserves, check_hom, is_normal, try_quotient
 from gyrokit.nuclei import PermGroup, left_translations
@@ -146,6 +146,22 @@ class TestSweep:
         assert [line for line in report.lines if line.startswith("z6 ::")] == [
             line for line in clean.lines if line.startswith("z6 ::")
         ]
+
+    def test_one_coset_scan_per_table_and_subgyrogroup(self, corpus, monkeypatch):
+        # is_normal and try_quotient share one scan: a sweep of the 15-table
+        # corpus scans each of its 81 (table, N) pairs once
+        real = normality._coset_classes
+        calls = []
+
+        def counted(g, n_set):
+            calls.append((g.table, n_set))
+            return real(g, n_set)
+
+        monkeypatch.setattr(normality, "_coset_classes", counted)
+        # fresh tables, so no scan is memoised
+        report = run_theorem_sweep([(name, GyroTable(g.table)) for name, g in sorted(corpus.items())])
+        assert len(corpus) == 15 and report.failures == 0
+        assert len(calls) == len(set(calls)) == 81
 
     def test_non_normal_reversal_kernel_fails_its_check(self, monkeypatch):
         # {id, L_2} is a subgroup of lmlt(s3) inside lg_sharp, but the
