@@ -138,7 +138,6 @@ def cmd_search(args) -> int:
         mode=mode,
         max_results=args.max_results,
         time_budget=args.time_budget,
-        symmetry_breaking=not args.no_symmetry_breaking,
     )
     result = run_search(config)
     if args.out:
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first-nonassociative", action="store_true")
     p.add_argument("--max-results", type=int)
     p.add_argument("--time-budget", type=float, help="seconds")
-    p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument("--out", help="directory for emitted .gyro files")
     p.set_defaults(func=cmd_search)
 

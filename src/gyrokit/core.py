@@ -89,10 +89,7 @@ class Perm:
         return Perm._unchecked(_getter(other.images)(self.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Perm._unchecked(tuple(inv))
+        return Perm._unchecked(_inverse_tuple(self.images))
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
@@ -173,18 +170,28 @@ def _getter(perm: tuple[int, ...]):
     return itemgetter(*perm)
 
 
-def _automorphism_failure(rows, get, g: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Why the bijection ``g`` is not an automorphism of ``rows``: the first
-    ``(x, y)`` in row-major order with ``g[x (+) y] != g[x] (+) g[y]``;
-    ``None`` if it is an automorphism.  ``get[x]`` is ``_getter(rows[x])``.
+def _inverse_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of the permutation with images ``p``."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
 
-    Row x compares g.L_x with L_(g x).g as two tuples; only the first row
-    that differs is scanned for y."""
-    after_g = _getter(g)
-    for x, gx in enumerate(g):
-        lhs, rhs = get[x](g), after_g(rows[gx])
+
+def _hom_failure(f, gets, k_rows) -> tuple[int, int] | None:
+    """Why the map ``f`` does not preserve the operation: the first
+    ``(x, y)`` in row-major order with ``f[x (+) y] != f[x] (+)' f[y]``;
+    ``None`` if it does.  ``gets`` yields ``_getter(rows[x])`` for each row
+    x of the domain in turn (a list built once, or a lazy ``map``), and
+    ``k_rows`` are the rows of the codomain.
+
+    Row x compares f.L_x with L'_(f x).f as two tuples built in C; only the
+    first row that differs is scanned for y."""
+    after_f = _getter(f)
+    for x, (get, fx) in enumerate(zip(gets, f)):
+        lhs, rhs = get(f), after_f(k_rows[fx])
         if lhs != rhs:
-            return (x, next(y for y, (u, v) in enumerate(zip(lhs, rhs)) if u != v))
+            return x, next(y for y, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
     return None
 
 
@@ -330,7 +337,7 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     # hashed once; gid[a][b] is the index of gyr[a, b] in it
     gid, gyrs = _number_gyrations(rows, linv)
     get = [_getter(row) for row in rows]
-    failures = [_automorphism_failure(rows, get, g) for g in gyrs]
+    failures = [_hom_failure(g, get, rows) for g in gyrs]
     identity = tuple(ident)
     cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import GyroTable, InternalConsistencyError, _getter
+from .core import GyroTable, InternalConsistencyError, _getter, _hom_failure
 from .substructure import (
     CosetFamily,
     SubSet,
@@ -68,11 +68,9 @@ class Hom:
 
 
 def _preserves(f, rows, k_rows) -> bool:
-    """Whether f(rows[a][b]) = k_rows[f a][f b] for all a, b: row a
-    compares f.rows[a] with k_rows[f a].f as two tuples built in C
-    (``core._getter``), one compare per row."""
-    after_f = _getter(f)
-    return all(_getter(row)(f) == after_f(k_rows[fa]) for row, fa in zip(rows, f))
+    """Whether f(rows[a][b]) = k_rows[f a][f b] for all a, b: the scan of
+    ``core._hom_failure``, one tuple compare per row."""
+    return _hom_failure(f, map(_getter, rows), k_rows) is None
 
 
 def check_hom(phi: Hom) -> bool:

@@ -31,14 +31,14 @@ ties millions of relabelings (the all-2-cycles row 1 at order 16 ties
 
 Every surviving leaf is built by the validating ``GyroTable`` constructor,
 which runs the full axiom check from scratch and keeps the leaf's gyration
-numbering, so the pruning only needs to be sound, never exact.  Optional
-symmetry breaking discards prefixes that are provably not the
-lexicographically least relabeling of any completion, so each isomorphism
-class keeps exactly its minimal table.  At row 1 the cut is decided by cycle type alone, and only
-the rows it keeps are generated (``_cycle_type_rows``).  A leaf has passed
-the cut on all its rows, so it is its own canonical form and is kept as it
-is; only without symmetry breaking does canonical-form deduplication run
-after the tree, inside the time budget.
+numbering, so the pruning only needs to be sound, never exact.  The
+symmetry cut discards prefixes that are provably not the lexicographically
+least relabeling of any completion, so each isomorphism class keeps exactly
+its minimal table.  At row 1 the cut is decided by cycle type alone, and
+only the rows it keeps are generated (``_cycle_type_rows``).  A leaf has
+passed the cut on all its rows, so it is its own canonical form and is kept
+as it is, and each index tries its candidates in lex order, so the leaves
+come out sorted: nothing runs after the tree.
 
 Isomorphism uses two algorithms: one backtracking search, whose first
 isomorphism answers ``are_isomorphic`` and whose full list from a table to
@@ -66,6 +66,8 @@ from .core import (
     Perm,
     ResourceCapError,
     _getter,
+    _hom_failure,
+    _inverse_tuple,
 )
 
 DEFAULT_AUT_CAP = 16
@@ -81,7 +83,6 @@ class SearchConfig:
     mode: str = MODE_EXHAUSTIVE
     max_results: int | None = None
     time_budget: float | None = None  # seconds
-    symmetry_breaking: bool = True
 
     def __post_init__(self):
         if self.order < 1:
@@ -104,13 +105,6 @@ class SearchResult:
 
 class _Budget(Exception):
     pass
-
-
-def _inverse_tuple(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
 
 
 class _Search:
@@ -143,13 +137,13 @@ class _Search:
         row would repeat one once that row is placed.  Each column's free
         values are listed once, when the first candidate is asked for.
 
-        With symmetry breaking, row 1 gets only the rows the cut keeps, from
+        Row 1 gets only the rows the symmetry cut keeps, from
         ``_cycle_type_rows``: row 1 is never forced, and column c holds only
         c, so its candidates are the fixed-point-free permutations p with
         p(0) = 1, and the cut keeps one per cycle type (the cycle through 0
         marked)."""
         n = self.n
-        if a == 1 and self.config.symmetry_breaking:
+        if a == 1:
             yield from _cycle_type_rows(n)
             return
         p = self.forced.get(a)
@@ -268,10 +262,9 @@ class _Search:
             added: list[int] = []
             ties: list = []
             try:
-                if self._propagate(a, added) and (
-                    not self.config.symmetry_breaking
-                    or next(_smaller_relabelings(self.rows, a, records, ties, deadline), None)
-                    is None
+                if (
+                    self._propagate(a, added)
+                    and next(_smaller_relabelings(self.rows, a, records, ties, deadline), None) is None
                 ):
                     self._dfs(a + 1, ties)
             finally:
@@ -284,40 +277,25 @@ class _Search:
                 return
 
     def run(self) -> SearchResult:
-        """Walk the tree, then, in exhaustive mode, keep one canonical table
-        per class in lexicographic order.
+        """Walk the tree and return the verified leaves, in the order the
+        DFS reached them.
 
-        With symmetry breaking each leaf is kept as it is: the cut at row
-        n - 1 found no relabeling that makes rows 1..n-1 smaller.  It
-        resumed the ties handed down from row n - 2, which gives the verdict
-        of a fresh scan (see ``_smaller_relabelings``), so it made exactly
-        ``canonical_form``'s test.  The leaf is its own canonical form, two
-        leaves are never isomorphic, and a partial result holds every leaf
-        verified before the deadline.  Without it, each leaf is
-        canonicalised, and the deadline is checked before each canonical
-        form, so a partial result holds the classes of the leaves
-        canonicalised before it.  Either way the tables returned are the
-        ones built during the run, not rebuilt from their rows."""
+        Each leaf is kept as it is: the cut at row n - 1 found no relabeling
+        that makes rows 1..n-1 smaller.  It resumed the ties handed down from
+        row n - 2, which gives the verdict of a fresh scan (see
+        ``_smaller_relabelings``), so it made exactly ``canonical_form``'s
+        test.  The leaf is its own canonical form, and two leaves are never
+        isomorphic.  Every index tries its candidates in lex order, so two
+        leaves come out in the order of the first row where they differ:
+        sorted.  A partial result holds every leaf verified before the
+        deadline, as the table built during the run."""
         complete = True
         try:
             self._dfs(1, [])
         except _Budget:
             complete = False
-        tables = self.found
-        if self.config.mode == MODE_EXHAUSTIVE:
-            if not self.config.symmetry_breaking:
-                canon = {}
-                for t in tables:
-                    if self.deadline is not None and time.monotonic() > self.deadline:
-                        complete = False
-                        break
-                    c = canonical_form(t, cap=self.n)
-                    canon.setdefault(c.table, c)
-                tables = canon.values()
-            tables = sorted(tables, key=lambda t: t.table)
-        if self.config.max_results is not None:
-            tables = tables[: self.config.max_results]
-        return SearchResult(tuple(tables), complete, self.leaves, self.nodes)
+        tables = tuple(self.found[: self.config.max_results])
+        return SearchResult(tables, complete, self.leaves, self.nodes)
 
 
 def _cycle_type_rows(n: int):
@@ -458,8 +436,7 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
     witness = next(_isomorphisms(g, h), None) if g.order == h.order else None
     if witness is None:
         return False, None
-    tg, th, els = g.table, h.table, range(g.order)
-    if not all(th[witness(a)][witness(b)] == witness(tg[a][b]) for a in els for b in els):
+    if _hom_failure(witness.images, map(_getter, g.table), h.table) is not None:
         raise InternalConsistencyError("isomorphism witness fails the full table scan")
     return True, witness
 

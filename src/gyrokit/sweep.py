@@ -45,7 +45,7 @@ are equal as permutations.  Each row form is kept per pair in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     GyroTable,
@@ -53,6 +53,7 @@ from .core import (
     Perm,
     ResourceCapError,
     _getter,
+    _inverse_tuple,
     verify_axioms,
 )
 from .substructure import (
@@ -108,27 +109,14 @@ DEFAULT_ORACLE_WORD_LEN = 6
 
 @dataclass
 class SweepReport:
-    lines: list[str]
+    """The check lines of a sweep and their tallies.  ``check`` and
+    ``finding`` record a line for the table called ``name``."""
+
+    lines: list[str] = field(default_factory=list)
     passes: int = 0
     failures: int = 0
     findings: int = 0
-
-    def render(self) -> str:
-        body = "\n".join(self.lines)
-        summary = (
-            f"summary: checks={self.passes + self.failures} pass={self.passes} "
-            f"fail={self.failures} findings={self.findings}"
-        )
-        return f"{body}\n{summary}\n"
-
-
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.lines: list[str] = []
-        self.passes = 0
-        self.failures = 0
-        self.findings = 0
+    name: str = ""
 
     def check(self, check_id: str, ok: bool, detail: str = ""):
         status = "PASS" if ok else "FAIL"
@@ -142,6 +130,14 @@ class _Recorder:
     def finding(self, check_id: str, detail: str):
         self.lines.append(f"{self.name} :: {check_id} :: FINDING :: {detail}")
         self.findings += 1
+
+    def render(self) -> str:
+        body = "\n".join(self.lines)
+        summary = (
+            f"summary: checks={self.passes + self.failures} pass={self.passes} "
+            f"fail={self.failures} findings={self.findings}"
+        )
+        return f"{body}\n{summary}\n"
 
 
 def _commutes_with_gyrations(phi: Hom) -> bool:
@@ -236,9 +232,9 @@ def _inverse_symmetry(gid, perms) -> bool:
 
 def _translation_form(table, gid, perms) -> bool:
     """gyr[a, b] = L_x^-1 L_a L_b with x = a (+) b, for all a, b.  L_x^-1
-    is row x inverted (``Perm.inverse``), not the row L_(-x) the numbering
-    builds its gyrations from; the right side is composed in C."""
-    inverse = [Perm._unchecked(row).inverse().images for row in table]
+    is row x inverted (``core._inverse_tuple``), not the row L_(-x) the
+    numbering builds its gyrations from; the right side is composed in C."""
+    inverse = [_inverse_tuple(row) for row in table]
     get = [_getter(row) for row in table]
     return all(
         _getter(get_b(ra))(inverse[x]) == perms[k].images
@@ -297,7 +293,7 @@ def _multiple_laws_hold(table, inv, ms, mult) -> bool:
     return True
 
 
-def _sweep_core(r: _Recorder, g: GyroTable):
+def _sweep_core(r: SweepReport, g: GyroTable):
     n = g.order
     els = range(n)
     report = verify_axioms(g.table)
@@ -330,7 +326,7 @@ def _commutator_rows(g: GyroTable) -> list[list[int]]:
     return [[commutator(g, a, b) for b in els] for a in els]
 
 
-def _sweep_commutators(r: _Recorder, g: GyroTable, normals: list[SubSet]):
+def _sweep_commutators(r: SweepReport, g: GyroTable, normals: list[SubSet]):
     els = range(g.order)
     t = g.table
     comm = _commutator_rows(g)
@@ -437,7 +433,7 @@ def _nuclei_by_associativity(g: GyroTable) -> tuple[frozenset, frozenset, frozen
     return frozenset(left), frozenset(middle), frozenset(right)
 
 
-def _sweep_nuclei(r: _Recorder, g: GyroTable):
+def _sweep_nuclei(r: SweepReport, g: GyroTable):
     els = range(g.order)
     nl = left_nucleus(g)
     nm = middle_nucleus(g)
@@ -527,7 +523,7 @@ def _subgroup_forms_agree(g: GyroTable, lattice: list[SubSet], numbering) -> boo
     return True
 
 
-def _sweep_substructure(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
+def _sweep_substructure(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
     sets = [s.as_set() for s in lattice]
     members = {s.members for s in lattice}
     r.check(
@@ -560,7 +556,7 @@ def _sweep_substructure(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
     )
 
 
-def _sweep_normality(r: _Recorder, g: GyroTable, lattice: list[SubSet], normals: list[SubSet]):
+def _sweep_normality(r: SweepReport, g: GyroTable, lattice: list[SubSet], normals: list[SubSet]):
     r.check(
         "trivial-and-full-normal",
         is_normal(g, [0]) and is_normal(g, range(g.order)),
@@ -616,7 +612,7 @@ def _sweep_normality(r: _Recorder, g: GyroTable, lattice: list[SubSet], normals:
     )
 
 
-def _sweep_prime_index(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
+def _sweep_prime_index(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
     pairs = []
     for s in lattice:
         if len(s) == g.order:
@@ -684,11 +680,11 @@ def _sweep_prime_index(r: _Recorder, g: GyroTable, lattice: list[SubSet]):
         )
 
 
-def sweep_table(name: str, g: GyroTable) -> _Recorder:
+def sweep_table(name: str, g: GyroTable) -> SweepReport:
     """Every check on one table.  An internal inconsistency, or a library call
     rejecting what an earlier call built (a ``ValueError``), ends them in a
     FAIL line."""
-    r = _Recorder(name)
+    r = SweepReport(name=name)
     try:
         lattice = enumerate_subgyrogroups(g)
         normals = [s for s in lattice if is_normal(g, s)]
@@ -705,7 +701,7 @@ def sweep_table(name: str, g: GyroTable) -> _Recorder:
 
 def run_theorem_sweep(named_tables) -> SweepReport:
     """Run every check over (name, table) pairs, sorted by name."""
-    report = SweepReport(lines=[])
+    report = SweepReport()
     for name, table in sorted(named_tables, key=lambda nt: nt[0]):
         rec = sweep_table(name, table)
         report.lines.extend(rec.lines)

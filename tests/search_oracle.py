@@ -14,7 +14,9 @@ inverse rows, and tests each placement with the translation-form gyration
 checks of ``_partial_ok``.  The tests compare its canonical tables and its
 verified labelled leaves (``found``) with the library's.  It shares the
 symmetry cut, ``canonical_form`` and the validating ``GyroTable``
-constructor with the library, not the row generation or pruning.
+constructor with the library, not the row generation or pruning.  Its own
+keyword ``symmetry_breaking=False`` skips the cut and keeps every labelled
+leaf, then canonicalises them after the tree; the library always cuts.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def prefix_lex_minimal(rows: list, k: int) -> bool:
 
 
 class _Search:
-    def __init__(self, config: SearchConfig):
+    def __init__(self, config: SearchConfig, symmetry_breaking: bool = True):
         self.config = config
+        self.symmetry_breaking = symmetry_breaking
         n = config.order
         self.n = n
         self.rows: list[tuple | None] = [tuple(range(n))] + [None] * (n - 1)
@@ -236,7 +239,7 @@ class _Search:
                 self.forced[forced_row] = self.invs[a]
             try:
                 if self._partial_ok(a) and (
-                    not self.config.symmetry_breaking
+                    not self.symmetry_breaking
                     or next(_smaller_relabelings(self.rows, a), None) is None
                 ):
                     self._dfs(a + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from operator import eq
@@ -22,7 +23,7 @@ from gyrokit.search import (
 )
 
 KNOWN_GROUP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
-# (nodes, leaves) of the exhaustive search with symmetry breaking
+# (nodes, leaves) of the exhaustive search
 EXHAUSTIVE_COUNTS = {
     1: (0, 1),
     2: (1, 1),
@@ -39,7 +40,7 @@ CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 11, 9: 2, 10: 2, 11
 
 @pytest.fixture(scope="module")
 def exhaustive():
-    """The exhaustive search with symmetry breaking, orders 1-11."""
+    """The exhaustive search, orders 1-11."""
     return {n: run_search(SearchConfig(order=n)) for n in CLASS_COUNTS}
 
 
@@ -69,9 +70,12 @@ class TestEnumerate:
         assert all(t.is_group() for t in result.tables)
 
     def test_counts_stable_without_symmetry_breaking(self):
+        # the oracle search without the cut, canonicalising every labelled
+        # leaf after the tree, finds the same classes
         for n in range(1, 7):
             fast = run_search(SearchConfig(order=n))
-            slow = run_search(SearchConfig(order=n, symmetry_breaking=False))
+            slow = search_oracle._Search(SearchConfig(order=n), symmetry_breaking=False).run()
+            assert slow.complete
             assert [t.table for t in fast.tables] == [t.table for t in slow.tables]
 
     def test_search_deterministic_across_runs(self):
@@ -109,25 +113,6 @@ class TestEnumerate:
     def test_time_budget_flags_partial(self):
         result = run_search(SearchConfig(order=8, time_budget=1e-9))
         assert not result.complete
-
-    def test_time_budget_covers_canonicalisation(self, monkeypatch):
-        # a clock that stands still through the DFS and passes the deadline
-        # with the fifth canonical form
-        clock = SimpleNamespace(now=0.0)
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        canonicalised = []
-
-        def canon(g, cap):
-            canonicalised.append(canonical_form(g, cap=cap).table)
-            if len(canonicalised) == 5:
-                clock.now = 10.0
-            return GyroTable(canonicalised[-1])
-
-        monkeypatch.setattr(search, "canonical_form", canon)
-        result = run_search(SearchConfig(order=6, time_budget=1.0, symmetry_breaking=False))
-        assert not result.complete
-        assert result.leaves > 5 and len(canonicalised) == 5
-        assert [t.table for t in result.tables] == sorted(set(canonicalised))
 
     def test_deadline_checked_per_candidate(self, monkeypatch):
         # a clock that stands still until the first candidate _propagate
@@ -252,12 +237,12 @@ class TestEnumerate:
         # a forced row will be placed at its index, and column entries are
         # distinct, so no candidate for another index may share a cell (a
         # column and its value) with it
-        s = search._Search(SearchConfig(order=6, symmetry_breaking=False))
-        before = list(s._row_candidates(1))
+        s = search._Search(SearchConfig(order=6))
+        before = list(s._row_candidates(2))
         q = (3, 0, 4, 5, 1, 2)
         assert s._force(3, q, 0, [])
         clash = [p for p in before if any(map(eq, p, q))]
-        assert clash and list(s._row_candidates(1)) == [p for p in before if p not in clash]
+        assert clash and list(s._row_candidates(2)) == [p for p in before if p not in clash]
         for a in (2, 4, 5):
             candidates = list(s._row_candidates(a))
             assert candidates and not any(any(map(eq, p, q)) for p in candidates)
@@ -266,7 +251,7 @@ class TestEnumerate:
     def test_force_refuses_a_clash_with_a_forced_row(self):
         # row 4 may not put 0 in column 1, where forced row 3 has it, even
         # though no placed row does; a refusal claims nothing
-        s = search._Search(SearchConfig(order=6, symmetry_breaking=False))
+        s = search._Search(SearchConfig(order=6))
         added = []
         q = (3, 0, 4, 5, 1, 2)
         assert s._force(3, q, 0, added)
@@ -320,6 +305,22 @@ class TestEnumerate:
     def test_first_nonassociative_nodes_and_leaves(self):
         result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
         assert (result.nodes, result.leaves) == (8, 2)
+
+    def test_search_tables_pinned(self, exhaustive):
+        # the sha256 of repr() of every table the exhaustive search returns
+        # for orders 1-11, in order, and of the first nonassociative table
+        # of order 8
+        def digest(x):
+            return hashlib.sha256(repr(x).encode()).hexdigest()
+
+        assert sorted(exhaustive) == list(range(1, 12))
+        tables = [t.table for n in sorted(exhaustive) for t in exhaustive[n].tables]
+        assert digest(tables) == "f2fa18dafd55e101062b3ca3cef9d9b9e9f4e4c7cc9c8a9ddaca0f91eb986436"
+        result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
+        assert (result.nodes, result.leaves) == (8, 2)
+        assert [digest(t.table) for t in result.tables] == [
+            "2128f6e6a07bc11bc22ec6a28ae12c6019b8e24a6024bad0f77cd4f6d8071cc4"
+        ]
 
     def test_symmetry_cut_agrees_with_oracle(self, monkeypatch):
         # every call of the shared routine in exhaustive orders 1-9, the cut's
@@ -384,10 +385,20 @@ class TestEnumerate:
         assert [t.table for t in got.tables] == [t.table for t in want.tables]
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_labelled_leaves_agree_with_oracle(self, n):
-        # every verified labelled table, in the order the DFS reaches it
-        config = SearchConfig(order=n, symmetry_breaking=False)
-        want = search_oracle._Search(config)
+    def test_labelled_leaves_agree_with_oracle(self, monkeypatch, n):
+        # every verified labelled table, in the order the DFS reaches it,
+        # with the cut switched off: it cuts nothing, and row 1 is offered
+        # every fixed-point-free p with p(0) = 1, in lex order
+        def every_row_one(n):
+            for rest in itertools.permutations([0, *range(2, n)]):
+                p = (1, *rest)
+                if all(p[c] != c for c in range(1, n)):
+                    yield p
+
+        monkeypatch.setattr(search, "_smaller_relabelings", lambda *args: iter(()))
+        monkeypatch.setattr(search, "_cycle_type_rows", every_row_one)
+        config = SearchConfig(order=n)
+        want = search_oracle._Search(config, symmetry_breaking=False)
         got = search._Search(config)
         want.run()
         got.run()
