@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate gyrogroup tables of an order")
     p.add_argument("order", type=int)
     p.add_argument("--first-nonassociative", action="store_true")
-    p.add_argument("--max-results", type=int)
+    p.add_argument("--max-results", type=int, help="stop after the first K classes, in lexicographic order")
     p.add_argument("--time-budget", type=float, help="seconds")
     p.add_argument("--out", help="directory for emitted .gyro files")
     p.set_defaults(func=cmd_search)

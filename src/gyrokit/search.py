@@ -24,10 +24,11 @@ with it has no completion.  Candidate rows skip every claimed cell.  This
 cuts no leaf.  Each node releases only the cells of its own row and of the
 forced rows it added.
 
-A time budget is checked before every candidate row and inside the
-symmetry cut, once per relabeling it resumes or branches on, so a cut that
-ties millions of relabelings (the all-2-cycles row 1 at order 16 ties
-645,120) stops at the deadline too.
+An exception ends the search early through the DFS's ``finally`` blocks:
+``_Limit`` once the result limit (1 in first-nonassociative mode) is
+reached, complete, or ``_Budget`` once the time budget is spent, partial.
+The clock is read before every candidate row and inside the symmetry cut,
+once per relabeling it resumes or branches on: order 16 ties 645,120 at row 1.
 
 Every surviving leaf is built by the validating ``GyroTable`` constructor,
 which runs the full axiom check from scratch and keeps the leaf's gyration
@@ -79,10 +80,13 @@ MODE_FIRST_NONASSOCIATIVE = "first_nonassociative"
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """``max_results`` (the first K classes, in lex order), first-nonassociative
+    mode and ``time_budget`` (seconds) end the DFS the same way."""
+
     order: int
     mode: str = MODE_EXHAUSTIVE
     max_results: int | None = None
-    time_budget: float | None = None  # seconds
+    time_budget: float | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -98,32 +102,39 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     tables: tuple[GyroTable, ...]
-    complete: bool  # False when the time budget cut the search short
+    complete: bool  # False only when the time budget cut the search short
     leaves: int = 0
     nodes: int = 0
 
 
 class _Budget(Exception):
-    pass
+    """The time budget ran out: the search ends with a partial result."""
+
+
+class _Limit(Exception):
+    """The search kept as many tables as it may return: it ends complete."""
+
+
+def _check_deadline(deadline: float | None):
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Budget
 
 
 class _Search:
     def __init__(self, config: SearchConfig):
         self.config = config
-        n = config.order
-        self.n = n
+        self.n = n = config.order
         self.rows: list[tuple | None] = [tuple(range(n))] + [None] * (n - 1)
         self.gets: list = [_getter(self.rows[0])] + [None] * (n - 1)  # gets[x] = _getter(rows[x])
         self.offsets = range(0, n * n, n)  # cell c * n + v holds value v in column c
         self.claimed = set(map(add, self.offsets, self.rows[0]))  # row 0 placed
         self.forced: dict[int, tuple] = {}
-        self.deadline = None
-        if config.time_budget is not None:
-            self.deadline = time.monotonic() + config.time_budget
+        budget = config.time_budget
+        self.deadline = None if budget is None else time.monotonic() + budget
         self.nodes = 0
         self.leaves = 0
         self.found: list[GyroTable] = []
-        self.stop = False
+        self.limit = 1 if config.mode == MODE_FIRST_NONASSOCIATIVE else config.max_results
 
     # -- candidate rows -------------------------------------------------------
 
@@ -220,32 +231,26 @@ class _Search:
     # -- the tree -------------------------------------------------------------
 
     def _leaf(self):
-        rows = [r for r in self.rows if r is not None]
+        """Keep the leaf's table if it is one; ``_Limit`` ends the search."""
         self.leaves += 1
         try:
-            table = GyroTable(rows)
+            table = GyroTable(self.rows)
         except AxiomError:
             return
-        if self.config.mode == MODE_FIRST_NONASSOCIATIVE:
-            if table.is_group():
-                return
-            self.found.append(table)
-            self.stop = True
+        if self.config.mode == MODE_FIRST_NONASSOCIATIVE and table.is_group():
             return
         self.found.append(table)
+        if len(self.found) == self.limit:
+            raise _Limit
 
     def _dfs(self, a: int, records: list):
         """Place row a and recurse.  A candidate claims its cells, unless a
         is forced: its row claimed them when it was forced.  ``records``
         holds the relabelings that tied with the identity in the symmetry
         cut of the parent node; the cut here resumes them and hands its own
-        ties to the child.  The deadline is checked on entry, before each
-        candidate, and inside the cut, each raising ``_Budget``."""
-        if self.stop:
-            return
+        ties to the child."""
         deadline = self.deadline
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Budget
+        _check_deadline(deadline)
         if a == self.n:
             self._leaf()
             return
@@ -253,9 +258,7 @@ class _Search:
         claimed, offsets, forced = self.claimed, self.offsets, self.forced
         claims = a not in forced  # a forced row claimed its cells when forced
         for p in self._row_candidates(a):
-            # one node may have many candidates: check the clock for each
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Budget
+            _check_deadline(deadline)  # one node may have many candidates
             self.rows[a] = p
             if claims:
                 claimed.update(map(add, offsets, p))
@@ -273,8 +276,6 @@ class _Search:
                 if claims:
                     claimed.difference_update(map(add, offsets, p))
                 self.rows[a] = None
-            if self.stop:
-                return
 
     def run(self) -> SearchResult:
         """Walk the tree and return the verified leaves, in the order the
@@ -292,10 +293,11 @@ class _Search:
         complete = True
         try:
             self._dfs(1, [])
+        except _Limit:
+            pass
         except _Budget:
             complete = False
-        tables = tuple(self.found[: self.config.max_results])
-        return SearchResult(tables, complete, self.leaves, self.nodes)
+        return SearchResult(tuple(self.found), complete, self.leaves, self.nodes)
 
 
 def _cycle_type_rows(n: int):
@@ -346,8 +348,9 @@ def run_search(config: SearchConfig) -> SearchResult:
     """Enumerate gyrogroup tables of the configured order.
 
     Exhaustive mode returns one canonical table per isomorphism class, in
-    lexicographic order.  First-nonassociative mode stops at the first
-    verified table that is not a group."""
+    lexicographic order, the first ``max_results`` of them if it is set.
+    First-nonassociative mode stops at the first verified table that is not
+    a group."""
     return _Search(config).run()
 
 
@@ -526,8 +529,7 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     cur = [0] * cells
     if inherited is not None:
         for old, label, x in inherited:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Budget
+            _check_deadline(deadline)
             x, tied = _relabeled_rows(rows, k, old, label, x, cur, best, True)
             if tied:
                 if out is not None:
@@ -542,8 +544,7 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     def scan(y: int, tied: bool):
         # row 1 from column y on; tied: cells < y equal best's
         nonlocal best
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Budget
+        _check_deadline(deadline)
         mark = len(old)
         row = rows[old[1]]
         while y < n:

@@ -221,6 +221,14 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert out.count("gyro 1") == 2
 
+    def test_max_results_prints_the_first_table(self, capsys):
+        assert main(["search", "10"]) == 0
+        every = capsys.readouterr().out
+        assert main(["search", "10", "--max-results", "1"]) == 0
+        first = capsys.readouterr().out
+        assert first == format_gyro(run_search(search.SearchConfig(order=10)).tables[0])
+        assert every.startswith(first) and every.count("gyro 1") == 2
+
     def test_writes_corpus_files(self, tmp_path, capsys):
         out_dir = tmp_path / "emitted"
         assert main(["search", "4", "--out", str(out_dir)]) == 0

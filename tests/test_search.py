@@ -110,6 +110,31 @@ class TestEnumerate:
         result = run_search(SearchConfig(order=4, max_results=1))
         assert len(result.tables) == 1
 
+    def test_max_results_stops_at_the_kth_leaf(self, exhaustive):
+        # the first table of the whole order-10 search, found at the first
+        # leaf: the search ends there instead of walking the 25-node tree
+        result = run_search(SearchConfig(order=10, max_results=1))
+        assert result.complete
+        assert [t.table for t in result.tables] == [exhaustive[10].tables[0].table]
+        assert (result.nodes, result.leaves) == (9, 1)
+
+    def test_max_results_reached_is_complete(self, monkeypatch):
+        # a clock that passes the deadline as soon as the first order-12
+        # table is verified: the limit ends the search before the clock is
+        # read again, so the result is complete
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock.now))
+
+        def verified(rows):
+            table = GyroTable(rows)
+            clock.now = 10.0
+            return table
+
+        monkeypatch.setattr(search, "GyroTable", verified)
+        result = run_search(SearchConfig(order=12, max_results=1, time_budget=1.0))
+        assert result.complete and len(result.tables) == 1
+        assert clock.now == 10.0
+
     def test_time_budget_flags_partial(self):
         result = run_search(SearchConfig(order=8, time_budget=1e-9))
         assert not result.complete

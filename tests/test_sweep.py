@@ -19,7 +19,7 @@ from sweep_oracle import (
     translation_sandwich_per_pair,
 )
 
-from gyrokit import normality, sweep
+from gyrokit import core, normality, sweep
 from gyrokit.catalog import cyclic, sym3
 from gyrokit.cli import main
 from gyrokit.core import GyroTable, InternalConsistencyError, Perm, direct_product
@@ -162,6 +162,26 @@ class TestSweep:
         report = run_theorem_sweep([(name, GyroTable(g.table)) for name, g in sorted(corpus.items())])
         assert len(corpus) == 15 and report.failures == 0
         assert len(calls) == len(set(calls)) == 81
+
+    def test_axioms_line_reports_the_constructor_verdict(self, corpus, monkeypatch):
+        # every GyroTable passed the axiom check when it was built, so the
+        # sweep of the 15-table corpus runs it only on the 70 tables it
+        # builds itself, and each table's axioms line is a plain PASS
+        real = core._verify_rows
+        calls = [0]
+
+        def counted(rows):
+            calls[0] += 1
+            return real(rows)
+
+        tables = [(name, GyroTable(g.table)) for name, g in sorted(corpus.items())]
+        monkeypatch.setattr(core, "_verify_rows", counted)
+        report = run_theorem_sweep(tables)
+        assert len(corpus) == 15 and report.failures == 0
+        assert calls[0] == 70
+        assert [line for line in report.lines if " :: axioms :: " in line] == [
+            f"{name} :: axioms :: PASS" for name, _ in tables
+        ]
 
     def test_non_normal_reversal_kernel_fails_its_check(self, monkeypatch):
         # {id, L_2} is a subgroup of lmlt(s3) inside lg_sharp, but the
