@@ -35,7 +35,7 @@ subgyrogroups are normal, images are subgyrogroups) are checked by the sweep
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import GyroTable, InternalConsistencyError, _getter, _hom_failure
 from .substructure import (
@@ -252,21 +252,6 @@ def is_normal(g: GyroTable, subset) -> bool:
     ``try_quotient`` (``_coset_scan``), one O(n^2) scan per table and N; no
     closure and no quotient table.  A non-subgyrogroup raises ValueError."""
     return bool(_coset_scan(g, _members(subset)))
-
-
-def intersect_normals(g: GyroTable, normals: Sequence) -> SubSet:
-    """Intersection of normal subgyrogroups, which is again normal: it is the
-    kernel of the componentwise map into the product of the quotients.  The
-    sweep check ``normal-intersections`` confirms its normality."""
-    if not normals:
-        raise ValueError("need at least one normal subgyrogroup")
-    members = [_members(n) for n in normals]
-    for n in members:
-        try:
-            try_quotient(g, n)
-        except NotNormal as exc:
-            raise ValueError(f"input is not normal: {exc}") from exc
-    return SubSet.of(g, frozenset.intersection(*members))
 
 
 def normal_closure(g: GyroTable, seed: Iterable[int]) -> SubSet:

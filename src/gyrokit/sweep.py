@@ -14,9 +14,6 @@ a broken construction shows as a FAIL line for its check instead of an
 exception.  Quotients pass the axioms by construction: every ``GyroTable``
 is built by the axiom check, so a broken quotient raises ``AxiomError``, a
 ``ValueError``, and its table gets an ``internal-consistency`` FAIL line.
-Whether a set of permutations (the automorphisms, a translation subgroup)
-is a group is decided by closing it with ``nuclei.PermGroup.generated``,
-capped at the size of the set.
 
 The per-pair checks read the table's gyration numbering
 (``GyroTable._gyration_numbering``: ``gid[a][b]`` is the number of
@@ -39,13 +36,15 @@ pair or multiplies ``Perm`` objects:
 
 Comparing numbers is exact: the numbering assigns one number to each
 distinct tuple of images, so two gyrations have the same number iff they
-are equal as permutations.  Each row form is kept per pair in
-``tests/sweep_oracle.py`` and compared with it there.
+are equal as permutations.  The intersection checks test each unordered
+pair of members once.  Each per-pair form is kept in
+``tests/sweep_oracle.py`` and compared there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import (
     GyroTable,
@@ -74,7 +73,6 @@ from .normality import (
     _preserves,
     check_sufficient_normality,
     induced_isomorphism,
-    intersect_normals,
     is_normal,
     normal_closure,
     try_quotient,
@@ -324,7 +322,7 @@ def _commutator_rows(g: GyroTable) -> list[list[int]]:
     return [[commutator(g, a, b) for b in els] for a in els]
 
 
-def _sweep_commutators(r: SweepReport, g: GyroTable, normals: list[SubSet]):
+def _sweep_commutators(r: SweepReport, g: GyroTable, normal_sets, gyrocommutative):
     els = range(g.order)
     t = g.table
     comm = _commutator_rows(g)
@@ -367,24 +365,17 @@ def _sweep_commutators(r: SweepReport, g: GyroTable, normals: list[SubSet]):
         all(frozenset(tau(x) for x in dset) == dset for tau in auts),
     )
 
+    projections = (try_quotient(g, n).projection for n in normal_sets)
     r.check(
         "homs-preserve-commutators",
-        all(
-            _preserves(proj.map, comm, _commutator_rows(proj.codomain))
-            for proj in (try_quotient(g, n_sub).projection for n_sub in normals)
-        ),
+        all(_preserves(p.map, comm, _commutator_rows(p.codomain)) for p in projections),
     )
 
-    ok_items = True
     commutators = {c for row in comm for c in row}
-    for n_sub in normals:
-        q = try_quotient(g, n_sub).table
-        gyrocomm = q.is_gyrocommutative()
-        contains_derived = dset <= n_sub.as_set()
-        contains_all = commutators <= n_sub.as_set()
-        if not (gyrocomm == contains_derived == contains_all):
-            ok_items = False
-    r.check("gyrocommutative-quotient-iff-contains-commutators", ok_items)
+    r.check(
+        "gyrocommutative-quotient-iff-contains-commutators",
+        all(gc == (dset <= n) == (commutators <= n) for n, gc in zip(normal_sets, gyrocommutative)),
+    )
 
     closure = nc_commutator(g)
     q = try_quotient(g, closure).table
@@ -396,13 +387,10 @@ def _sweep_commutators(r: SweepReport, g: GyroTable, normals: list[SubSet]):
         and is_subgroup(g, derived)
         and ((closure.members == (0,)) == g.is_gyrocommutative()),
     )
+    closure_set = closure.as_set()
     r.check(
         "commutator-closure-minimality",
-        all(
-            try_quotient(g, n_sub).table.is_gyrocommutative()
-            == (closure.as_set() <= n_sub.as_set())
-            for n_sub in normals
-        ),
+        all(gc == (closure_set <= n) for n, gc in zip(normal_sets, gyrocommutative)),
     )
     r.finding(
         "commutator-subgyrogroup-normality",
@@ -501,6 +489,18 @@ def _generate_monotone(sets, closures) -> bool:
     )
 
 
+def _closed_under_intersection(sets) -> bool:
+    """A & B is a member for every unordered pair of members."""
+    members = set(sets)
+    return all(a & b in members for a, b in combinations(sets, 2))
+
+
+def _normal_intersections(g: GyroTable, sets) -> bool:
+    """A & B is normal for every unordered pair of normal subgyrogroups,
+    with no early exit: a non-subgyrogroup raises after a failing pair."""
+    return all([is_normal(g, a & b) for a, b in combinations(sets, 2)])
+
+
 def _subgroup_forms_agree(g: GyroTable, lattice: list[SubSet], numbering) -> bool:
     """For every subgyrogroup H, ``is_subgroup`` (the associativity scan)
     agrees with the gyration form: every gyr[a, b] with a, b in H fixes H
@@ -523,13 +523,7 @@ def _subgroup_forms_agree(g: GyroTable, lattice: list[SubSet], numbering) -> boo
 
 def _sweep_substructure(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
     sets = [s.as_set() for s in lattice]
-    members = {s.members for s in lattice}
-    r.check(
-        "lattice-closed-under-intersection",
-        all(
-            tuple(sorted(a & b)) in members for a in sets for b in sets
-        ),
-    )
+    r.check("lattice-closed-under-intersection", _closed_under_intersection(sets))
     closures = [generate(g, s.members).as_set() for s in lattice]
     r.check("generate-idempotent", closures == sets)
     r.check("generate-monotone", _generate_monotone(sets, closures))
@@ -555,6 +549,8 @@ def _sweep_substructure(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
 
 
 def _sweep_normality(r: SweepReport, g: GyroTable, lattice: list[SubSet], normals: list[SubSet]):
+    """Returns each normal N as a set and whether G/N is gyrocommutative,
+    read once ``quotient-kernel-roundtrip`` has built the quotients."""
     r.check(
         "trivial-and-full-normal",
         is_normal(g, [0]) and is_normal(g, range(g.order)),
@@ -571,13 +567,9 @@ def _sweep_normality(r: SweepReport, g: GyroTable, lattice: list[SubSet], normal
             ok_roundtrip = False
     r.check("quotient-kernel-roundtrip", ok_roundtrip)
 
-    ok_intersections = True
-    for a in normals:
-        for b in normals:
-            got = intersect_normals(g, [a, b])
-            if got.as_set() != a.as_set() & b.as_set() or not is_normal(g, got):
-                ok_intersections = False
-    r.check("normal-intersections", ok_intersections)
+    normal_sets = [n.as_set() for n in normals]
+    gyrocommutative = [try_quotient(g, n).table.is_gyrocommutative() for n in normal_sets]
+    r.check("normal-intersections", _normal_intersections(g, normal_sets))
 
     r.check(
         "normal-closure-fixed-point",
@@ -603,11 +595,9 @@ def _sweep_normality(r: SweepReport, g: GyroTable, lattice: list[SubSet], normal
 
     r.check(
         "gyrocommutative-quotient-witness-exists",
-        any(
-            is_subgroup(g, n_sub) and try_quotient(g, n_sub).table.is_gyrocommutative()
-            for n_sub in normals
-        ),
+        any(gc and is_subgroup(g, n) for n, gc in zip(normals, gyrocommutative)),
     )
+    return normal_sets, gyrocommutative
 
 
 def _sweep_prime_index(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
@@ -688,8 +678,7 @@ def sweep_table(name: str, g: GyroTable) -> SweepReport:
         normals = [s for s in lattice if is_normal(g, s)]
         _sweep_core(r, g)
         _sweep_substructure(r, g, lattice)
-        _sweep_normality(r, g, lattice, normals)
-        _sweep_commutators(r, g, normals)
+        _sweep_commutators(r, g, *_sweep_normality(r, g, lattice, normals))
         _sweep_nuclei(r, g)
         _sweep_prime_index(r, g, lattice)
     except (InternalConsistencyError, ValueError) as exc:

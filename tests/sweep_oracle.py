@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from gyrokit.core import GyroTable, Perm, _getter
 from gyrokit.nuclei import left_translations
-from gyrokit.normality import Hom
-from gyrokit.substructure import is_subgroup
+from gyrokit.normality import Hom, is_normal
+from gyrokit.substructure import SubSet, is_subgroup
 
 
 def is_group_all_pairs(perms) -> bool:
@@ -124,6 +124,19 @@ def generate_monotone_per_pair(sets, close) -> bool:
     """A <= B implies close(A) <= close(B), closing both sets of every
     comparable pair anew."""
     return all(close(a) <= close(b) for a in sets for b in sets if a <= b)
+
+
+def closed_under_intersection_per_pair(sets) -> bool:
+    """A & B is a member for every ordered pair of members, each
+    intersection sorted and looked up as a tuple of members."""
+    members = {tuple(sorted(s)) for s in sets}
+    return all(tuple(sorted(a & b)) in members for a in sets for b in sets)
+
+
+def normal_intersections_per_pair(g: GyroTable, sets) -> bool:
+    """A & B is normal for every ordered pair of normal subgyrogroups, one
+    ``SubSet`` built per pair."""
+    return all(is_normal(g, SubSet.of(g, a & b)) for a in sets for b in sets)
 
 
 def subgroup_forms_agree_per_triple(g: GyroTable, lattice, gyr) -> bool:

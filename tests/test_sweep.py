@@ -1,10 +1,12 @@
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from nuclei_oracle import gyration
 from sweep_oracle import (
+    closed_under_intersection_per_pair,
     commutes_with_gyrations_per_c,
     commutes_with_gyrations_per_pair,
     generate_monotone_per_pair,
@@ -13,6 +15,7 @@ from sweep_oracle import (
     lg_prime_word_oracle_perms,
     loop_property_per_pair,
     multiple_laws_per_pair,
+    normal_intersections_per_pair,
     preserves_per_pair,
     subgroup_forms_agree_per_triple,
     translation_form_per_pair,
@@ -20,7 +23,7 @@ from sweep_oracle import (
 )
 
 from gyrokit import core, normality, sweep
-from gyrokit.catalog import cyclic, sym3
+from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.cli import main
 from gyrokit.core import GyroTable, InternalConsistencyError, Perm, direct_product
 from gyrokit.gyrofile import save_table
@@ -29,6 +32,7 @@ from gyrokit.nuclei import PermGroup, left_translations
 from gyrokit.search import automorphisms
 from gyrokit.substructure import SubSet, enumerate_subgyrogroups, generate
 from gyrokit.sweep import (
+    _closed_under_intersection,
     _commutator_rows,
     _commutes_with_gyrations,
     _generate_monotone,
@@ -37,6 +41,7 @@ from gyrokit.sweep import (
     _is_group,
     _loop_property,
     _multiple_laws_hold,
+    _normal_intersections,
     _subgroup_forms_agree,
     _translation_form,
     _translation_sandwich,
@@ -442,6 +447,49 @@ class TestRowFormsAgainstOracles:
         assert not _generate_monotone(sets, [bad(s) for s in sets])
         assert not generate_monotone_per_pair(sets, bad)
 
+    def test_intersection_checks_match(self, tables, nonassoc8):
+        z2 = cyclic(2)
+        products = [direct_product(nonassoc8, klein_four()), reduce(direct_product, [z2] * 5)]
+        sizes = []
+        for g in [*tables, *products]:
+            sets = [s.as_set() for s in enumerate_subgyrogroups(g, cap=32)]
+            normal_sets = [s for s in sets if is_normal(g, s)]
+            assert _closed_under_intersection(sets) == closed_under_intersection_per_pair(sets) is True
+            assert _normal_intersections(g, normal_sets) is True
+            assert normal_intersections_per_pair(g, normal_sets) is True
+            sizes.append(len(sets))
+        assert sizes[-2:] == [158, 374]  # na8 x V4 and Z2^5
+        # na8 with {0} left out of its lattice, and with the non-normal
+        # {0, 2} among its normals: {0, 2} & G = {0, 2}
+        sets = [s.as_set() for s in enumerate_subgyrogroups(nonassoc8)]
+        assert sets[0] == {0} and not is_normal(nonassoc8, {0, 2})
+        assert not _closed_under_intersection(sets[1:])
+        assert not closed_under_intersection_per_pair(sets[1:])
+        planted = [s for s in sets if is_normal(nonassoc8, s)] + [frozenset({0, 2})]
+        assert not _normal_intersections(nonassoc8, planted)
+        assert not normal_intersections_per_pair(nonassoc8, planted)
+
+    def test_normal_intersections_one_test_per_unordered_pair(self, nonassoc8, monkeypatch):
+        # na8 x V4 has 78 normal subgyrogroups: C(78, 2) = 3,003 is_normal
+        # calls, and no quotient is built
+        g = direct_product(nonassoc8, klein_four())
+        normal_sets = [s.as_set() for s in enumerate_subgyrogroups(g, cap=32) if is_normal(g, s)]
+        assert len(normal_sets) == 78
+        calls = {"is_normal": 0, "try_quotient": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(sweep, "is_normal", counted("is_normal", is_normal))
+        for module in (sweep, normality):
+            monkeypatch.setattr(module, "try_quotient", counted("try_quotient", try_quotient))
+        assert _normal_intersections(g, normal_sets)
+        assert calls == {"is_normal": 3003, "try_quotient": 0}
+
     def test_commutator_rows_match(self, tables, nonassoc8):
         for g in tables:
             comm = _commutator_rows(g)
@@ -519,6 +567,16 @@ def _break_commutator_rows(real, g):
     return broken
 
 
+def _break_lattice(real, g):
+    # {0} is the intersection of {0, 2} and {0, 3}
+    return lambda sets: real(sets[1:])
+
+
+def _break_normal_intersections(real, g):
+    # {0, 2} is not normal, and {0, 2} & G = {0, 2}
+    return lambda h, sets: real(h, sets + [frozenset({0, 2})])
+
+
 def _break_projection(real, g):
     # only the projection onto the quotient by {0}, a relabelling of na8
     return lambda phi: real(Hom(phi.domain, phi.codomain, _swap12(phi.map)) if phi.codomain.order == 8 else phi)
@@ -536,10 +594,12 @@ class TestBrokenInputFailsItsCheck:
             ("_translation_form", _break_translation_form, "gyration-translation-form"),
             ("_translation_sandwich", _break_sandwich, "translation-sandwich"),
             ("_integral_multiples", _break_multiples, "integral-multiple-laws"),
+            ("_closed_under_intersection", _break_lattice, "lattice-closed-under-intersection"),
             ("_generate_monotone", _break_monotone, "generate-monotone"),
             ("_subgroup_forms_agree", _break_subgroup_forms, "subgroup-characterizations-agree"),
             ("_preserves", _break_commutator_rows, "homs-preserve-commutators"),
             ("_commutes_with_gyrations", _break_projection, "quotient-kernel-roundtrip"),
+            ("_normal_intersections", _break_normal_intersections, "normal-intersections"),
             ("check_hom", _break_projection, "quotient-kernel-roundtrip"),
         ],
     )
