@@ -177,6 +177,28 @@ class TestIntersectNormals:
             for a, b in combinations_with_replacement(normals, 2):
                 assert is_normal(g, a & b), (a, b)
 
+    def test_intersect_with_whole(self, corpus):
+        for g in corpus.values():
+            whole = frozenset(range(g.order))
+            for s in enumerate_subgyrogroups(g):
+                if not is_normal(g, s):
+                    continue
+                both = s.as_set() & whole
+                assert both == s.as_set()
+                assert is_normal(g, both)
+
+    def test_all_pairs_on_nonassociative(self, nonassoc8):
+        normals = [
+            s.as_set()
+            for s in enumerate_subgyrogroups(nonassoc8)
+            if is_normal(nonassoc8, s)
+        ]
+        assert len(normals) > 2
+        for a in normals:
+            for b in normals:
+                assert is_subgyrogroup(nonassoc8, a & b), (a, b)
+                assert is_normal(nonassoc8, a & b), (a, b)
+
 
 class TestNormalClosure:
     def test_normal_input_is_fixed_point(self, corpus):
