@@ -22,8 +22,8 @@ from .core import (
     verify_axioms,
 )
 from .gyrofile import GyroParseError, format_gyro, load_rows, load_table, save_table
-from .substructure import NotPartition, enumerate_subgyrogroups, index
-from .normality import NotNormal, is_normal, normal_closure, try_quotient
+from .substructure import NotPartition, index
+from .normality import NotNormal, normal_closure, normal_subgyrogroups, try_quotient
 from .commutator import commutator_subgyrogroup, hunt_commutator_normality, nc_commutator
 from .nuclei import left_nucleus, lg_prime, lg_sharp, lmlt, middle_nucleus, radical, right_nucleus
 from .search import (
@@ -66,8 +66,7 @@ def cmd_verify(args) -> int:
 
 def analyze_object(g: GyroTable) -> dict:
     """Structure report; every field is recomputable from the owning module."""
-    lattice = enumerate_subgyrogroups(g)
-    normals = [list(s.members) for s in lattice if is_normal(g, s)]
+    normals = [list(s.members) for s in normal_subgyrogroups(g)]
     return {
         "order": g.order,
         "group": g.is_group(),

@@ -281,24 +281,35 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
     from no other entry: an accepted step from (S, last) by j is the last
     step of the canonical path of J.  Each subgyrogroup is closed to completion once
     and no set of those found is kept; the other closures stop early.  The
-    member sets are memoised per table, so the functions that require a
-    subgyrogroup take them without checking their closure again."""
+    queue is ``_canonical_joins``, which ``normality.normal_subgyrogroups``
+    runs with the normal closures ncl(x) in place of <x>.  The member sets
+    are memoised per table, so the functions that require a subgyrogroup
+    take them without checking their closure again."""
+    zeros = (0,) * g.order
+    lattice = _canonical_joins(g, cap, lambda a: _extend(g, {0}, (a,), zeros, 0))
+    g._memo["lattice members"] = frozenset(map(SubSet.as_set, lattice))  # idempotent fill
+    return lattice
+
+
+def _canonical_joins(g: GyroTable, cap: int, principal) -> list[SubSet]:
+    """The joins of the sets ``principal(x)``, sorted by size then members,
+    by the queue of ``enumerate_subgyrogroups``.  Exact when
+    ``principal(x)`` is the least member containing x of a family of
+    subgyrogroups closed under the joins ``_extend`` computes.  Orders above
+    ``cap`` raise ``ResourceCapError`` first."""
     if g.order > cap:
         raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
-    trivial = frozenset({0})
-    zeros = (0,) * g.order
-    cyclic_of = [_extend(g, trivial, (a,), zeros, 0) for a in g.elements()]
-    cyclics = sorted(set(cyclic_of), key=lambda c: (len(c), sorted(c)))
-    number = {c: i for i, c in enumerate(cyclics)}
-    rank = [number[c] for c in cyclic_of]
-    queue = [(trivial, -1)]
+    principal_of = [principal(a) for a in g.elements()]
+    blocks = sorted(set(principal_of), key=lambda c: (len(c), sorted(c)))
+    number = {c: i for i, c in enumerate(blocks)}
+    rank = [number[c] for c in principal_of]
+    queue = [(frozenset({0}), -1)]
     for s, last in queue:
-        for j in range(last + 1, len(cyclics)):
-            c = cyclics[j]
+        for j in range(last + 1, len(blocks)):
+            c = blocks[j]
             if not c <= s:
                 join = _extend(g, s, c, rank, j)
                 if join is not None:
                     queue.append((join, j))
-    g._memo["lattice members"] = frozenset(s for s, _ in queue)  # idempotent fill
     ordered = sorted((tuple(sorted(s)) for s, _ in queue), key=lambda ms: (len(ms), ms))
     return [SubSet(g, ms) for ms in ordered]

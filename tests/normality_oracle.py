@@ -4,8 +4,9 @@ kept as an independent slow oracle for ``gyrokit.normality``.
 ``try_quotient`` checks gyration invariance, builds the left-coset
 partition, confirms the coset operation and the induced gyrations are
 independent of representatives, and verifies the induced table against the
-axioms.  ``normal_closure`` filters the enumerated subgyrogroup lattice
-through that decision and intersects.  Neither shares code with the
+axioms.  ``normal_subgyrogroups`` filters the enumerated subgyrogroup
+lattice through that decision, and ``normal_closure`` intersects the
+members of that filter that contain the seed.  Neither shares code with the
 coset test and congruence method the library uses: the partition comes
 from the dict-of-frozensets ``left_cosets`` of ``lattice_oracle``, not from
 the library's opening scan.
@@ -173,6 +174,12 @@ def is_normal(g: GyroTable, subset) -> bool:
         return True
     except NotNormal:
         return False
+
+
+def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
+    """The normal subgyrogroups, sorted by size then members: the enumerated
+    lattice filtered through the five-step decision."""
+    return [s for s in enumerate_subgyrogroups(g) if is_normal(g, s)]
 
 
 def normal_closure(g: GyroTable, seed: Iterable[int], cap: int = DEFAULT_LATTICE_CAP) -> SubSet:

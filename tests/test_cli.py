@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import pytest
 
 from gyrokit import cli, search
+from gyrokit.catalog import cyclic
 from gyrokit.cli import analyze_object, main
 from gyrokit.commutator import commutator_subgyrogroup, nc_commutator
-from gyrokit.core import Perm, ResourceCapError
+from gyrokit.core import Perm, ResourceCapError, direct_product
 from gyrokit.gyrofile import (
     GyroParseError,
     format_gyro,
@@ -145,6 +146,13 @@ class TestAnalyzeCommand:
                 for s in enumerate_subgyrogroups(g)
                 if is_normal(g, s)
             ]
+
+    def test_over_lattice_cap_exit_3(self, nonassoc8, tmp_path, capsys):
+        # na8 x Z9 has order 72, above the lattice cap of 64
+        path = tmp_path / "na8xz9.gyro"
+        save_table(path, direct_product(nonassoc8, cyclic(9)))
+        assert main(["analyze", str(path), "--json"]) == 3
+        assert "lattice_cap" in capsys.readouterr().out
 
     def test_json_sorted_and_deterministic(self, corpus_dir, capsys):
         assert main(["analyze", str(corpus_dir / "na8.gyro"), "--json"]) == 0

@@ -3,9 +3,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 import normality_oracle as oracle
+from gyrokit import normality
 from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.cli import analyze_object
-from gyrokit.core import GyroTable, direct_product, verify_axioms
+from gyrokit.core import GyroTable, ResourceCapError, direct_product, verify_axioms
 from gyrokit.normality import (
     Hom,
     _preserves,
@@ -18,10 +19,17 @@ from gyrokit.normality import (
     is_normal,
     kernel,
     normal_closure,
+    normal_subgyrogroups,
     try_quotient,
 )
 from gyrokit.nuclei import left_nucleus
-from gyrokit.substructure import enumerate_subgyrogroups, is_subgroup, is_subgyrogroup
+from gyrokit.search import SearchConfig, run_search
+from gyrokit.substructure import (
+    DEFAULT_LATTICE_CAP,
+    enumerate_subgyrogroups,
+    is_subgroup,
+    is_subgyrogroup,
+)
 
 
 class TestTryQuotient:
@@ -78,8 +86,9 @@ class TestTryQuotient:
     def test_is_normal_builds_no_table(self, nonassoc8, constructions):
         g = direct_product(nonassoc8, klein_four())  # fresh: only its numbering is memoised
         constructions[0] = 0
+        assert sum(is_normal(g, s) for s in enumerate_subgyrogroups(g)) == 78
         obj = analyze_object(g)
-        assert len(obj["normal_subgyrogroups"]) > 2
+        assert len(obj["normal_subgyrogroups"]) == 78
         assert not [key for key in g._memo if isinstance(key, tuple) and key[0] == "quotient"]
         assert constructions[0] == 0
 
@@ -283,6 +292,39 @@ class TestGyrocommutativeQuotientWitness:
                     found = True
                     break
             assert found
+
+
+class TestNormalSubgyrogroups:
+    """The joins of the principal normal closures against the lattice filter
+    of ``normality_oracle``, members and order, over the census of orders
+    1-8, na8 x Z2, Z4 x Z4, V4 x Z4 and na8 x V4."""
+
+    def test_matches_lattice_filter(self, census8, nonassoc8):
+        census = [t for n in range(1, 8) for t in run_search(SearchConfig(order=n)).tables]
+        tables = [(f"census-{i}", t) for i, t in enumerate([*census, *census8])]
+        tables += [
+            ("na8xZ2", direct_product(nonassoc8, cyclic(2))),
+            ("Z4xZ4", direct_product(cyclic(4), cyclic(4))),
+            ("V4xZ4", direct_product(klein_four(), cyclic(4))),
+            ("na8xV4", direct_product(nonassoc8, klein_four())),
+        ]
+        sizes = {}
+        for name, g in tables:
+            got = [s.members for s in normal_subgyrogroups(g)]
+            assert got == [s.members for s in oracle.normal_subgyrogroups(g)], name
+            sizes[name] = len(got)
+        assert [sizes[k] for k in ("na8xZ2", "Z4xZ4", "V4xZ4", "na8xV4")] == [19, 15, 27, 78]
+
+    def test_cap(self, nonassoc8, monkeypatch):
+        # the cap is checked before any normal closure is computed
+        monkeypatch.setattr(normality, "_zero_congruence", None)
+        g = direct_product(nonassoc8, cyclic(9))
+        assert g.order > DEFAULT_LATTICE_CAP
+        with pytest.raises(ResourceCapError) as exc_info:
+            normal_subgyrogroups(g)
+        assert exc_info.value.cap_name == "lattice_cap"
+        with pytest.raises(ResourceCapError):
+            normal_subgyrogroups(cyclic(4), cap=2)
 
 
 class TestCongruenceAgainstOracle:
