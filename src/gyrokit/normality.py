@@ -281,11 +281,12 @@ def normal_closure(g: GyroTable, seed: Iterable[int]) -> SubSet:
     return SubSet.of(g, [x for x in g.elements() if root[x] == 0])
 
 
-def normal_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> list[SubSet]:
+def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
     """Every normal subgyrogroup, sorted by size then members: the joins of
     the normal closures ncl(x), with no coset scan (see the module
-    docstring).  Orders above ``cap`` raise ``ResourceCapError`` first."""
-    return _canonical_joins(g, cap, lambda a: normal_closure(g, (a,)).as_set())
+    docstring).  Orders above ``DEFAULT_LATTICE_CAP`` raise
+    ``ResourceCapError`` first."""
+    return _canonical_joins(g, DEFAULT_LATTICE_CAP, lambda a: normal_closure(g, (a,)).as_set())
 
 
 def check_sufficient_normality(g: GyroTable, subset) -> bool:
