@@ -1,10 +1,11 @@
 """Byte-stable output.
 
-The sha256 of six outputs is pinned: the theorem sweep over the acceptance
-corpus, the sweep over the order-8 census, the sweep over two order-16
-products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
-nonassociative order-8 table and on na8xV4 as JSON with sorted keys, and
-``gyrokit verify`` on a row-swap mutant of na8xV4.  A change that moves
+The sha256 of eight outputs is pinned: the theorem sweep over the
+acceptance corpus, the sweep over the order-8 census, the sweep over two
+order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
+nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
+keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
+na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.  A change that moves
 any byte of these outputs changes what gyrokit reports and has to re-pin the
 digest on purpose.
 """
@@ -16,6 +17,7 @@ from gyrokit.catalog import cyclic, klein_four
 from gyrokit.cli import analyze_object, main
 from gyrokit.core import direct_product
 from gyrokit.gyrofile import save_table
+from gyrokit.normality import normal_subgyrogroups
 from gyrokit.sweep import run_theorem_sweep
 
 
@@ -48,6 +50,19 @@ def test_sweep_over_order16(nonassoc8):
 def test_analyze_na8(nonassoc8):
     text = json.dumps(analyze_object(nonassoc8), sort_keys=True)
     assert sha256(text) == "0631291333899103835f5800757b965e9740f4c89904557ba97ce33e1aa87559"
+
+
+def test_analyze_na8xz2(nonassoc8):
+    text = json.dumps(analyze_object(direct_product(nonassoc8, cyclic(2))), sort_keys=True)
+    assert sha256(text) == "5efd63e09bf6341fb466eea79e9a61cfb8609ffea23a4ed39e95ed562a4369e9"
+
+
+def test_normal_subgyrogroups_na8xv4xz2(nonassoc8):
+    # order 64, at the lattice cap: 425 normal subgyrogroups, in order
+    g = direct_product(direct_product(nonassoc8, klein_four()), cyclic(2))
+    members = [s.members for s in normal_subgyrogroups(g)]
+    assert len(members) == 425
+    assert sha256(json.dumps(members)) == "52546d696d03ffddf62183316dc52cc39dfa04dd34c532a7d26d746076224917"
 
 
 def test_analyze_na8xv4(nonassoc8):
