@@ -15,10 +15,10 @@ after construction except one per-table memo, ``_memo``, of structures
 derived from the table; each key is filled by the module that owns it
 (``"gyration numbering"``, stored at construction, ``"gyrations"`` and
 ``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
-``substructure``, ``("normal", N)`` and ``("quotient", N)`` by
-``normality``, ``"reversal kernel"`` by ``nuclei``, ``"commutator
-subgyrogroup"`` by ``commutator``).  Every fill is idempotent (safe for
-concurrent readers).
+``substructure``, ``"translation getters"``, ``("normal", N)`` and
+``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by ``nuclei``,
+``"commutator subgyrogroup"`` by ``commutator``).  Every fill is
+idempotent (safe for concurrent readers).
 """
 
 from __future__ import annotations

@@ -23,17 +23,20 @@ pair is pushed through its rows and columns, compared as tuples (Freese,
 0-class is the normal closure of S; it also names the witness when N is
 not normal.
 
-The normal subgyrogroups are listed without a coset scan, as the joins of
-the principal normal closures ncl(x), the 0-classes of Cg({x} x {0})
-(``normal_subgyrogroups``).  Why this is exact: every normal N is the join
-of the ncl(x) for x in N.  Loops are congruence-permutable, by the Mal'cev
-term (x/y)+z, so the join of the congruences with 0-classes N_1 and N_2 is
-their composite, whose 0-class N_2 (+) N_1 contains both and lies in the
-subgyrogroup they generate.  So the normal join is the subgyrogroup
-generated, which ``substructure._extend`` computes, and ncl(x) is the least
-member of this join-closed family that contains x.  The canonical-path
-proof of ``enumerate_subgyrogroups`` then carries over word for word with
-ncl(x) in place of <x>.
+The normal subgyrogroups are listed as the joins of the principal normal
+closures ncl(x), the 0-classes of Cg({x} x {0}) (``normal_subgyrogroups``).
+Why this is exact: every normal N is the join of the ncl(x) for x in N.
+Loops are congruence-permutable, by the Mal'cev term (x/y)+z, so the join
+of the congruences with 0-classes S and C is their composite, whose
+0-class C (+) S is the union of the cosets c+S for c in C, the cosets of S
+that C meets.  It contains both and lies in the subgyrogroup they generate,
+so the normal join is that subgyrogroup, which ``substructure._extend``
+computes, and ncl(x) is the least member of this join-closed family that
+contains x.  The canonical-path proof of ``enumerate_subgyrogroups`` then
+carries over word for word with ncl(x) in place of <x>.  Its join step
+asks whether J - S holds an element of rank below j, and J - S is the union
+of the cosets other than S that C meets; so ``_coset_joins`` reads both the
+verdict and the join off one opening scan of S, with no closure.
 
 Each function computes its answer once.  A quotient table passes the
 axioms by construction: every ``GyroTable`` is built by the axiom check.
@@ -130,21 +133,35 @@ class Quotient:
     projection: Hom
 
 
+def _translation_getters(g: GyroTable) -> tuple:
+    """The rows and columns of the table, each with its getter, so that
+    ``gets[x](label)`` maps row or column x to class labels in C.  Built
+    once per table and memoised under ``"translation getters"``: the
+    closures of ``normal_subgyrogroups`` run n times on one table."""
+    found = g._memo.get("translation getters")
+    if found is None:
+        lines = (g.table, tuple(zip(*g.table)))
+        found = g._memo["translation getters"] = tuple(  # idempotent fill
+            (u, [_getter(line) for line in u]) for u in lines
+        )
+    return found
+
+
 def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     """The least member of each element's class in Cg(seed x {0}).
 
     Every seed element is identified with 0, and then each merged pair
     (x, y) is pushed through every left and right translation: the pairs
     (x (+) a, y (+) a) and (a (+) x, a (+) y) are merged too.  Row x and
-    column x, mapped to class labels, are compared with row y and column y
-    as tuples in C, and only the positions that differ are merged, so a
-    pair whose translations add nothing costs four C calls.  Each merge
+    column x, mapped to class labels by the table's getters
+    (``_translation_getters``), are compared with row y and column y as
+    tuples in C, and only the positions whose labels differ are merged, so
+    a pair whose translations add nothing costs four C calls.  Each merge
     queues one pair, so the closure takes O(n) pushes of O(n) each
     (Freese, "Computing congruences efficiently", Algebra Universalis 59,
     2008).  ``label[x]`` is the least member of the class of x: a merge
     relabels the class with the larger label."""
-    table = g.table
-    columns = list(zip(*table))
+    lines = _translation_getters(g)
     label = list(g.elements())
     members = [[x] for x in label]
     pending: list[tuple[int, int]] = []
@@ -163,10 +180,13 @@ def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
         union(s, 0)
     while pending:
         x, y = pending.pop()
-        for ux, uy in ((table[x], table[y]), (columns[x], columns[y])):
-            if _getter(ux)(label) != _getter(uy)(label):
-                for u, v in zip(ux, uy):
-                    union(u, v)
+        for u, gets in lines:
+            lx, ly = gets[x](label), gets[y](label)
+            if lx != ly:
+                # labels only merge, so a position equal here stays equal
+                for a, b, la, lb in zip(u[x], u[y], lx, ly):
+                    if la != lb:
+                        union(a, b)
     return label
 
 
@@ -283,10 +303,45 @@ def normal_closure(g: GyroTable, seed: Iterable[int]) -> SubSet:
 
 def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
     """Every normal subgyrogroup, sorted by size then members: the joins of
-    the normal closures ncl(x), with no coset scan (see the module
-    docstring).  Orders above ``DEFAULT_LATTICE_CAP`` raise
-    ``ResourceCapError`` first."""
-    return _canonical_joins(g, DEFAULT_LATTICE_CAP, lambda a: normal_closure(g, (a,)).as_set())
+    the normal closures ncl(x) by the queue of ``_canonical_joins``, each
+    join read off the cosets of the queued S (``_coset_joins``; see the
+    module docstring).  No quotient table is built.  Orders above
+    ``DEFAULT_LATTICE_CAP`` raise ``ResourceCapError`` first."""
+    return _canonical_joins(
+        g,
+        DEFAULT_LATTICE_CAP,
+        lambda a: normal_closure(g, (a,)).as_set(),
+        lambda s, rank: _coset_joins(g, s, rank),
+    )
+
+
+def _coset_joins(g: GyroTable, s: frozenset, rank):
+    """The join step of ``normal_subgyrogroups`` from the normal
+    subgyrogroup S: for a normal C, the function of (C, j) that returns
+    S v C, the union of the cosets of S that C meets, or None when one of
+    those cosets other than S holds an element of rank below j, the verdict
+    of ``substructure._extend(g, S, C, rank, j)``.
+
+    The classes come from one opening scan of S (``_open_cosets``), once per
+    S; each join then costs O(|C|) lookups and a union of cosets.  Overlapping
+    cosets of S raise ``InternalConsistencyError``: S was queued as normal."""
+    scan = _open_cosets(g, s)
+    if scan is None:
+        raise InternalConsistencyError(
+            f"the left cosets of the normal subgyrogroup {sorted(s)} overlap"
+        )
+    family, ci = scan
+    cosets = family.cosets
+    low = [min(map(rank.__getitem__, c)) for c in cosets]
+
+    def join(c: frozenset, j: int) -> frozenset | None:
+        met = set(map(ci.__getitem__, c))
+        met.discard(0)  # class 0 is S itself
+        if min(map(low.__getitem__, met)) < j:
+            return None
+        return s.union(*map(cosets.__getitem__, met))
+
+    return join
 
 
 def check_sufficient_normality(g: GyroTable, subset) -> bool:

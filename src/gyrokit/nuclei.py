@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GyroTable, Perm, ResourceCapError
+from .core import GyroTable, Perm, ResourceCapError, _getter
 from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
@@ -158,15 +158,23 @@ def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
 def lg_sharp(g: GyroTable) -> frozenset:
     """Intersection of the translated copies L_a L(G) inside lmlt(G).
 
+    A permutation p lies in L_a L(G) iff q = L_a^-1 p lies in L(G), that
+    is iff q is the row L_(q(0)), since L_b(0) = b (+) 0 = b; and
+    L_a^-1 = L_(-a) by left cancellation.  So the rows of L(G) are
+    filtered copy by copy, with one composition in C per row still in,
+    and no product of two permutations is formed.  The definitional
+    intersection of products is the tests' oracle.
+
     It equals the translations of the left nucleus and is a normal subgroup
     of lmlt(G); the sweep check ``translation-subgroup-chain`` confirms
     both."""
-    translations = left_translations(g)
-    lg = frozenset(translations)
-    result = lg  # a = 0 term
-    for la in translations:
-        result &= frozenset(la * lx for lx in lg)
-    return result
+    table, neg = g.table, g.inv
+    gets = [_getter(row) for row in table]
+    inside = list(g.elements())
+    for a in range(1, g.order):  # the copy for a = 0 is L(G) itself
+        back = table[neg[a]]
+        inside = [b for b in inside if gets[b](back) == table[back[b]]]
+    return frozenset(map(g.left_translation, inside))
 
 
 def lg_prime(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:

@@ -6,9 +6,10 @@ gyr[a, b] c = -(a+b) + (a + (b+c)) stays inside.  Left cosets of an
 arbitrary subgyrogroup need not partition the carrier, so ``left_cosets``
 raises ``NotPartition`` with an overlapping pair instead of guessing.
 
-One opening scan, ``_open_cosets``, lays out the left cosets for both
-``left_cosets`` and the normality test; ``left_cosets`` adds a check that
-every a+H lies in the class of a, O(n*|H|) in all, and memoises its answer.
+One opening scan, ``_open_cosets``, lays out the left cosets for
+``left_cosets``, the normality test and the joins of normal subgyrogroups;
+``left_cosets`` adds a check that every a+H lies in the class of a,
+O(n*|H|) in all, and memoises its answer.
 
 One semi-naive closure, ``_extend``, serves both ``generate`` and the
 lattice: it extends an already closed set by a seed and forms only the sums
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GyroTable, InternalConsistencyError, ResourceCapError, _is_associative_on
+from .core import GyroTable, InternalConsistencyError, ResourceCapError, _getter, _is_associative_on
 
 DEFAULT_LATTICE_CAP = 64
 
@@ -204,16 +205,20 @@ def right_coset(g: GyroTable, subset, a: int) -> frozenset:
 
 def _open_cosets(g: GyroTable, h) -> tuple[CosetFamily, list[int]] | None:
     """The one opening scan: each a = 0, 1, ... not yet in a class opens the
-    class a+H, so a is its least member.  Returns the opened cosets and each
-    element's class index, or None when an opened coset meets an earlier one.
-    Whether every other a+H is the class of a is left to the caller."""
+    class a+H, so a is its least member, read off row a by one getter in C.
+    Returns the opened cosets and each element's class index, or None when
+    an opened coset meets an earlier one.  Whether every other a+H is the
+    class of a is left to the caller: ``left_cosets`` and the normality
+    test check it, and ``normality.normal_subgyrogroups``, whose H is
+    normal, reads its joins off the classes."""
     table = g.table
+    pick = _getter(sorted(h))
     ci = [-1] * g.order
     cosets: list[tuple[int, ...]] = []
     for a in g.elements():
         if ci[a] >= 0:
             continue
-        coset = tuple(sorted(table[a][m] for m in h))
+        coset = tuple(sorted(pick(table[a])))
         for x in coset:
             if ci[x] >= 0:
                 return None
@@ -282,20 +287,31 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
     step of the canonical path of J.  Each subgyrogroup is closed to completion once
     and no set of those found is kept; the other closures stop early.  The
     queue is ``_canonical_joins``, which ``normality.normal_subgyrogroups``
-    runs with the normal closures ncl(x) in place of <x>.  The member sets
-    are memoised per table, so the functions that require a subgyrogroup
-    take them without checking their closure again."""
+    runs with the normal closures ncl(x) in place of <x> and a join read off
+    the cosets.  The member sets are memoised per table, so the functions
+    that require a subgyrogroup take them without checking their closure
+    again."""
     zeros = (0,) * g.order
-    lattice = _canonical_joins(g, cap, lambda a: _extend(g, {0}, (a,), zeros, 0))
+    lattice = _canonical_joins(
+        g,
+        cap,
+        lambda a: _extend(g, {0}, (a,), zeros, 0),
+        lambda s, rank: lambda c, j: _extend(g, s, c, rank, j),
+    )
     g._memo["lattice members"] = frozenset(map(SubSet.as_set, lattice))  # idempotent fill
     return lattice
 
 
-def _canonical_joins(g: GyroTable, cap: int, principal) -> list[SubSet]:
+def _canonical_joins(g: GyroTable, cap: int, principal, joins) -> list[SubSet]:
     """The joins of the sets ``principal(x)``, sorted by size then members,
-    by the queue of ``enumerate_subgyrogroups``.  Exact when
+    by the queue of ``enumerate_subgyrogroups``.
+
+    ``joins(S, rank)`` is the join step from a queued S, asked for only
+    when some C_j is left to try: a function of (C_j, j) that returns
+    S v C_j, or None when an element of rank below j lies in it outside S,
+    as ``_extend(g, S, C_j, rank, j)`` does for the lattice.  Exact when
     ``principal(x)`` is the least member containing x of a family of
-    subgyrogroups closed under the joins ``_extend`` computes.  Orders above
+    subgyrogroups closed under the joins the step computes.  Orders above
     ``cap`` raise ``ResourceCapError`` first."""
     if g.order > cap:
         raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
@@ -305,11 +321,12 @@ def _canonical_joins(g: GyroTable, cap: int, principal) -> list[SubSet]:
     rank = [number[c] for c in principal_of]
     queue = [(frozenset({0}), -1)]
     for s, last in queue:
-        for j in range(last + 1, len(blocks)):
-            c = blocks[j]
-            if not c <= s:
-                join = _extend(g, s, c, rank, j)
-                if join is not None:
-                    queue.append((join, j))
+        todo = [j for j in range(last + 1, len(blocks)) if not blocks[j] <= s]
+        if todo:
+            join = joins(s, rank)
+            for j in todo:
+                found = join(blocks[j], j)
+                if found is not None:
+                    queue.append((found, j))
     ordered = sorted((tuple(sorted(s)) for s, _ in queue), key=lambda ms: (len(ms), ms))
     return [SubSet(g, ms) for ms in ordered]

@@ -7,6 +7,10 @@ it.  Each gyration is built here from the gyrator identity, cell by cell,
 so the oracle shares no code with the library's gyration numbering, from
 which ``gyrokit.nuclei`` reads the nuclei.
 
+The intersection of the translated copies L_a L(G) by its definition, as
+sets of permutation products, against which ``lg_sharp``, which filters
+the rows of the table by one composition per copy, is compared.
+
 The pair closure of the reversal kernel, which the library computes as one
 permutation group on 2n points.
 
@@ -40,6 +44,17 @@ def nucleus_by_gyrations(g: GyroTable, position: str) -> frozenset:
     if position == "middle":
         return frozenset(b for b in els if all(gyr[a, b] == ident for a in els))
     return frozenset(c for c in els if all(p[c] == c for p in gyr.values()))
+
+
+def lg_sharp(g: GyroTable) -> frozenset:
+    """The intersection of L(G) and every L_a L(G), each copy formed as the
+    set of products L_a * L_x."""
+    translations = left_translations(g)
+    lg = frozenset(translations)
+    result = lg
+    for la in translations:
+        result &= frozenset(la * lx for lx in lg)
+    return result
 
 
 def closure_breadth_first(generators, cap: int) -> frozenset:

@@ -6,11 +6,18 @@ import normality_oracle as oracle
 from gyrokit import normality
 from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.cli import analyze_object
-from gyrokit.core import GyroTable, ResourceCapError, direct_product, verify_axioms
+from gyrokit.core import (
+    GyroTable,
+    InternalConsistencyError,
+    ResourceCapError,
+    direct_product,
+    verify_axioms,
+)
 from gyrokit.normality import (
     Hom,
     _preserves,
     NotNormal,
+    _coset_joins,
     _zero_congruence,
     check_hom,
     check_sufficient_normality,
@@ -26,6 +33,7 @@ from gyrokit.nuclei import left_nucleus
 from gyrokit.search import SearchConfig, run_search
 from gyrokit.substructure import (
     DEFAULT_LATTICE_CAP,
+    _extend,
     enumerate_subgyrogroups,
     is_subgroup,
     is_subgyrogroup,
@@ -296,24 +304,54 @@ class TestGyrocommutativeQuotientWitness:
 
 class TestNormalSubgyrogroups:
     """The joins of the principal normal closures against the lattice filter
-    of ``normality_oracle``, members and order, over the census of orders
+    of ``normality_oracle``, members and order, and the coset join step
+    against the subgyrogroup closure ``_extend``, over the census of orders
     1-8, na8 x Z2, Z4 x Z4, V4 x Z4 and na8 x V4."""
 
-    def test_matches_lattice_filter(self, census8, nonassoc8):
+    @pytest.fixture(scope="class")
+    def tables(self, census8, nonassoc8):
         census = [t for n in range(1, 8) for t in run_search(SearchConfig(order=n)).tables]
-        tables = [(f"census-{i}", t) for i, t in enumerate([*census, *census8])]
-        tables += [
+        named = [(f"census-{i}", t) for i, t in enumerate([*census, *census8])]
+        return named + [
             ("na8xZ2", direct_product(nonassoc8, cyclic(2))),
             ("Z4xZ4", direct_product(cyclic(4), cyclic(4))),
             ("V4xZ4", direct_product(klein_four(), cyclic(4))),
             ("na8xV4", direct_product(nonassoc8, klein_four())),
         ]
+
+    def test_matches_lattice_filter(self, tables):
         sizes = {}
         for name, g in tables:
             got = [s.members for s in normal_subgyrogroups(g)]
             assert got == [s.members for s in oracle.normal_subgyrogroups(g)], name
             sizes[name] = len(got)
         assert [sizes[k] for k in ("na8xZ2", "Z4xZ4", "V4xZ4", "na8xV4")] == [19, 15, 27, 78]
+
+    def test_coset_join_matches_extend(self, tables):
+        # every normal S, every principal closure C not inside S, and every
+        # floor j, with the ranks normal_subgyrogroups gives the closures
+        joins = rejects = 0
+        for name, g in tables:
+            principal = [normal_closure(g, (a,)).as_set() for a in g.elements()]
+            blocks = sorted(set(principal), key=lambda c: (len(c), sorted(c)))
+            rank = [blocks.index(c) for c in principal]
+            for s in normal_subgyrogroups(g):
+                join = _coset_joins(g, s.as_set(), rank)
+                for c in blocks:
+                    if c <= s.as_set():
+                        continue
+                    for j in range(len(blocks) + 1):
+                        want = _extend(g, s.as_set(), c, rank, j)
+                        assert join(c, j) == want, (name, s.members, sorted(c), j)
+                        joins += want is not None
+                        rejects += want is None
+        assert joins > 0 and rejects > 0
+
+    def test_coset_join_refuses_overlapping_cosets(self):
+        # in Z3, 0 + {0, 1} and 2 + {0, 1} = {2, 0} overlap: such an S was
+        # never normal, and the join step says so instead of joining
+        with pytest.raises(InternalConsistencyError, match="overlap"):
+            _coset_joins(cyclic(3), frozenset({0, 1}), [0, 0, 0])
 
     def test_cap(self, nonassoc8, monkeypatch):
         # the cap is checked before any normal closure is computed

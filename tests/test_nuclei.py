@@ -133,10 +133,7 @@ class TestLgSharp:
         # gyrations on the right slot == translations of the left nucleus
         for g in corpus.values():
             translations = left_translations(g)
-            lg = frozenset(translations)
-            raw = lg
-            for a in g.elements():
-                raw &= frozenset(translations[a] * lx for lx in lg)
+            raw = nuclei_oracle.lg_sharp(g)
             by_gyr = frozenset(
                 translations[x]
                 for x in g.elements()
@@ -146,6 +143,21 @@ class TestLgSharp:
                 translations[a] for a in left_nucleus(g).members
             )
             assert raw == by_gyr == by_nucleus == lg_sharp(g)
+
+
+    def test_forms_no_perm_product(self, nonassoc8, mul_counter):
+        # one composition of image tuples per row and copy, no Perm product
+        g = direct_product(nonassoc8, klein_four())
+        mul_counter[0] = 0
+        assert len(lg_sharp(g)) == len(left_nucleus(g))
+        assert mul_counter[0] == 0
+
+    def test_matches_definitional_intersection(self, census8, corpus, nonassoc8):
+        tables = [*census8, *corpus.values()]
+        tables += [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four())]
+        tables.append(direct_product(direct_product(nonassoc8, klein_four()), cyclic(2)))
+        for g in tables:
+            assert lg_sharp(g) == nuclei_oracle.lg_sharp(g), g.table
 
 
 class TestLgPrime:
