@@ -449,17 +449,16 @@ class GyroTable:
     def int_multiple(self, m: int, a: int) -> int:
         """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a).
 
-        For m >= 0 the recursion says m.a = L_a^m(0), entry m mod k of the
-        cycle of L_a through 0 (``_cycle``), so a call with m >= 0 after
-        the first is one lookup.  Negative m goes through ``neg``.  This is
-        the definition, not a law of multiples, so the sweep check
-        ``integral-multiple-laws`` still tests the laws.  An a outside
-        0..n-1 raises ValueError before any cycle is read or stored."""
+        For m >= 0 the recursion says m.a = L_a^m(0).  L_(-a) = L_a^-1 by
+        left cancellation, so m.(-a) = L_a^-m(0) as well, and for every
+        integer m, m.a is entry m mod k of the cycle of L_a through 0
+        (``_cycle``): a call after the first for a is one lookup.  The
+        sweep check ``integral-multiple-laws`` compares (-m).a with the
+        cycle of -a.  An a outside 0..n-1 raises ValueError before any
+        cycle is read or stored."""
         if not 0 <= a < self.order:
             raise self._out_of_range(a)
         cyc = self._cycle(a)
-        if m < 0:
-            return self.int_multiple(-m, self.neg(a))
         return cyc[m % len(cyc)]
 
     def _cycle(self, a: int) -> tuple[int, ...]:
@@ -520,11 +519,14 @@ class GyroTable:
         return f"GyroTable(order={self.order})"
 
 
-def direct_product(g: GyroTable, h: GyroTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> GyroTable:
-    """Componentwise product on pairs, indexed (a, x) -> a * |h| + x."""
+def direct_product(g: GyroTable, h: GyroTable) -> GyroTable:
+    """Componentwise product on pairs, indexed (a, x) -> a * |h| + x.
+
+    A product order above ``DEFAULT_ORDER_CAP``, read at call time, raises
+    ``ResourceCapError`` before any row is built."""
     n = g.order * h.order
-    if n > order_cap:
-        raise ResourceCapError("order_cap", f"product order {n} exceeds cap {order_cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise ResourceCapError("order_cap", f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     m = h.order
     gt, ht = g.table, h.table
     rows = []

@@ -6,14 +6,16 @@ second is the order n >= 1, followed by n rows of n space-separated
 integers in 0..n-1; row a column b holds a (+) b.  Every number is written
 in ASCII decimal digits only (no sign, no underscore).  Index 0 must be the
 left identity, which is validated on load, never assumed.  An order above
-``DEFAULT_ORDER_CAP`` is refused before any row is read.
+``core.DEFAULT_ORDER_CAP``, read at call time, is refused before any row is
+read.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .core import DEFAULT_ORDER_CAP, GyroTable, ResourceCapError
+from . import core
+from .core import GyroTable, ResourceCapError
 
 
 class GyroParseError(ValueError):
@@ -48,9 +50,9 @@ def parse_gyro(text: str) -> list[list[int]]:
         raise GyroParseError(f"bad order line {lines[1]!r}") from None
     if n < 1:
         raise GyroParseError(f"order must be >= 1, got {n}")
-    if n > DEFAULT_ORDER_CAP:
+    if n > core.DEFAULT_ORDER_CAP:
         raise ResourceCapError(
-            "order_cap", f"order {n} exceeds cap {DEFAULT_ORDER_CAP}"
+            "order_cap", f"order {n} exceeds cap {core.DEFAULT_ORDER_CAP}"
         )
     body = lines[2:]
     if len(body) != n:

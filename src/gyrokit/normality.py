@@ -54,7 +54,6 @@ from typing import Iterable
 
 from .core import GyroTable, InternalConsistencyError, _getter, _hom_failure
 from .substructure import (
-    DEFAULT_LATTICE_CAP,
     CosetFamily,
     SubSet,
     _canonical_joins,
@@ -306,10 +305,9 @@ def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
     the normal closures ncl(x) by the queue of ``_canonical_joins``, each
     join read off the cosets of the queued S (``_coset_joins``; see the
     module docstring).  No quotient table is built.  Orders above
-    ``DEFAULT_LATTICE_CAP`` raise ``ResourceCapError`` first."""
+    ``substructure.DEFAULT_LATTICE_CAP`` raise ``ResourceCapError`` first."""
     return _canonical_joins(
         g,
-        DEFAULT_LATTICE_CAP,
         lambda a: normal_closure(g, (a,)).as_set(),
         lambda s, rank: _coset_joins(g, s, rank),
     )

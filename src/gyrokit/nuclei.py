@@ -131,9 +131,10 @@ def left_translations(g: GyroTable) -> list[Perm]:
     return [g.left_translation(a) for a in g.elements()]
 
 
-def lmlt(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> PermGroup:
-    """The group generated by all left translations."""
-    return PermGroup.generated(left_translations(g), cap=cap)
+def lmlt(g: GyroTable) -> PermGroup:
+    """The group generated by all left translations, closed under
+    ``DEFAULT_PERM_CAP``."""
+    return PermGroup.generated(left_translations(g), cap=DEFAULT_PERM_CAP)
 
 
 def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
@@ -177,38 +178,32 @@ def lg_sharp(g: GyroTable) -> frozenset:
     return frozenset(map(g.left_translation, inside))
 
 
-def lg_prime(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> frozenset:
+def lg_prime(g: GyroTable) -> frozenset:
     """Forward products of translation words whose reversed product is the
     identity: the first halves of the elements of the group generated by
     L_a (+) L_a^-1 on 2n points whose second half is the identity.
 
-    The closure on 2n points is built once per table; the answer is memoised
-    under ``"reversal kernel"`` with the closure's size, so ``radical`` and a
-    direct call share it.  A later call whose cap is below that size raises
-    ``ResourceCapError`` as the closure would, unless the closure added
-    nothing to its n generators (L_0 among them is the identity), for then
-    it has no element to exceed the cap with.
+    The closure on 2n points runs under ``DEFAULT_PERM_CAP`` once per
+    table; the kernel is memoised under ``"reversal kernel"``, so
+    ``radical`` and a direct call share it.
 
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
     ``translation-subgroup-chain`` confirms this and
     ``reversal-kernel-word-oracle`` compares it with the word oracle."""
-    found = g._memo.get("reversal kernel")
-    if found is None:
+    kernel = g._memo.get("reversal kernel")
+    if kernel is None:
         n = g.order
         doubled = PermGroup.generated(
             (
                 Perm(la.images + tuple(n + x for x in la.inverse().images))
                 for la in left_translations(g)
             ),
-            cap=cap,
+            cap=DEFAULT_PERM_CAP,
         )
         ident = tuple(range(n, 2 * n))
-        kernel = frozenset(Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident)
-        size = doubled.order if doubled.order > n else 0
-        found = g._memo["reversal kernel"] = (size, kernel)  # idempotent fill
-    size, kernel = found
-    if size > cap:
-        raise ResourceCapError("perm_cap", f"closure exceeded {cap} elements ({size} in all)")
+        kernel = g._memo["reversal kernel"] = frozenset(  # idempotent fill
+            Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident
+        )
     return kernel
 
 
@@ -237,10 +232,10 @@ def right_nucleus(g: GyroTable) -> SubSet:
     )
 
 
-def radical(g: GyroTable, cap: int = DEFAULT_PERM_CAP) -> SubSet:
+def radical(g: GyroTable) -> SubSet:
     """Elements whose translation lies in the reversal kernel of L(G).
 
     It is a normal subgroup contained in the left nucleus; the sweep checks
     ``radical-inside-left-nucleus`` and ``radical-normal`` confirm this."""
-    core_set = lg_prime(g, cap=cap)
+    core_set = lg_prime(g)
     return SubSet.of(g, [a for a in g.elements() if g.left_translation(a) in core_set])

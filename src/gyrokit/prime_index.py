@@ -69,12 +69,9 @@ def check_condition_n(g: GyroTable, subset) -> tuple[bool, dict[int, int]]:
         if a in h:
             continue
         for n in range(1, g.order + 1):
-            if g.int_multiple(n, a) not in h:
-                continue
-            if any(is_prime(d) and n % d == 0 for d in range(2, p)):
-                continue
-            witnesses[a] = n
-            break
+            if g.int_multiple(n, a) in h and (n == 1 or least_prime_factor(n) >= p):
+                witnesses[a] = n
+                break
         else:
             return False, witnesses
     return True, witnesses

@@ -444,15 +444,16 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
     return True, witness
 
 
-def automorphisms(g: GyroTable, cap: int = DEFAULT_AUT_CAP) -> list[Perm]:
+def automorphisms(g: GyroTable) -> list[Perm]:
     """All operation-preserving bijections (each fixes 0), sorted: the
-    search lists them in lexicographic order.
+    search lists them in lexicographic order.  Orders above
+    ``DEFAULT_AUT_CAP``, read at call time, raise ``ResourceCapError``.
 
     They form a group containing every gyration of the table; the sweep
     check ``automorphism-group-closure`` confirms both."""
     n = g.order
-    if n > cap:
-        raise ResourceCapError("aut_cap", f"order {n} exceeds automorphism cap {cap}")
+    if n > DEFAULT_AUT_CAP:
+        raise ResourceCapError("aut_cap", f"order {n} exceeds automorphism cap {DEFAULT_AUT_CAP}")
     return list(_isomorphisms(g, g))
 
 
@@ -592,16 +593,19 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
         label[a] = -1
 
 
-def canonical_form(g: GyroTable, cap: int = DEFAULT_CANON_CAP) -> GyroTable:
+def canonical_form(g: GyroTable) -> GyroTable:
     """The lexicographically least relabeling of the table fixing 0.
 
     Two tables are isomorphic iff their canonical forms are identical.  It
     is the last table ``_smaller_relabelings`` yields over rows 1..n-1, or
     the table itself if none is smaller; the search's symmetry cut runs the
-    same routine on the rows placed so far."""
+    same routine on the rows placed so far.  Orders above
+    ``DEFAULT_CANON_CAP``, read at call time, raise ``ResourceCapError``."""
     n = g.order
-    if n > cap:
-        raise ResourceCapError("canon_cap", f"order {n} exceeds canonical-form cap {cap}")
+    if n > DEFAULT_CANON_CAP:
+        raise ResourceCapError(
+            "canon_cap", f"order {n} exceeds canonical-form cap {DEFAULT_CANON_CAP}"
+        )
     best = None
     for best in _smaller_relabelings(g.table, n - 1):
         pass

@@ -266,7 +266,7 @@ def index(g: GyroTable, subset) -> int:
     return len(left_cosets(g, subset).cosets)
 
 
-def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> list[SubSet]:
+def enumerate_subgyrogroups(g: GyroTable) -> list[SubSet]:
     """Every subgyrogroup, sorted by size then members, by cyclic extension
     along canonical paths (Neubuser, Numer. Math. 2, 1960).
 
@@ -290,11 +290,11 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
     runs with the normal closures ncl(x) in place of <x> and a join read off
     the cosets.  The member sets are memoised per table, so the functions
     that require a subgyrogroup take them without checking their closure
-    again."""
+    again.  Orders above ``DEFAULT_LATTICE_CAP`` raise ``ResourceCapError``
+    (``_canonical_joins``)."""
     zeros = (0,) * g.order
     lattice = _canonical_joins(
         g,
-        cap,
         lambda a: _extend(g, {0}, (a,), zeros, 0),
         lambda s, rank: lambda c, j: _extend(g, s, c, rank, j),
     )
@@ -302,7 +302,7 @@ def enumerate_subgyrogroups(g: GyroTable, cap: int = DEFAULT_LATTICE_CAP) -> lis
     return lattice
 
 
-def _canonical_joins(g: GyroTable, cap: int, principal, joins) -> list[SubSet]:
+def _canonical_joins(g: GyroTable, principal, joins) -> list[SubSet]:
     """The joins of the sets ``principal(x)``, sorted by size then members,
     by the queue of ``enumerate_subgyrogroups``.
 
@@ -312,9 +312,12 @@ def _canonical_joins(g: GyroTable, cap: int, principal, joins) -> list[SubSet]:
     as ``_extend(g, S, C_j, rank, j)`` does for the lattice.  Exact when
     ``principal(x)`` is the least member containing x of a family of
     subgyrogroups closed under the joins the step computes.  Orders above
-    ``cap`` raise ``ResourceCapError`` first."""
-    if g.order > cap:
-        raise ResourceCapError("lattice_cap", f"order {g.order} exceeds lattice cap {cap}")
+    ``DEFAULT_LATTICE_CAP``, read at call time, raise ``ResourceCapError``
+    before ``principal`` is called."""
+    if g.order > DEFAULT_LATTICE_CAP:
+        raise ResourceCapError(
+            "lattice_cap", f"order {g.order} exceeds lattice cap {DEFAULT_LATTICE_CAP}"
+        )
     principal_of = [principal(a) for a in g.elements()]
     blocks = sorted(set(principal_of), key=lambda c: (len(c), sorted(c)))
     number = {c: i for i, c in enumerate(blocks)}

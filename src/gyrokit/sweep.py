@@ -267,7 +267,8 @@ def _multiple_laws_hold(table, inv, ms, mult) -> bool:
     * (-m).a = -(m.a) = m.(-a) for |m| <= 2n;
     * (m + k).a = m.a (+) k.a and (m*k).a = m.(k.a) for |m|, |k| <= n.
 
-    For each a the first law is three slices of mult[a] and the second two
+    For each a the first law is three slices of mult[a] and mult[-a], the
+    latter read off the cycle of L_(-a), not of L_a; the second two
     compares per m, over all k at once, as tuples in C."""
     n = len(table)
     pos = {m: i for i, m in enumerate(ms)}

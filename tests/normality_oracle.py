@@ -26,7 +26,6 @@ from lattice_oracle import left_cosets
 from gyrokit.core import AxiomError, GyroTable, InternalConsistencyError
 from gyrokit.normality import Hom, NotNormal, Quotient
 from gyrokit.substructure import (
-    DEFAULT_LATTICE_CAP,
     NotPartition,
     SubSet,
     _require_subgyrogroup,
@@ -182,13 +181,13 @@ def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
     return [s for s in enumerate_subgyrogroups(g) if is_normal(g, s)]
 
 
-def normal_closure(g: GyroTable, seed: Iterable[int], cap: int = DEFAULT_LATTICE_CAP) -> SubSet:
+def normal_closure(g: GyroTable, seed: Iterable[int]) -> SubSet:
     """The least normal subgyrogroup containing the seed, by filtering the
     enumerated lattice through the normality decision and intersecting."""
     seed = set(seed)
     if not seed:
         raise ValueError("seed must be nonempty")
-    lattice = enumerate_subgyrogroups(g, cap=cap)
+    lattice = enumerate_subgyrogroups(g)
     containing = [s for s in lattice if seed <= s.as_set() and is_normal(g, s)]
     if not containing:
         raise InternalConsistencyError("no normal subgyrogroup contains the seed")

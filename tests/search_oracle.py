@@ -266,7 +266,7 @@ class _Search:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     complete = False
                     break
-                canon.add(canonical_form(t, cap=self.n).table)
+                canon.add(canonical_form(t).table)
             tables = [GyroTable(rows) for rows in sorted(canon)]
         if self.config.max_results is not None:
             tables = tables[: self.config.max_results]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from axioms_oracle import verify_axioms_per_pair
 from core_oracle import is_group_per_triple, is_gyrocommutative_per_pair
 
-from gyrokit import core
+from gyrokit import core, normality, nuclei, search, substructure
 from gyrokit.core import (
     AxiomError,
     GyroTable,
@@ -23,6 +23,7 @@ from gyrokit.core import (
     verify_axioms,
 )
 from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.gyrofile import format_gyro, parse_gyro
 from gyrokit.normality import check_sufficient_normality, try_quotient
 from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
 from gyrokit.search import MODE_FIRST_NONASSOCIATIVE, SearchConfig, canonical_form, run_search
@@ -633,8 +634,9 @@ class TestIntegralMultiples:
         numbering = z6._memo["gyration numbering"]
         assert z6.int_multiple(7, 2) == 2
         assert z6._memo == {"gyration numbering": numbering, ("cycle", 2): (0, 2, 4)}
+        # a negative multiple reads the same cycle, backwards
         assert z6.int_multiple(-1, 2) == 4
-        assert set(z6._memo) == {"gyration numbering", ("cycle", 2), ("cycle", 4)}
+        assert set(z6._memo) == {"gyration numbering", ("cycle", 2)}
 
 
 def int_multiple_by_loop(g: GyroTable, m: int, a: int) -> int:
@@ -839,3 +841,50 @@ class TestPerm:
     def test_inverse_involutive(self, images):
         p = Perm(images)
         assert p.inverse().inverse() == p
+
+
+class TestCapsReadAtCallTime:
+    """Each cap is one module attribute, read by the function that checks
+    it when it is called, so setting the attribute moves the cap."""
+
+    @pytest.mark.parametrize(
+        "module, name, value, call, cap_name",
+        [
+            (substructure, "DEFAULT_LATTICE_CAP", 3, substructure.enumerate_subgyrogroups, "lattice_cap"),
+            (substructure, "DEFAULT_LATTICE_CAP", 3, normality.normal_subgyrogroups, "lattice_cap"),
+            (search, "DEFAULT_AUT_CAP", 3, search.automorphisms, "aut_cap"),
+            (search, "DEFAULT_CANON_CAP", 3, search.canonical_form, "canon_cap"),
+            (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.lmlt, "perm_cap"),
+            (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.lg_prime, "perm_cap"),
+            (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.radical, "perm_cap"),
+            (core, "DEFAULT_ORDER_CAP", 3, lambda g: direct_product(g, cyclic(1)), "order_cap"),
+            (core, "DEFAULT_ORDER_CAP", 3, lambda g: parse_gyro(format_gyro(g)), "order_cap"),
+        ],
+        ids=[
+            "enumerate_subgyrogroups",
+            "normal_subgyrogroups",
+            "automorphisms",
+            "canonical_form",
+            "lmlt",
+            "lg_prime",
+            "radical",
+            "direct_product",
+            "parse_gyro",
+        ],
+    )
+    def test_lowered_cap_raises(self, nonassoc8, monkeypatch, module, name, value, call, cap_name):
+        # a fresh table, so no memoised structure answers before the cap
+        g = GyroTable(nonassoc8.table)
+        call(g)
+        monkeypatch.setattr(module, name, value)
+        with pytest.raises(ResourceCapError) as exc_info:
+            call(GyroTable(nonassoc8.table))
+        assert exc_info.value.cap_name == cap_name
+
+    def test_raised_canon_cap_admits_order_9(self, monkeypatch):
+        z9 = cyclic(9)
+        with pytest.raises(ResourceCapError):
+            canonical_form(z9)
+        monkeypatch.setattr(search, "DEFAULT_CANON_CAP", 9)
+        form = canonical_form(z9)
+        assert search.are_isomorphic(form, z9)[0] and canonical_form(form) == form

@@ -1,17 +1,28 @@
 """Byte-stable output.
 
-The sha256 of eight outputs is pinned: the theorem sweep over the
+The sha256 of eleven outputs is pinned: the theorem sweep over the
 acceptance corpus, the sweep over the order-8 census, the sweep over two
 order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
-na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.  A change that moves
+na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.
+Three more run the command line: ``sweep-theorems`` over the files that
+``search 8 --out`` writes, ``analyze --json`` over each of those files in
+sorted name order, and ``analyze --json`` on na8xV4xZ2.  A change that moves
 any byte of these outputs changes what gyrokit reports and has to re-pin the
 digest on purpose.
+
+The tests use explicit asserts, which pytest keeps under ``python -O``, so
+``python -O -m pytest tests/test_golden.py`` checks that the library's own
+checks, which must not be asserts, give the same bytes there.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+
+import pytest
 
 from gyrokit.catalog import cyclic, klein_four
 from gyrokit.cli import analyze_object, main
@@ -85,3 +96,42 @@ def test_verify_row_swap_mutant_of_na8xv4(nonassoc8, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL order=32\n")
     assert sha256(out) == "a83969d4f0476f6441ec9b98c6bbd5d35937b2175d82ba4d652df81662cba22f"
+
+
+@pytest.fixture(scope="module")
+def search8_files(tmp_path_factory):
+    """The .gyro files of ``gyrokit search 8 --out``, sorted by name
+    (8-0, 8-1, 8-10, 8-2, ...)."""
+    out = tmp_path_factory.mktemp("search8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["search", "8", "--out", str(out)]) == 0
+    return out, sorted(out.glob("*.gyro"), key=lambda p: p.name)
+
+
+def test_cli_sweep_over_search8_files(search8_files, capsys):
+    out, _ = search8_files
+    capsys.readouterr()
+    assert main(["sweep-theorems", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert " fail=0 " in text.splitlines()[-1]
+    assert sha256(text) == "4f856e0d3a405c965569847baa30a9a2f3767d1db7cc370d15dd80576139520c"
+
+
+def test_cli_analyze_over_search8_files(search8_files, capsys):
+    _, paths = search8_files
+    assert len(paths) == 11
+    capsys.readouterr()
+    reports = []
+    for path in paths:
+        assert main(["analyze", str(path), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert sha256("".join(reports)) == "7f3ecf658fc2e99c3d258539e845649c5569a92daf2860a5f5377d9b63ad05c1"
+
+
+def test_cli_analyze_na8xv4xz2(nonassoc8, tmp_path, capsys):
+    # order 64, at the lattice cap: 425 normal subgyrogroups by joining cosets
+    path = tmp_path / "na8xV4xZ2.gyro"
+    save_table(path, direct_product(direct_product(nonassoc8, klein_four()), cyclic(2)).table)
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == "1f1e7d9fad47c97a38946a51455e660909319e23f32eeac887241c5b306b994e"

@@ -373,9 +373,9 @@ class TestLattice:
                 for b in subs:
                     assert tuple(sorted(set(a) & set(b))) in subs
 
-    def test_cap(self):
+    def test_cap(self, nonassoc8):
         with pytest.raises(ResourceCapError):
-            enumerate_subgyrogroups(cyclic(4), cap=2)
+            enumerate_subgyrogroups(direct_product(nonassoc8, cyclic(9)))
 
 
 class TestLatticeAgainstOracle:
