@@ -449,13 +449,11 @@ class GyroTable:
     def int_multiple(self, m: int, a: int) -> int:
         """m.a with 0.a = 0, m.a = a (+) (m-1).a, and (-m).a = m.(-a).
 
-        For m >= 0 the recursion says m.a = L_a^m(0).  L_(-a) = L_a^-1 by
-        left cancellation, so m.(-a) = L_a^-m(0) as well, and for every
-        integer m, m.a is entry m mod k of the cycle of L_a through 0
-        (``_cycle``): a call after the first for a is one lookup.  The
-        sweep check ``integral-multiple-laws`` compares (-m).a with the
-        cycle of -a.  An a outside 0..n-1 raises ValueError before any
-        cycle is read or stored."""
+        So m.a = L_a^m(0) for m >= 0, and m.(-a) = L_a^-m(0) since
+        L_(-a) = L_a^-1 by left cancellation: for every integer m, m.a is
+        entry m mod k of the cycle of L_a through 0 (``_cycle``), one
+        lookup after the first call.  An a outside 0..n-1 raises
+        ValueError before any cycle is read or stored."""
         if not 0 <= a < self.order:
             raise self._out_of_range(a)
         cyc = self._cycle(a)
@@ -520,10 +518,9 @@ class GyroTable:
 
 
 def direct_product(g: GyroTable, h: GyroTable) -> GyroTable:
-    """Componentwise product on pairs, indexed (a, x) -> a * |h| + x.
-
-    A product order above ``DEFAULT_ORDER_CAP``, read at call time, raises
-    ``ResourceCapError`` before any row is built."""
+    """Componentwise product on pairs, indexed (a, x) -> a * |h| + x.  An
+    order above ``DEFAULT_ORDER_CAP``, read when called, raises
+    ``ResourceCapError`` first."""
     n = g.order * h.order
     if n > DEFAULT_ORDER_CAP:
         raise ResourceCapError("order_cap", f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")

@@ -873,9 +873,9 @@ class TestCapsReadAtCallTime:
         ],
     )
     def test_lowered_cap_raises(self, nonassoc8, monkeypatch, module, name, value, call, cap_name):
-        # a fresh table, so no memoised structure answers before the cap
-        g = GyroTable(nonassoc8.table)
-        call(g)
+        # the default cap admits the call; each call gets a fresh table, so
+        # no memoised structure answers before the cap is checked
+        call(GyroTable(nonassoc8.table))
         monkeypatch.setattr(module, name, value)
         with pytest.raises(ResourceCapError) as exc_info:
             call(GyroTable(nonassoc8.table))
