@@ -1,16 +1,17 @@
 """Byte-stable output.
 
-The sha256 of eleven outputs is pinned: the theorem sweep over the
+The sha256 of twelve outputs is pinned: the theorem sweep over the
 acceptance corpus, the sweep over the order-8 census, the sweep over two
 order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
 na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.
-Three more run the command line: ``sweep-theorems`` over the files that
+Four more run the command line: ``sweep-theorems`` over the files that
 ``search 8 --out`` writes, ``analyze --json`` over each of those files in
-sorted name order, and ``analyze --json`` on na8xV4xZ2.  A change that moves
-any byte of these outputs changes what gyrokit reports and has to re-pin the
-digest on purpose.
+sorted name order, ``analyze --json`` on na8xV4xZ2, and ``hunt --orders 8``,
+which reads ``commutator``, and so ``GyroTable.gyr`` per pair, on all 11
+order-8 classes.  A change that moves any byte of these outputs changes
+what gyrokit reports and has to re-pin the digest on purpose.
 
 The tests use explicit asserts, which pytest keeps under ``python -O``, so
 ``python -O -m pytest tests/test_golden.py`` checks that the library's own
@@ -135,3 +136,12 @@ def test_cli_analyze_na8xv4xz2(nonassoc8, tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", str(path), "--json"]) == 0
     assert sha256(capsys.readouterr().out) == "1f1e7d9fad47c97a38946a51455e660909319e23f32eeac887241c5b306b994e"
+
+
+def test_cli_hunt_over_order8(capsys):
+    # the commutator subgyrogroup of each order-8 class, from gyr per pair
+    capsys.readouterr()
+    assert main(["hunt", "--orders", "8"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[-1] == "no counterexample among 11 instances"
+    assert sha256(text) == "d96eb31ea340a37d2a732a972e9c5a2dcda441ef8262dd2cedd398f32ebf987d"
