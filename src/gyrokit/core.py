@@ -8,15 +8,15 @@ derived from the table via the gyrator identity
 
 and numbered in one place, ``_number_gyrations``.  Every ``GyroTable`` is
 built by its axiom check (``_verify_rows``), so every table is a verified
-gyrogroup and keeps the numbering of that check, made once at
-construction.  One scan, ``_is_associative_on``, decides associativity for
-``is_group`` and ``substructure.is_subgroup``.  All values are immutable
-after construction except one per-table memo, ``_memo``, of structures
-derived from the table; each key is filled by the module that owns it
-(``"gyration numbering"``, stored at construction, ``"gyrations"`` and
+gyrogroup and keeps what that check built, once: the left inverses, the
+gyration numbering and the row getters.  One scan, ``_is_associative_on``,
+decides associativity for ``is_group`` and ``substructure.is_subgroup``.
+All values are immutable after construction except one per-table memo,
+``_memo``, of structures derived from the table, empty on a new table;
+each key is filled by the module that owns it (``"columns"`` and
 ``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
-``substructure``, ``"translation getters"``, ``("normal", N)`` and
-``("quotient", N)`` by ``normality``, ``"reversal kernel"`` by ``nuclei``,
+``substructure``, ``("normal", N)`` and ``("quotient", N)`` by
+``normality``, ``"reversal kernel"`` by ``nuclei``,
 ``"commutator subgyrogroup"`` by ``commutator``).  Every fill is
 idempotent (safe for concurrent readers).
 """
@@ -306,9 +306,10 @@ def verify_axioms(table) -> AxiomReport:
 
 def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     """``verify_axioms`` on normalised rows: the report and, for a passing
-    table, ``(linv, gid, gyrs)``, its left inverses and gyration numbering;
-    ``None`` otherwise.  On a passing table the n permutation rows hold n
-    zeros, one per column by G2, so each left inverse is unique."""
+    table, ``(linv, gid, gyrs, get)``, its left inverses, gyration numbering
+    and row getters ``get[x] = _getter(rows[x])``; ``None`` otherwise.  On
+    a passing table the n permutation rows hold n zeros, one per column by
+    G2, so each left inverse is unique."""
     n = len(rows)
     ident = list(range(n))
     violations: list[Violation] = []
@@ -362,7 +363,7 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
             if gid[x][b] != ga[b]:
                 violations.append(Violation("G4", (a, b), "left loop property fails"))
 
-    return AxiomReport(n, tuple(violations)), None if violations else (linv, gid, gyrs)
+    return AxiomReport(n, tuple(violations)), None if violations else (linv, gid, gyrs, get)
 
 
 class GyroTable:
@@ -371,27 +372,29 @@ class GyroTable:
     The constructor runs the full axiom check (``_verify_rows``) and raises
     ``AxiomError`` with its report on a failing table, so every table in
     the process is a gyrogroup, including those the package builds itself
-    (direct products, quotients, relabelings, search leaves).  It keeps the
-    left inverses and the gyration numbering of that check: a table numbers
-    its gyrations once, at construction.
+    (direct products, quotients, relabelings, search leaves).  It keeps
+    what that check built, once: the left inverses ``inv``, the row getters
+    ``_gets`` and the gyration numbers ``_gyr[a][b]`` into ``_perms``, the
+    distinct gyrations as shared ``Perm`` objects, the identity first.  The
+    columns are built on first use (``_columns``).
     """
 
-    __slots__ = ("order", "table", "inv", "_gyr", "_memo")
+    __slots__ = ("order", "table", "inv", "_gyr", "_perms", "_gets", "_memo")
 
     def __init__(self, table):
         rows = _normalize_rows(table)
         report, passed = _verify_rows(rows)
         if passed is None:
             raise AxiomError(report)
-        linv, gid, gyrs = passed
+        linv, gid, gyrs, get = passed
         self.order = len(rows)
         self.table = rows
         self.inv = tuple(linv)
-        perms = tuple(map(Perm._unchecked, gyrs))
-        # _gyr[a][b] is gyr[a, b], a shared Perm of the numbering, for gyr
-        self._gyr: list[list[Perm]] = [[perms[k] for k in row] for row in gid]
+        self._gyr: list[list[int]] = gid
+        self._perms = tuple(map(Perm._unchecked, gyrs))
+        self._gets: list = get
         # derived structures, one key per owner; see the module docstring
-        self._memo: dict = {"gyration numbering": (gid, perms)}
+        self._memo: dict = {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -421,7 +424,17 @@ class GyroTable:
         identity first, and ``gid[a][b]`` is the index of gyr[a, b] in it.
         Built once, by the axiom check at construction
         (``_number_gyrations``)."""
-        return self._memo["gyration numbering"]
+        return self._gyr, self._perms
+
+    def _columns(self) -> tuple[tuple[tuple[int, ...], ...], list]:
+        """``(columns, gets)``: column b lists a (+) b for a = 0..n-1, and
+        ``gets[b]`` is its getter.  Built on first use and memoised under
+        ``"columns"``."""
+        found = self._memo.get("columns")
+        if found is None:
+            columns = tuple(zip(*self.table))
+            found = self._memo["columns"] = (columns, [_getter(col) for col in columns])
+        return found
 
     def gyr(self, a: int, b: int) -> Perm:
         """The gyration generated by a and b, from the gyrator identity, as
@@ -430,15 +443,12 @@ class GyroTable:
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise self._out_of_range(b if 0 <= a < n else a)
-        return self._gyr[a][b]
+        return self._perms[self._gyr[a][b]]
 
     def gyrations(self) -> frozenset:
         """The distinct gyrations gyr[a, b] over all pairs: the numbered
-        ones of ``_gyration_numbering``, memoised per table."""
-        found = self._memo.get("gyrations")
-        if found is None:
-            found = self._memo["gyrations"] = frozenset(self._gyration_numbering()[1])
-        return found
+        ones of ``_gyration_numbering``."""
+        return frozenset(self._perms)
 
     def coadd(self, a: int, b: int) -> int:
         """The dual operation a (+) gyr[a, -b] b.  An a or b outside 0..n-1
@@ -489,12 +499,10 @@ class GyroTable:
     def is_gyrocommutative(self) -> bool:
         """True iff a (+) b = gyr[a, b](b (+) a) for all a, b, read from
         the gyration numbering."""
-        gid, perms = self._gyration_numbering()
-        images = [p.images for p in perms]
-        columns = zip(*self.table)
+        images = [p.images for p in self._perms]
         return all(
             x == images[k][y]
-            for ra, ka, col in zip(self.table, gid, columns)
+            for ra, ka, col in zip(self.table, self._gyr, self._columns()[0])
             for x, k, y in zip(ra, ka, col)
         )
 

@@ -91,11 +91,11 @@ def _preserves(f, rows, k_rows) -> bool:
 
 def check_hom(phi: Hom) -> bool:
     """True iff phi(a+b) = phi(a)+phi(b) for all pairs: row a compares
-    f.L_a with L_(f a).f (``_preserves``).
+    f.L_a with L_(f a).f (``core._hom_failure`` over the row getters).
 
     A homomorphism also commutes with gyrations; the sweep check
     ``quotient-kernel-roundtrip`` and the tests confirm it for projections."""
-    return _preserves(phi.map, phi.domain.table, phi.codomain.table)
+    return _hom_failure(phi.map, phi.domain._gets, phi.codomain.table) is None
 
 
 def kernel(phi: Hom) -> SubSet:
@@ -132,35 +132,22 @@ class Quotient:
     projection: Hom
 
 
-def _translation_getters(g: GyroTable) -> tuple:
-    """The rows and columns of the table, each with its getter, so that
-    ``gets[x](label)`` maps row or column x to class labels in C.  Built
-    once per table and memoised under ``"translation getters"``: the
-    closures of ``normal_subgyrogroups`` run n times on one table."""
-    found = g._memo.get("translation getters")
-    if found is None:
-        lines = (g.table, tuple(zip(*g.table)))
-        found = g._memo["translation getters"] = tuple(  # idempotent fill
-            (u, [_getter(line) for line in u]) for u in lines
-        )
-    return found
-
-
 def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     """The least member of each element's class in Cg(seed x {0}).
 
     Every seed element is identified with 0, and then each merged pair
     (x, y) is pushed through every left and right translation: the pairs
     (x (+) a, y (+) a) and (a (+) x, a (+) y) are merged too.  Row x and
-    column x, mapped to class labels by the table's getters
-    (``_translation_getters``), are compared with row y and column y as
-    tuples in C, and only the positions whose labels differ are merged, so
-    a pair whose translations add nothing costs four C calls.  Each merge
+    column x, mapped to class labels by the table's row getters (``_gets``)
+    and column getters (``_columns``), each built once per table, are
+    compared with row y and column y as tuples in C, and only the positions
+    whose labels differ are merged, so a pair whose translations add
+    nothing costs four C calls.  Each merge
     queues one pair, so the closure takes O(n) pushes of O(n) each
     (Freese, "Computing congruences efficiently", Algebra Universalis 59,
     2008).  ``label[x]`` is the least member of the class of x: a merge
     relabels the class with the larger label."""
-    lines = _translation_getters(g)
+    lines = ((g.table, g._gets), g._columns())
     label = list(g.elements())
     members = [[x] for x in label]
     pending: list[tuple[int, int]] = []
@@ -355,7 +342,7 @@ def check_sufficient_normality(g: GyroTable, subset) -> bool:
         return False
     # a + H = H + a for every a: row a and column a, restricted to H, as sets
     pick = _getter(sorted(h))
-    return all(set(pick(row)) == set(pick(col)) for row, col in zip(g.table, zip(*g.table)))
+    return all(set(pick(row)) == set(pick(col)) for row, col in zip(g.table, g._columns()[0]))
 
 
 def induced_isomorphism(phi: Hom) -> Hom:

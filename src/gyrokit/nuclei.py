@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GyroTable, Perm, ResourceCapError, _getter
+from .core import GyroTable, Perm, ResourceCapError
 from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
@@ -56,7 +56,7 @@ class PermGroup:
     elements: frozenset[Perm]
 
     @classmethod
-    def generated(cls, generators, cap: int = DEFAULT_PERM_CAP) -> "PermGroup":
+    def generated(cls, generators, cap: int | None = None) -> "PermGroup":
         """The group the generators generate, closed from a greedy
         generating subset (Dimino's scheme; G. Butler, Fundamental
         Algorithms for Permutation Groups, LNCS 559, 1991).
@@ -81,13 +81,16 @@ class PermGroup:
         turn, so ``reached`` ends as the group all of them generate.
 
         Raises ``ResourceCapError`` once the closure has more elements than
-        the cap or than the generators and the identity, whichever is more;
+        the cap (``DEFAULT_PERM_CAP``, read when called, if none is given)
+        or than the generators and the identity, whichever is more;
         so a cap of |S| on a set S stops the closure of a set that is not a
         group soon after it leaves the set, long before the whole symmetric
         group."""
         gens = tuple(generators)
         if not gens:
             raise ValueError("need at least one generator")
+        if cap is None:
+            cap = DEFAULT_PERM_CAP
         degree = gens[0].degree
         ident = Perm.identity(degree)
         limit = max(cap, len(set(gens) | {ident}))
@@ -134,7 +137,7 @@ def left_translations(g: GyroTable) -> list[Perm]:
 def lmlt(g: GyroTable) -> PermGroup:
     """The group generated by all left translations, closed under
     ``DEFAULT_PERM_CAP``."""
-    return PermGroup.generated(left_translations(g), cap=DEFAULT_PERM_CAP)
+    return PermGroup.generated(left_translations(g))
 
 
 def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
@@ -169,8 +172,7 @@ def lg_sharp(g: GyroTable) -> frozenset:
     It equals the translations of the left nucleus and is a normal subgroup
     of lmlt(G); the sweep check ``translation-subgroup-chain`` confirms
     both."""
-    table, neg = g.table, g.inv
-    gets = [_getter(row) for row in table]
+    table, neg, gets = g.table, g.inv, g._gets
     inside = list(g.elements())
     for a in range(1, g.order):  # the copy for a = 0 is L(G) itself
         back = table[neg[a]]
@@ -194,11 +196,8 @@ def lg_prime(g: GyroTable) -> frozenset:
     if kernel is None:
         n = g.order
         doubled = PermGroup.generated(
-            (
-                Perm(la.images + tuple(n + x for x in la.inverse().images))
-                for la in left_translations(g)
-            ),
-            cap=DEFAULT_PERM_CAP,
+            Perm(la.images + tuple(n + x for x in la.inverse().images))
+            for la in left_translations(g)
         )
         ident = tuple(range(n, 2 * n))
         kernel = g._memo["reversal kernel"] = frozenset(  # idempotent fill

@@ -384,8 +384,8 @@ def _isomorphisms(g: GyroTable, h: GyroTable):
     lg = [len(g._cycle(a)) for a in range(n)]
     lh = [len(h._cycle(a)) for a in range(n)]
     # a + b is g_sides[0][a][b] in g, and b + a is g_sides[1][a][b]; so in h
-    g_sides = (g.table, tuple(zip(*g.table)))
-    h_sides = (h.table, tuple(zip(*h.table)))
+    g_sides = (g.table, g._columns()[0])
+    h_sides = (h.table, h._columns()[0])
     phi = [0] + [-1] * (n - 1)
     used = [True] + [False] * (n - 1)
     mapped = [0]  # in the order they were mapped; mapped[:i] are closed
@@ -439,7 +439,7 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
     witness = next(_isomorphisms(g, h), None) if g.order == h.order else None
     if witness is None:
         return False, None
-    if _hom_failure(witness.images, map(_getter, g.table), h.table) is not None:
+    if _hom_failure(witness.images, g._gets, h.table) is not None:
         raise InternalConsistencyError("isomorphism witness fails the full table scan")
     return True, witness
 

@@ -349,9 +349,11 @@ class TestGyrationStoreAboveOrder256:
             lab = table.left_translation(table.add(a, b))
             la, lb = table.left_translation(a), table.left_translation(b)
             assert table.gyr(a, b) == lab.inverse() * la * lb
-        # every cell holds one of the numbered perms
+        # every cell holds the number of one of the numbered perms, and gyr
+        # returns that shared perm
         _, perms = table._gyration_numbering()
-        assert {id(p) for row in table._gyr for p in row} == set(map(id, perms))
+        assert {k for row in table._gyr for k in row} == set(range(len(perms)))
+        assert all(table.gyr(a, b) is perms[table._gyr[a][b]] for a, b in pairs)
 
     def test_gyrations_are_the_tuple_numbering(self, table):
         _, gyrs = _gyrations_by_tuples(table.table, table.inv)
@@ -400,12 +402,15 @@ class TestOneNumberingPerTable:
 
     def test_checked_table_numbers_once(self, rows, calls):
         g = GyroTable(rows)
-        assert list(g._memo) == ["gyration numbering"]
+        assert g._memo == {}
         assert calls[0] == 1
         self.read_gyrations(g)
         assert calls[0] == 1
         gid, perms = g._gyration_numbering()
-        assert all(g._gyr[a][b] is perms[k] for a, row in enumerate(gid) for b, k in enumerate(row))
+        assert gid is g._gyr
+        assert all(
+            type(k) is int and g.gyr(a, b) is perms[k] for a, row in enumerate(gid) for b, k in enumerate(row)
+        )
         n = len(rows)
         assert g.inv == tuple(next(b for b in range(n) if rows[b][a] == 0) for a in range(n))
         direct_gid, gyrs = core._number_gyrations(rows, g.inv)
@@ -563,10 +568,13 @@ class TestGyrations:
         assert len(gyrations) == 2
 
     def test_gyrations_memoised(self, nonassoc8):
+        # the members are the numbered perms themselves
         els = nonassoc8.elements()
         first = nonassoc8.gyrations()
-        assert nonassoc8.gyrations() is first
+        assert nonassoc8.gyrations() == first
         assert first == {nonassoc8.gyr(a, b) for a in els for b in els}
+        _, perms = nonassoc8._gyration_numbering()
+        assert {id(p) for p in first} == set(map(id, perms))
 
     def test_gyr_cache_idempotent(self):
         z4 = cyclic(4)
@@ -629,14 +637,14 @@ class TestIntegralMultiples:
         assert ("cycle", a) not in z4._memo
 
     def test_cycles_memoised_per_element(self):
-        # a fresh table's memo holds only its gyration numbering
+        # a fresh table's memo is empty
         z6 = GyroTable(cyclic(6).table)
-        numbering = z6._memo["gyration numbering"]
+        assert z6._memo == {}
         assert z6.int_multiple(7, 2) == 2
-        assert z6._memo == {"gyration numbering": numbering, ("cycle", 2): (0, 2, 4)}
+        assert z6._memo == {("cycle", 2): (0, 2, 4)}
         # a negative multiple reads the same cycle, backwards
         assert z6.int_multiple(-1, 2) == 4
-        assert set(z6._memo) == {"gyration numbering", ("cycle", 2)}
+        assert set(z6._memo) == {("cycle", 2)}
 
 
 def int_multiple_by_loop(g: GyroTable, m: int, a: int) -> int:
@@ -857,6 +865,13 @@ class TestCapsReadAtCallTime:
             (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.lmlt, "perm_cap"),
             (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.lg_prime, "perm_cap"),
             (nuclei, "DEFAULT_PERM_CAP", 10, nuclei.radical, "perm_cap"),
+            (
+                nuclei,
+                "DEFAULT_PERM_CAP",
+                10,
+                lambda g: nuclei.PermGroup.generated(nuclei.left_translations(g)),
+                "perm_cap",
+            ),
             (core, "DEFAULT_ORDER_CAP", 3, lambda g: direct_product(g, cyclic(1)), "order_cap"),
             (core, "DEFAULT_ORDER_CAP", 3, lambda g: parse_gyro(format_gyro(g)), "order_cap"),
         ],
@@ -868,6 +883,7 @@ class TestCapsReadAtCallTime:
             "lmlt",
             "lg_prime",
             "radical",
+            "PermGroup.generated",
             "direct_product",
             "parse_gyro",
         ],

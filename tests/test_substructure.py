@@ -259,20 +259,20 @@ class TestCosetMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 left_cosets(z4, members)
-        assert list(z4._memo) == ["gyration numbering"]
+        assert z4._memo == {}
 
     def test_subset_and_list_share_an_entry(self):
         z6 = GyroTable(cyclic(6).table)
         fam = left_cosets(z6, SubSet.of(z6, [0, 3]))
         assert left_cosets(z6, [3, 0]) is fam
-        assert list(z6._memo) == ["gyration numbering", ("cosets", frozenset({0, 3}))]
+        assert list(z6._memo) == [("cosets", frozenset({0, 3}))]
 
     def test_normality_has_its_own_key(self):
         s3 = GyroTable(sym3().table)
         h = [0, 3, 4]
         fam = left_cosets(s3, h)
         assert is_normal(s3, h)
-        assert set(s3._memo) == {"gyration numbering", ("cosets", frozenset(h)), ("normal", frozenset(h))}
+        assert set(s3._memo) == {("cosets", frozenset(h)), ("normal", frozenset(h))}
         assert s3._memo[("cosets", frozenset(h))] is fam
         q = try_quotient(s3, h)
         assert q.cosets == fam and s3._memo[("quotient", frozenset(h))] is q

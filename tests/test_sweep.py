@@ -577,6 +577,11 @@ def _break_normal_intersections(real, g):
     return lambda h, sets: real(h, sets + [frozenset({0, 2})])
 
 
+def _break_normal_listing(real, g):
+    # the coset-join listing loses its largest member, G itself
+    return lambda h: real(h)[:-1]
+
+
 def _break_projection(real, g):
     # only the projection onto the quotient by {0}, a relabelling of na8
     return lambda phi: real(Hom(phi.domain, phi.codomain, _swap12(phi.map)) if phi.codomain.order == 8 else phi)
@@ -600,6 +605,7 @@ class TestBrokenInputFailsItsCheck:
             ("_preserves", _break_commutator_rows, "homs-preserve-commutators"),
             ("_commutes_with_gyrations", _break_projection, "quotient-kernel-roundtrip"),
             ("_normal_intersections", _break_normal_intersections, "normal-intersections"),
+            ("normal_subgyrogroups", _break_normal_listing, "normal-closure-fixed-point"),
             ("check_hom", _break_projection, "quotient-kernel-roundtrip"),
         ],
     )
