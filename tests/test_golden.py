@@ -1,15 +1,15 @@
 """Byte-stable output.
 
-The sha256 of twelve outputs is pinned: the theorem sweep over the
+The sha256 of thirteen outputs is pinned: the theorem sweep over the
 acceptance corpus, the sweep over the order-8 census, the sweep over two
 order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
 na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.
-Four more run the command line: ``sweep-theorems`` over the files that
+Five more run the command line: ``sweep-theorems`` over the files that
 ``search 8 --out`` writes, ``analyze --json`` over each of those files in
-sorted name order, ``analyze --json`` on na8xV4xZ2, and ``hunt --orders 8``,
-which reads ``commutator``, and so ``GyroTable.gyr`` per pair, on all 11
+sorted name order, ``analyze --json`` on na8xV4xZ2 and on na8xna8, and
+``hunt --orders 8``, which reads the commutator subgyrogroup of all 11
 order-8 classes.  A change that moves any byte of these outputs changes
 what gyrokit reports and has to re-pin the digest on purpose.
 
@@ -136,6 +136,16 @@ def test_cli_analyze_na8xv4xz2(nonassoc8, tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", str(path), "--json"]) == 0
     assert sha256(capsys.readouterr().out) == "1f1e7d9fad47c97a38946a51455e660909319e23f32eeac887241c5b306b994e"
+
+
+def test_cli_analyze_na8xna8(nonassoc8, tmp_path, capsys):
+    # order 64, at the lattice cap: 64 elements in 25 orbits under the
+    # gyrations and the maps x -> (a + x) + (-a)
+    path = tmp_path / "na8xna8.gyro"
+    save_table(path, direct_product(nonassoc8, nonassoc8).table)
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == "ee372142aba6143c495060cde4f79171757364f7ac48df8b9b9d8547a2ed5df0"
 
 
 def test_cli_hunt_over_order8(capsys):
