@@ -26,7 +26,8 @@ from .normality import is_normal, normal_closure, try_quotient  # noqa: F401
 
 
 def commutator(g: GyroTable, a: int, b: int) -> int:
-    """[a, b] = -(a+b) + gyr[a, b](b+a)."""
+    """[a, b] = -(a+b) + gyr[a, b](b+a), by its definition, pair by pair;
+    ``commutator_subgyrogroup`` reads all n^2 of them off the rows."""
     t = g.table
     return t[g.neg(t[a][b])][g.gyr(a, b)(t[b][a])]
 
@@ -36,14 +37,25 @@ def commutator_subgyrogroup(g: GyroTable) -> SubSet:
     under ``"commutator subgyrogroup"``, so ``nc_commutator`` and
     ``hunt_commutator_normality`` reuse it.
 
+    The commutators are read in one pass over the rows, the gyration
+    numbers ``_gyr`` and the columns (``GyroTable._columns``): for row a
+    and each b, x = a+b, k = gyr number of (a, b) and y = b+a give
+    [a, b] = (-x) + gyrs[k](y).  The tests compare it with the subgyrogroup
+    generated by ``commutator`` over all pairs.
+
     It is always gyration-invariant (an L-subgyrogroup) and associative
     (a subgroup), and it is trivial iff the table is gyrocommutative; the
     sweep checks ``commutator-subgyrogroup-structure`` and
     ``trivial-commutators-iff-gyrocommutative`` confirm these."""
     found = g._memo.get("commutator subgyrogroup")
     if found is None:
-        els = g.elements()
-        found = generate(g, {commutator(g, a, b) for a in els for b in els})
+        table, inv = g.table, g.inv
+        images = [p.images for p in g._perms]
+        found = generate(g, {
+            table[inv[x]][images[k][y]]
+            for ra, ka, col in zip(table, g._gyr, g._columns()[0])
+            for x, k, y in zip(ra, ka, col)
+        })
         g._memo["commutator subgyrogroup"] = found  # idempotent fill
     return found
 

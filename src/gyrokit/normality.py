@@ -36,7 +36,10 @@ contains x.  The canonical-path proof of ``enumerate_subgyrogroups`` then
 carries over word for word with ncl(x) in place of <x>.  Its join step
 asks whether J - S holds an element of rank below j, and J - S is the union
 of the cosets other than S that C meets; so ``_coset_joins`` reads both the
-verdict and the join off one opening scan of S, with no closure.
+verdict and the join off one opening scan of S, with no closure.  Every
+normal N is mapped onto itself by each gyration and each x -> (a+x)+(-a),
+so ncl is constant on the orbits of those maps, and ``_principal_closures``
+runs one closure per orbit.
 
 Each function computes its answer once.  A quotient table passes the
 axioms by construction: every ``GyroTable`` is built by the axiom check.
@@ -291,13 +294,45 @@ def normal_subgyrogroups(g: GyroTable) -> list[SubSet]:
     """Every normal subgyrogroup, sorted by size then members: the joins of
     the normal closures ncl(x) by the queue of ``_canonical_joins``, each
     join read off the cosets of the queued S (``_coset_joins``; see the
-    module docstring).  No quotient table is built.  Orders above
+    module docstring), with one closure per orbit of inner maps
+    (``_principal_closures``).  No quotient table is built.  Orders above
     ``substructure.DEFAULT_LATTICE_CAP`` raise ``ResourceCapError`` first."""
     return _canonical_joins(
         g,
-        lambda a: normal_closure(g, (a,)).as_set(),
+        lambda: _principal_closures(g),
         lambda s, rank: _coset_joins(g, s, rank),
     )
+
+
+def _principal_closures(g: GyroTable) -> list[frozenset]:
+    """ncl(x) for every x, by one ``normal_closure`` per orbit of G under
+    the distinct gyrations and the maps c_a: x -> (a (+) x) (+) (-a).
+
+    Why this is exact: a normal N is the kernel of a homomorphism
+    phi: G -> G/N.  For x in N, phi(gyr[a, b]x) = gyr[phi a, phi b]0 = 0
+    and phi(c_a x) = (phi a (+) 0) (+) (-phi a) = 0, so each map sends N
+    into N; it is a bijection of the finite set G (c_a is R_(-a) L_a), so
+    it sends N onto N, and x is in N iff f(x) is.  So ncl(x) = ncl(f(x))
+    for every map f, and ncl is constant on each orbit of the group the
+    maps generate.
+
+    Each c_a is one getter call in C, row a applied to column -a; each
+    orbit is grown breadth-first, one C call per map and round."""
+    columns = g._columns()[0]
+    maps = [p.images for p in g._perms[1:]]
+    maps += [get(columns[neg]) for get, neg in zip(g._gets[1:], g.inv[1:])]
+    closure_of: list = [None] * g.order
+    for x in g.elements():
+        if closure_of[x] is None:
+            c = normal_closure(g, (x,)).as_set()
+            orbit, frontier = {x}, {x}
+            while frontier:
+                pick = _getter(tuple(frontier))
+                frontier = set().union(*map(pick, maps)) - orbit
+                orbit |= frontier
+            for y in orbit:
+                closure_of[y] = c
+    return closure_of
 
 
 def _coset_joins(g: GyroTable, s: frozenset, rank):

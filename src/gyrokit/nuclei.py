@@ -3,9 +3,9 @@
 Left translations L_a embed the gyrogroup into the symmetric group on its
 carrier; lmlt(G) is the group they generate, materialized as an explicit
 element set by ``PermGroup.generated``, which closes from a greedy
-generating subset.  It is the package's one permutation-group closure: it
-also builds the reversal kernel below, and the sweep's tests that a set of
-permutations is a group.  Within lmlt(G) live three distinguished sets:
+generating subset on raw images.  It is the package's one permutation-group
+closure: it also builds the reversal kernel below, and the sweep's tests
+that a set of permutations is a group.  Within lmlt(G) live three distinguished sets:
 
   * L(G) itself, a twisted subgroup (1 in X, inverse-closed, xyx-closed);
   * the intersection of all translated copies L_a L(G), which coincides
@@ -40,11 +40,21 @@ the nuclei with the associativity scan and with a per-pair gyration oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 
-from .core import GyroTable, Perm, ResourceCapError
+from .core import GyroTable, Perm, ResourceCapError, _getter
 from .substructure import SubSet
 
 DEFAULT_PERM_CAP = 10**6
+
+
+def _composer(s):
+    """The product with the raw permutation s, one C call: s times y for
+    ``bytes`` (``translate`` through s padded to 256 bytes), y times s for
+    tuples (``_getter(s)``).  See ``PermGroup.generated``."""
+    if isinstance(s, bytes):
+        return methodcaller("translate", s + bytes(256 - len(s)))
+    return _getter(s)
 
 
 @dataclass(frozen=True)
@@ -63,22 +73,32 @@ class PermGroup:
 
         ``reached`` starts as {identity}.  Each generator, in the order
         given, that is not yet reached is taken, and ``reached`` is extended
-        breadth-first by left products: the new generator times each
-        element already reached, then every generator taken so far times
-        each element new in this round.  Each taken generator at least
-        doubles ``reached`` (a group grows by a whole coset), so at most
-        log2 of the order are taken, and the closure costs about
-        |order| * |taken| products rather than |order| * |generators|.
+        breadth-first by products with it on one fixed side: the new
+        generator times each element already reached, then every generator
+        taken so far times each element new in this round.  Each taken
+        generator at least doubles ``reached`` (a group grows by a whole
+        coset), so at most log2 of the order are taken, and the closure
+        costs about |order| * |taken| compositions rather than
+        |order| * |generators|.
+
+        The elements are held as raw images and composed in C by one call
+        per product, the split of ``core._number_gyrations``: up to degree
+        256 as ``bytes``, where s times y is ``y.translate`` through s
+        padded to 256 bytes (left products), and above as tuples, where y
+        times s is ``_getter(s)(y)`` (right products).  ``_composer`` builds
+        that call once per taken generator.  The ``Perm`` objects are built
+        once, at the end.
 
         Proof.  Every element of ``reached`` is a product of generators.
-        After each round ``reached`` is closed under left products with
-        every generator taken so far: the round starts from the group of the
-        earlier ones, which they keep in place, multiplies all of it by the
-        new generator, and multiplies each element it adds by every taken
-        generator.  A finite set of permutations holding the identity and
-        closed under left products with the taken generators is the group
-        they generate.  Every given generator is taken or reached before its
-        turn, so ``reached`` ends as the group all of them generate.
+        After each round ``reached`` is closed under products, on the fixed
+        side, with every generator taken so far: the round starts from the
+        group of the earlier ones, which they keep in place, multiplies all
+        of it by the new generator, and multiplies each element it adds by
+        every taken generator.  A finite set of permutations holding the
+        identity and closed under products on one side with the taken
+        generators is the group they generate.  Every given generator is
+        taken or reached before its turn, so ``reached`` ends as the group
+        all of them generate.
 
         Raises ``ResourceCapError`` once the closure has more elements than
         the cap (``DEFAULT_PERM_CAP``, read when called, if none is given)
@@ -92,15 +112,17 @@ class PermGroup:
         if cap is None:
             cap = DEFAULT_PERM_CAP
         degree = gens[0].degree
-        ident = Perm.identity(degree)
-        limit = max(cap, len(set(gens) | {ident}))
+        raw = bytes if degree <= 256 else tuple
+        ident = raw(range(degree))
+        limit = max(cap, len({raw(p.images) for p in gens} | {ident}))
         reached = {ident}
-        taken: list[Perm] = []
+        steps: list = []  # one composition per taken generator
         for p in gens:
-            if p in reached:
+            s = raw(p.images)
+            if s in reached:
                 continue
-            taken.append(p)
-            frontier = [p * x for x in reached]
+            steps.append(_composer(s))
+            frontier = list(map(steps[-1], reached))
             while frontier:
                 new = []
                 for y in frontier:
@@ -112,8 +134,8 @@ class PermGroup:
                                 "perm_cap",
                                 f"closure exceeded {cap} elements ({len(reached)} so far)",
                             )
-                frontier = [s * y for y in new for s in taken]
-        return cls(degree, gens, frozenset(reached))
+                frontier = [step(y) for y in new for step in steps]
+        return cls(degree, gens, frozenset(map(Perm._unchecked, map(tuple, reached))))
 
     @property
     def order(self) -> int:
@@ -186,7 +208,9 @@ def lg_prime(g: GyroTable) -> frozenset:
     L_a (+) L_a^-1 on 2n points whose second half is the identity.
 
     The closure on 2n points runs under ``DEFAULT_PERM_CAP`` once per
-    table; the kernel is memoised under ``"reversal kernel"``, so
+    table, on raw images (``PermGroup.generated``); the doubled generators
+    and the kernel are built unchecked, since rows and their inverses are
+    permutations.  The kernel is memoised under ``"reversal kernel"``, so
     ``radical`` and a direct call share it.
 
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
@@ -196,12 +220,12 @@ def lg_prime(g: GyroTable) -> frozenset:
     if kernel is None:
         n = g.order
         doubled = PermGroup.generated(
-            Perm(la.images + tuple(n + x for x in la.inverse().images))
+            Perm._unchecked(la.images + tuple(n + x for x in la.inverse().images))
             for la in left_translations(g)
         )
         ident = tuple(range(n, 2 * n))
         kernel = g._memo["reversal kernel"] = frozenset(  # idempotent fill
-            Perm(p.images[:n]) for p in doubled.elements if p.images[n:] == ident
+            Perm._unchecked(p.images[:n]) for p in doubled.elements if p.images[n:] == ident
         )
     return kernel
 

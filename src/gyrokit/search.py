@@ -115,11 +115,6 @@ class _Limit(Exception):
     """The search kept as many tables as it may return: it ends complete."""
 
 
-def _check_deadline(deadline: float | None):
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Budget
-
-
 class _Search:
     def __init__(self, config: SearchConfig):
         self.config = config
@@ -250,7 +245,8 @@ class _Search:
         cut of the parent node; the cut here resumes them and hands its own
         ties to the child."""
         deadline = self.deadline
-        _check_deadline(deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Budget
         if a == self.n:
             self._leaf()
             return
@@ -258,7 +254,8 @@ class _Search:
         claimed, offsets, forced = self.claimed, self.offsets, self.forced
         claims = a not in forced  # a forced row claimed its cells when forced
         for p in self._row_candidates(a):
-            _check_deadline(deadline)  # one node may have many candidates
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Budget  # one node may have many candidates
             self.rows[a] = p
             if claims:
                 claimed.update(map(add, offsets, p))
@@ -530,7 +527,8 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     cur = [0] * cells
     if inherited is not None:
         for old, label, x in inherited:
-            _check_deadline(deadline)
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Budget
             x, tied = _relabeled_rows(rows, k, old, label, x, cur, best, True)
             if tied:
                 if out is not None:
@@ -545,7 +543,8 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     def scan(y: int, tied: bool):
         # row 1 from column y on; tied: cells < y equal best's
         nonlocal best
-        _check_deadline(deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Budget
         mark = len(old)
         row = rows[old[1]]
         while y < n:

@@ -295,16 +295,17 @@ def enumerate_subgyrogroups(g: GyroTable) -> list[SubSet]:
     zeros = (0,) * g.order
     lattice = _canonical_joins(
         g,
-        lambda a: _extend(g, {0}, (a,), zeros, 0),
+        lambda: [_extend(g, {0}, (a,), zeros, 0) for a in g.elements()],
         lambda s, rank: lambda c, j: _extend(g, s, c, rank, j),
     )
     g._memo["lattice members"] = frozenset(map(SubSet.as_set, lattice))  # idempotent fill
     return lattice
 
 
-def _canonical_joins(g: GyroTable, principal, joins) -> list[SubSet]:
-    """The joins of the sets ``principal(x)``, sorted by size then members,
-    by the queue of ``enumerate_subgyrogroups``.
+def _canonical_joins(g: GyroTable, principals, joins) -> list[SubSet]:
+    """The joins of the sets principal(x), listed for x = 0..n-1 by
+    ``principals()``, sorted by size then members, by the queue of
+    ``enumerate_subgyrogroups``.
 
     ``joins(S, rank)`` is the join step from a queued S, asked for only
     when some C_j is left to try: a function of (C_j, j) that returns
@@ -313,12 +314,12 @@ def _canonical_joins(g: GyroTable, principal, joins) -> list[SubSet]:
     ``principal(x)`` is the least member containing x of a family of
     subgyrogroups closed under the joins the step computes.  Orders above
     ``DEFAULT_LATTICE_CAP``, read at call time, raise ``ResourceCapError``
-    before ``principal`` is called."""
+    before ``principals`` is called."""
     if g.order > DEFAULT_LATTICE_CAP:
         raise ResourceCapError(
             "lattice_cap", f"order {g.order} exceeds lattice cap {DEFAULT_LATTICE_CAP}"
         )
-    principal_of = [principal(a) for a in g.elements()]
+    principal_of = principals()
     blocks = sorted(set(principal_of), key=lambda c: (len(c), sorted(c)))
     number = {c: i for i, c in enumerate(blocks)}
     rank = [number[c] for c in principal_of]

@@ -2,7 +2,7 @@ import pytest
 
 from commutator_oracle import check_universal_property
 
-from gyrokit.catalog import cyclic, sym3
+from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit import commutator as commutator_module
 from gyrokit.cli import analyze_object
 from gyrokit.core import GyroTable, ResourceCapError, direct_product
@@ -14,7 +14,12 @@ from gyrokit.commutator import (
 )
 from gyrokit.normality import Hom, is_normal, try_quotient
 from gyrokit.search import automorphisms
-from gyrokit.substructure import enumerate_subgyrogroups, is_L_subgyrogroup, is_subgroup
+from gyrokit.substructure import (
+    enumerate_subgyrogroups,
+    generate,
+    is_L_subgyrogroup,
+    is_subgroup,
+)
 
 
 def classical_derived_subgroup(g):
@@ -108,21 +113,30 @@ class TestCommutatorSubgyrogroup:
 
     def test_computed_once_per_table(self, monkeypatch, nonassoc8):
         # analyze reads G' twice, directly and through nc_commutator, and
-        # hunt a third time: n^2 commutators in all
+        # hunt a third time: one closure of the commutators in all
         g = GyroTable(nonassoc8.table)
         calls = [0]
-        real = commutator_module.commutator
+        real = commutator_module.generate
 
-        def counted(table, a, b):
+        def counted(table, seed):
             calls[0] += 1
-            return real(table, a, b)
+            return real(table, seed)
 
-        monkeypatch.setattr(commutator_module, "commutator", counted)
+        monkeypatch.setattr(commutator_module, "generate", counted)
         analyze_object(g)
         (record,) = hunt_commutator_normality([("na8", g)])
-        assert calls[0] == g.order**2
+        assert calls[0] == 1
         assert commutator_subgyrogroup(g) is commutator_subgyrogroup(g)
         assert record.commutator_members == commutator_subgyrogroup(nonassoc8).members
+
+    def test_matches_per_pair_commutators(self, census8, corpus, nonassoc8):
+        # the rows, gyration numbers and columns against commutator() per pair
+        tables = [*census8, *corpus.values()]
+        tables += [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four(), nonassoc8)]
+        for g in tables:
+            els = g.elements()
+            seed = {commutator(g, a, b) for a in els for b in els}
+            assert commutator_subgyrogroup(g).members == generate(g, seed).members
 
     def test_preserved_by_homs(self, corpus):
         for g in corpus.values():

@@ -33,6 +33,7 @@ from gyrokit.nuclei import left_nucleus
 from gyrokit.search import SearchConfig, run_search
 from gyrokit.substructure import (
     DEFAULT_LATTICE_CAP,
+    _canonical_joins,
     _extend,
     enumerate_subgyrogroups,
     is_subgroup,
@@ -300,6 +301,60 @@ class TestGyrocommutativeQuotientWitness:
                     found = True
                     break
             assert found
+
+
+class TestOneClosurePerOrbit:
+    """ncl(x) = ncl(f(x)) for every map f of ``_principal_closures`` (each
+    distinct gyration, and x -> (a + x) + (-a) for each a), and the listing
+    built from one closure per orbit against one closure per element, over
+    the order-8 census, na8 x Z2, na8 x V4 and na8 x na8."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, census8, nonassoc8):
+        return [*census8] + [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four(), nonassoc8)]
+
+    @staticmethod
+    def maps(g):
+        t, inv = g.table, g.inv
+        conjugations = [[t[t[a][x]][inv[a]] for x in g.elements()] for a in range(1, g.order)]
+        return [p.images for p in g._perms[1:]] + conjugations
+
+    def test_closure_constant_along_each_map(self, tables):
+        moved = 0
+        for g in tables:
+            closures = [normal_closure(g, [x]).members for x in g.elements()]
+            for f in self.maps(g):
+                for x in g.elements():
+                    assert closures[x] == closures[f[x]], (g.order, x, f[x])
+                    moved += f[x] != x
+        assert moved > 0
+
+    def test_listing_matches_one_closure_per_element(self, tables):
+        for g in tables:
+            per_element = _canonical_joins(
+                g,
+                lambda: [normal_closure(g, (a,)).as_set() for a in g.elements()],
+                lambda s, rank: _coset_joins(g, s, rank),
+            )
+            got = normal_subgyrogroups(GyroTable(g.table))
+            assert [s.members for s in got] == [s.members for s in per_element]
+
+    def test_closures_per_orbit(self, nonassoc8, monkeypatch):
+        # 10 of 16, 20 of 32 and 25 of 64 elements start an orbit
+        calls = [0]
+        real = normality.normal_closure
+
+        def counted(g, seed):
+            calls[0] += 1
+            return real(g, seed)
+
+        monkeypatch.setattr(normality, "normal_closure", counted)
+        counts = []
+        for h in (cyclic(2), klein_four(), nonassoc8):
+            calls[0] = 0
+            normal_subgyrogroups(direct_product(nonassoc8, h))
+            counts.append(calls[0])
+        assert counts == [10, 20, 25]
 
 
 class TestNormalSubgyrogroups:

@@ -26,9 +26,29 @@ from gyrokit.substructure import (
 )
 from gyrokit.sweep import _nuclei_by_associativity, lg_prime_word_oracle, sweep_table
 
-# Perm products of lmlt and of lg_prime on na8xV4: 384 each when closing
+# compositions of lmlt and of lg_prime on na8xV4: 384 each when closing
 # from a greedy generating subset, 2,048 with every generator in each round
 MUL_BUDGET_NA8XV4 = 1024
+
+
+@pytest.fixture
+def composition_counter(monkeypatch):
+    """Counts the compositions ``PermGroup.generated`` forms from here on,
+    in a one-element list."""
+    count = [0]
+    real = nuclei._composer
+
+    def counting(s):
+        step = real(s)
+
+        def counted(y):
+            count[0] += 1
+            return step(y)
+
+        return counted
+
+    monkeypatch.setattr(nuclei, "_composer", counting)
+    return count
 
 
 def doubled_translations(g: GyroTable) -> list[Perm]:
@@ -405,8 +425,31 @@ class TestGeneratedAgainstOracle:
         assert raised > 0
 
     @pytest.mark.parametrize("fn", [lmlt, lg_prime])
-    def test_perm_products_within_budget(self, fn, nonassoc8, mul_counter):
+    def test_perm_products_within_budget(self, fn, nonassoc8, composition_counter, mul_counter):
+        # the closure composes raw images, and forms no Perm product
         g = direct_product(nonassoc8, klein_four())
-        mul_counter[0] = 0
+        composition_counter[0] = mul_counter[0] = 0
         fn(g)
-        assert 0 < mul_counter[0] <= MUL_BUDGET_NA8XV4
+        assert 0 < composition_counter[0] <= MUL_BUDGET_NA8XV4
+        assert mul_counter[0] == 0
+
+    @pytest.mark.parametrize("degree", [256, 257])
+    def test_both_encodings(self, degree):
+        # bytes up to degree 256, tuples above: the dihedral group of the
+        # degree-gon (2 * degree elements, so images reach degree - 1), and
+        # the symmetric group, which every cap stops
+        rotation = Perm([(i + 1) % degree for i in range(degree)])
+        reflection = Perm([-i % degree for i in range(degree)])
+        swap = Perm([1, 0, *range(2, degree)])
+        dihedral = [rotation, reflection]
+        group = PermGroup.generated(dihedral)
+        assert group.order == 2 * degree
+        assert group.elements == nuclei_oracle.closure_breadth_first(dihedral, cap=10**6)
+        cases = [(dihedral, 2 * degree - 1), (dihedral, 2 * degree), ([rotation, swap], 3 * degree)]
+        for gens, cap in cases:
+            want = TestGeneratedAgainstOracle.outcome(
+                lambda: nuclei_oracle.closure_breadth_first(gens, cap)
+            )
+            got = TestGeneratedAgainstOracle.outcome(lambda: PermGroup.generated(gens, cap).elements)
+            assert got == want
+        assert isinstance(want, tuple) and want[0] == "perm_cap"
