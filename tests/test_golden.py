@@ -1,16 +1,17 @@
 """Byte-stable output.
 
-The sha256 of thirteen outputs is pinned: the theorem sweep over the
+The sha256 of fifteen outputs is pinned: the theorem sweep over the
 acceptance corpus, the sweep over the order-8 census, the sweep over two
 order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
 na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.
-Five more run the command line: ``sweep-theorems`` over the files that
+Seven more run the command line: ``sweep-theorems`` over the files that
 ``search 8 --out`` writes, ``analyze --json`` over each of those files in
-sorted name order, ``analyze --json`` on na8xV4xZ2 and on na8xna8, and
+sorted name order, ``analyze --json`` on na8xV4xZ2 and on na8xna8,
 ``hunt --orders 8``, which reads the commutator subgyrogroup of all 11
-order-8 classes.  A change that moves any byte of these outputs changes
+order-8 classes, and ``closure`` on a few seed sets of na8xZ32 (order 256,
+the last order whose elements fit in a byte) and of na8xZ33 (order 264).  A change that moves any byte of these outputs changes
 what gyrokit reports and has to re-pin the digest on purpose.
 
 The tests use explicit asserts, which pytest keeps under ``python -O``, so
@@ -155,3 +156,24 @@ def test_cli_hunt_over_order8(capsys):
     text = capsys.readouterr().out
     assert text.splitlines()[-1] == "no counterexample among 11 instances"
     assert sha256(text) == "d96eb31ea340a37d2a732a972e9c5a2dcda441ef8262dd2cedd398f32ebf987d"
+
+
+@pytest.mark.parametrize(
+    "m, seeds, digest",
+    [
+        # order 256: each element fits in a byte
+        (32, ["1", "2", "32", "64", "2,32", "33", "167"], "9cfc917c1fc0d5cdc1a197ce4bbace26b4d9d2d7b53b5fe31ece57c53e0a83ad"),
+        # order 264: one past the byte range
+        (33, ["3", "33", "66", "3,33", "34", "172"], "8915e62af05643036bd953dbe5f01f83e08410d738d2fe8fd07499eee446f90f"),
+    ],
+)
+def test_cli_closure_on_na8xz(nonassoc8, tmp_path, capsys, m, seeds, digest):
+    # normal closures of seed sets in na8xZm, element (a, x) numbered a*m + x
+    path = tmp_path / f"na8xZ{m}.gyro"
+    save_table(path, direct_product(nonassoc8, cyclic(m)).table)
+    capsys.readouterr()
+    lines = []
+    for seed in seeds:
+        assert main(["closure", str(path), "--set", seed]) == 0
+        lines.append(capsys.readouterr().out)
+    assert sha256("".join(lines)) == digest
