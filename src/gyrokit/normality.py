@@ -18,8 +18,9 @@ with the validating constructor and memoises it under ``("quotient", N)``.
 
 A closure routine computes the least congruence Cg(S x {0}) identifying a
 set S with 0, closed under every left and right translation: each merged
-pair is pushed through its rows and columns, compared as tuples (Freese,
-"Computing congruences efficiently", Algebra Universalis 59, 2008).  Its
+pair is pushed through its rows and columns, mapped to class labels in C,
+as ``bytes`` up to order 256 and as tuples above (Freese, "Computing
+congruences efficiently", Algebra Universalis 59, 2008).  Its
 0-class is the normal closure of S; it also names the witness when N is
 not normal.
 
@@ -135,24 +136,50 @@ class Quotient:
     projection: Hom
 
 
+def _byte_lines(g: GyroTable) -> tuple:
+    """``((rows, looks), (columns, looks))`` for a table of order at most
+    256: its rows and columns as ``bytes``, each with its bound
+    ``translate``, so that ``looks[x](label)`` maps line x to class labels
+    in one C call.  Built on first use and memoised under ``"byte lines"``."""
+    found = g._memo.get("byte lines")
+    if found is None:
+        rows, columns = list(map(bytes, g.table)), list(map(bytes, g._columns()[0]))
+        found = g._memo["byte lines"] = tuple(  # idempotent fill
+            (u, [line.translate for line in u]) for u in (rows, columns)
+        )
+    return found
+
+
 def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     """The least member of each element's class in Cg(seed x {0}).
 
     Every seed element is identified with 0, and then each merged pair
     (x, y) is pushed through every left and right translation: the pairs
     (x (+) a, y (+) a) and (a (+) x, a (+) y) are merged too.  Row x and
-    column x, mapped to class labels by the table's row getters (``_gets``)
-    and column getters (``_columns``), each built once per table, are
-    compared with row y and column y as tuples in C, and only the positions
-    whose labels differ are merged, so a pair whose translations add
-    nothing costs four C calls.  Each merge
-    queues one pair, so the closure takes O(n) pushes of O(n) each
-    (Freese, "Computing congruences efficiently", Algebra Universalis 59,
-    2008).  ``label[x]`` is the least member of the class of x: a merge
-    relabels the class with the larger label."""
-    lines = ((g.table, g._gets), g._columns())
-    label = list(g.elements())
-    members = [[x] for x in label]
+    column x, mapped to class labels, are compared with row y and column y
+    in C, and only the positions whose labels differ are merged, so a pair
+    whose translations add nothing costs four C calls.  Each merge queues
+    one pair, so the closure takes O(n) pushes of O(n) each (Freese,
+    "Computing congruences efficiently", Algebra Universalis 59, 2008).
+    ``label[x]`` is the least member of the class of x: a merge relabels
+    the class with the larger label.
+
+    The lines are mapped to labels the way ``core._number_gyrations``
+    composes rows.  Up to order 256 a label fits in a byte, so the labels
+    are held in a ``bytearray`` padded to 256 bytes, which is itself the
+    translation table of ``bytes.translate`` over the table's byte rows
+    and columns (``_byte_lines``): every merge writes into it, so each
+    comparison reads the current labels with nothing rebuilt.  Above 256
+    the labels are a list, read through the row getters (``_gets``) and
+    column getters (``_columns``) as tuples of ints."""
+    n = g.order
+    if n <= 256:
+        lines = _byte_lines(g)
+        label = bytearray(range(n)) + bytes(256 - n)
+    else:
+        lines = ((g.table, g._gets), g._columns())
+        label = list(range(n))
+    members = [[x] for x in range(n)]
     pending: list[tuple[int, int]] = []
 
     def union(x: int, y: int) -> None:
@@ -169,14 +196,14 @@ def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
         union(s, 0)
     while pending:
         x, y = pending.pop()
-        for u, gets in lines:
-            lx, ly = gets[x](label), gets[y](label)
+        for u, looks in lines:
+            lx, ly = looks[x](label), looks[y](label)
             if lx != ly:
                 # labels only merge, so a position equal here stays equal
                 for a, b, la, lb in zip(u[x], u[y], lx, ly):
                     if la != lb:
                         union(a, b)
-    return label
+    return list(label[:n])
 
 
 def _coset_classes(g: GyroTable, n_set: frozenset) -> tuple[CosetFamily, list[int], list] | None:

@@ -26,8 +26,10 @@ nucleus the b whose gyr[a, b] are, and the right nucleus the points that
 every gyration fixes.  The associativity scan that defines them is the
 sweep's oracle (``sweep._nuclei_by_associativity``), not a library path.
 
-Each function computes its answer once; ``lg_prime`` memoises it per
-table, so ``radical`` does not build the closure on 2n points again.  The
+Each function computes its answer once; ``lmlt`` and ``lg_prime``
+memoise theirs per table, so ``radical`` does not build the closure on 2n
+points again, and lmlt(G), the first halves of that closure, is closed at
+most once per table.  The
 sweep checks the facts that tie these sets together:
 ``left-middle-nuclei-identical`` and ``nuclei-structure`` for the nuclei,
 ``translation-subgroup-chain`` for the second and third sets being subgroups
@@ -158,8 +160,14 @@ def left_translations(g: GyroTable) -> list[Perm]:
 
 def lmlt(g: GyroTable) -> PermGroup:
     """The group generated by all left translations, closed under
-    ``DEFAULT_PERM_CAP``."""
-    return PermGroup.generated(left_translations(g))
+    ``DEFAULT_PERM_CAP`` once per table and memoised under ``"lmlt"``.
+    ``lg_prime`` fills the memo from its closure on 2n points when it runs
+    first.  A memo hit returns the group without checking the cap again,
+    as the reversal kernel's does."""
+    group = g._memo.get("lmlt")
+    if group is None:
+        group = g._memo["lmlt"] = PermGroup.generated(left_translations(g))  # idempotent fill
+    return group
 
 
 def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
@@ -207,11 +215,16 @@ def lg_prime(g: GyroTable) -> frozenset:
     identity: the first halves of the elements of the group generated by
     L_a (+) L_a^-1 on 2n points whose second half is the identity.
 
-    The closure on 2n points runs under ``DEFAULT_PERM_CAP`` once per
-    table, on raw images (``PermGroup.generated``); the doubled generators
-    and the kernel are built unchecked, since rows and their inverses are
+    L_a^-1 = L_(-a) by left cancellation, so the second half of each
+    doubled generator is row -a read through the points n..2n-1, one
+    getter call.  The closure on 2n points runs under ``DEFAULT_PERM_CAP``
+    once per table, on raw images (``PermGroup.generated``); the doubled
+    generators and the kernel are built unchecked, since rows are
     permutations.  The kernel is memoised under ``"reversal kernel"``, so
-    ``radical`` and a direct call share it.
+    ``radical`` and a direct call share it.  The first halves of the
+    whole closure are exactly lmlt(G), the image of the projection onto
+    the first n points, so they fill the ``"lmlt"`` memo of ``lmlt`` when
+    it is empty.
 
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
     ``translation-subgroup-chain`` confirms this and
@@ -219,14 +232,19 @@ def lg_prime(g: GyroTable) -> frozenset:
     kernel = g._memo.get("reversal kernel")
     if kernel is None:
         n = g.order
+        upper = tuple(range(n, 2 * n))
+        translations = left_translations(g)
         doubled = PermGroup.generated(
-            Perm._unchecked(la.images + tuple(n + x for x in la.inverse().images))
-            for la in left_translations(g)
+            Perm._unchecked(la.images + g._gets[neg](upper))
+            for la, neg in zip(translations, g.inv)
         )
-        ident = tuple(range(n, 2 * n))
         kernel = g._memo["reversal kernel"] = frozenset(  # idempotent fill
-            Perm._unchecked(p.images[:n]) for p in doubled.elements if p.images[n:] == ident
+            Perm._unchecked(p.images[:n]) for p in doubled.elements if p.images[n:] == upper
         )
+        if "lmlt" not in g._memo:
+            g._memo["lmlt"] = PermGroup(  # idempotent fill
+                n, tuple(translations), frozenset(Perm._unchecked(p.images[:n]) for p in doubled.elements)
+            )
     return kernel
 
 
@@ -241,8 +259,7 @@ def left_nucleus(g: GyroTable) -> SubSet:
 def middle_nucleus(g: GyroTable) -> SubSet:
     """The b with (a (+) b) (+) c = a (+) (b (+) c) for all a, c: the
     columns b whose gyrations gyr[a, b] are all the identity."""
-    gid, _ = g._gyration_numbering()
-    return SubSet.of(g, [b for b, col in enumerate(zip(*gid)) if not any(col)])
+    return SubSet.of(g, [b for b, col in enumerate(g._gyration_columns()) if not any(col)])
 
 
 def right_nucleus(g: GyroTable) -> SubSet:

@@ -536,6 +536,49 @@ class TestRowFormsAgainstOracle:
         assert _zero_congruence(cyclic(1), [0]) == [0]
         assert _zero_congruence(nonassoc8, [0]) == list(range(8))
 
+    @pytest.mark.parametrize("m", [32, 33])
+    def test_zero_congruence_either_side_of_the_byte_range(self, nonassoc8, m):
+        # na8xZm, element (a, x) numbered a*m + x: labels as bytes at order
+        # 256, as a list at order 264
+        g = direct_product(nonassoc8, cyclic(m))
+        sizes = set()
+        for seed in [(1,), (2,), (3,), (m,), (2 * m, 3), (m + 1,), (5 * m + 7,), (8 * m - 1, 4 * m)]:
+            want = oracle.zero_congruence(g, seed)
+            assert _zero_congruence(g, seed) == want, (m, seed)
+            sizes.add(want.count(0))
+        assert len(sizes) >= 5
+
+    def test_zero_congruence_at_order_257(self):
+        # the least order whose labels do not fit in a byte; Z257 is simple
+        g = cyclic(257)
+        assert _zero_congruence(g, [5]) == [0] * 257 == oracle.zero_congruence(g, [5])
+        assert _zero_congruence(g, [0]) == list(range(257))
+
+    def test_byte_comparisons_read_the_current_labels(self, nonassoc8, monkeypatch):
+        # every merge is pushed and compared after it, so the last
+        # comparison of a closure reads its final labels; a translation
+        # table left stale would read labels from before some merge
+        g = direct_product(nonassoc8, klein_four())
+        seen = []
+
+        def recorded(look):
+            def call(tab):
+                seen.append(bytes(tab[: g.order]))
+                return look(tab)
+            return call
+
+        lines = [(u, list(map(recorded, looks))) for u, looks in normality._byte_lines(g)]
+        monkeypatch.setattr(normality, "_byte_lines", lambda h: lines)
+        grown = 0
+        for a in g.elements():
+            seen.clear()
+            label = _zero_congruence(g, (a,))
+            assert label == oracle.zero_congruence(g, (a,))
+            if seen:
+                assert seen[-1] == bytes(label), a
+                grown += seen[0] != seen[-1]
+        assert grown > 0
+
     def test_sufficient_condition(self, tables):
         verdicts = set()
         for g in tables:

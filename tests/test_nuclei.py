@@ -90,9 +90,33 @@ class TestLmlt:
         assert any(p(0) == 0 and not p.is_identity() for p in group.elements)
 
     def test_cap(self, nonassoc8, monkeypatch):
+        # a fresh table: the fixture's lmlt may be memoised already
         monkeypatch.setattr(nuclei, "DEFAULT_PERM_CAP", 4)
-        with pytest.raises(ResourceCapError):
-            lmlt(nonassoc8)
+        with pytest.raises(ResourceCapError) as exc:
+            lmlt(GyroTable(nonassoc8.table))
+        assert exc.value.cap_name == "perm_cap"
+
+    def test_memo_hit_skips_the_cap(self, nonassoc8, monkeypatch):
+        g = GyroTable(nonassoc8.table)
+        group = lmlt(g)
+        monkeypatch.setattr(nuclei, "DEFAULT_PERM_CAP", 4)
+        assert lmlt(g) is group
+
+    @pytest.mark.parametrize("lg_prime_first", [False, True])
+    def test_matches_a_fresh_closure(self, census8, nonassoc8, lg_prime_first):
+        # filled by lmlt itself, or from the first halves of lg_prime's
+        # closure on 2n points when lg_prime runs first
+        products = [direct_product(nonassoc8, h) for h in (cyclic(2), klein_four())]
+        for t in [*census8, *products]:
+            g = GyroTable(t.table)
+            if lg_prime_first:
+                kernel = lg_prime(g)
+                group = lmlt(g)
+            else:
+                group = lmlt(g)
+                kernel = lg_prime(g)
+            assert group == PermGroup.generated(left_translations(g)), t
+            assert kernel == lg_prime(GyroTable(t.table)) <= group.elements
 
     def test_closure_properties(self, corpus):
         for g in corpus.values():
