@@ -13,13 +13,13 @@ gyration numbering and the row getters.  One scan, ``_is_associative_on``,
 decides associativity for ``is_group`` and ``substructure.is_subgroup``.
 All values are immutable after construction except one per-table memo,
 ``_memo``, of structures derived from the table, empty on a new table;
-each key is filled by the module that owns it (``"columns"``,
-``"gyration columns"`` and ``("cycle", a)`` here, ``("cosets", H)`` and
-``"lattice members"`` by ``substructure``, ``("normal", N)``,
-``("quotient", N)`` and ``"byte lines"`` by ``normality``, ``"lmlt"`` and
-``"reversal kernel"`` by ``nuclei``, ``"commutator subgyrogroup"`` by
-``commutator``).  Every fill is
-idempotent (safe for concurrent readers).
+each key is filled by the module that owns it (``"columns"`` and
+``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
+``substructure``, ``("normal", N)``, ``("quotient", N)`` and
+``"byte lines"`` by ``normality``, ``"reversal kernel"`` and ``"lmlt"``,
+the whole group lmlt(G), by ``nuclei``, ``"commutator subgyrogroup"`` by
+``commutator``).  Every fill is idempotent (safe for concurrent readers),
+and every memoised value lives as long as its table.
 """
 
 from __future__ import annotations
@@ -426,15 +426,6 @@ class GyroTable:
         Built once, by the axiom check at construction
         (``_number_gyrations``)."""
         return self._gyr, self._perms
-
-    def _gyration_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column b of the gyration numbering: the numbers of gyr[a, b] for
-        a = 0..n-1.  Built on first use and memoised under
-        ``"gyration columns"``."""
-        found = self._memo.get("gyration columns")
-        if found is None:
-            found = self._memo["gyration columns"] = tuple(zip(*self._gyr))
-        return found
 
     def _columns(self) -> tuple[tuple[tuple[int, ...], ...], list]:
         """``(columns, gets)``: column b lists a (+) b for a = 0..n-1, and

@@ -26,10 +26,10 @@ nucleus the b whose gyr[a, b] are, and the right nucleus the points that
 every gyration fixes.  The associativity scan that defines them is the
 sweep's oracle (``sweep._nuclei_by_associativity``), not a library path.
 
-Each function computes its answer once; ``lmlt`` and ``lg_prime``
-memoise theirs per table, so ``radical`` does not build the closure on 2n
-points again, and lmlt(G), the first halves of that closure, is closed at
-most once per table.  The
+Each function computes its answer once; ``lg_prime`` memoises it per
+table, so ``radical`` does not build the closure on 2n points again, and
+memoises lmlt(G), the first halves of that closure, for ``lmlt`` to read:
+one permutation-group closure per table serves all three.  The
 sweep checks the facts that tie these sets together:
 ``left-middle-nuclei-identical`` and ``nuclei-structure`` for the nuclei,
 ``translation-subgroup-chain`` for the second and third sets being subgroups
@@ -159,15 +159,16 @@ def left_translations(g: GyroTable) -> list[Perm]:
 
 
 def lmlt(g: GyroTable) -> PermGroup:
-    """The group generated by all left translations, closed under
-    ``DEFAULT_PERM_CAP`` once per table and memoised under ``"lmlt"``.
-    ``lg_prime`` fills the memo from its closure on 2n points when it runs
-    first.  A memo hit returns the group without checking the cap again,
-    as the reversal kernel's does."""
-    group = g._memo.get("lmlt")
-    if group is None:
-        group = g._memo["lmlt"] = PermGroup.generated(left_translations(g))  # idempotent fill
-    return group
+    """The group generated by all left translations, read off the closure
+    on 2n points that ``lg_prime`` runs once per table under
+    ``DEFAULT_PERM_CAP``: its first halves, memoised under ``"lmlt"``.
+    Both library callers (``analyze``, the sweep) need the reversal kernel
+    as well, so one closure serves both; a direct first call pays for the
+    closure on 2n points, |lmlt(G)| * |LG'| elements.  The group stays
+    memoised as long as the table, and a memo hit returns it without
+    checking the cap again, as the kernel's does."""
+    lg_prime(g)
+    return g._memo["lmlt"]
 
 
 def is_twisted_subgroup(group: PermGroup, subset) -> TwistedReport:
@@ -223,8 +224,8 @@ def lg_prime(g: GyroTable) -> frozenset:
     permutations.  The kernel is memoised under ``"reversal kernel"``, so
     ``radical`` and a direct call share it.  The first halves of the
     whole closure are exactly lmlt(G), the image of the projection onto
-    the first n points, so they fill the ``"lmlt"`` memo of ``lmlt`` when
-    it is empty.
+    the first n points; they are memoised under ``"lmlt"`` first, for
+    ``lmlt`` to read.
 
     It is a normal subgroup of lmlt(G) inside ``lg_sharp``; the sweep check
     ``translation-subgroup-chain`` confirms this and
@@ -238,13 +239,12 @@ def lg_prime(g: GyroTable) -> frozenset:
             Perm._unchecked(la.images + g._gets[neg](upper))
             for la, neg in zip(translations, g.inv)
         )
+        g._memo["lmlt"] = PermGroup(  # idempotent fill; first, so a memoised kernel implies it
+            n, tuple(translations), frozenset(map(Perm._unchecked, {p.images[:n] for p in doubled.elements}))
+        )
         kernel = g._memo["reversal kernel"] = frozenset(  # idempotent fill
             Perm._unchecked(p.images[:n]) for p in doubled.elements if p.images[n:] == upper
         )
-        if "lmlt" not in g._memo:
-            g._memo["lmlt"] = PermGroup(  # idempotent fill
-                n, tuple(translations), frozenset(Perm._unchecked(p.images[:n]) for p in doubled.elements)
-            )
     return kernel
 
 
@@ -259,7 +259,8 @@ def left_nucleus(g: GyroTable) -> SubSet:
 def middle_nucleus(g: GyroTable) -> SubSet:
     """The b with (a (+) b) (+) c = a (+) (b (+) c) for all a, c: the
     columns b whose gyrations gyr[a, b] are all the identity."""
-    return SubSet.of(g, [b for b, col in enumerate(g._gyration_columns()) if not any(col)])
+    gid, _ = g._gyration_numbering()
+    return SubSet.of(g, [b for b, col in enumerate(zip(*gid)) if not any(col)])
 
 
 def right_nucleus(g: GyroTable) -> SubSet:

@@ -215,14 +215,13 @@ def _loop_property(table, gid) -> bool:
     return all(gid[x][b] == k for ra, ga in zip(table, gid) for b, (x, k) in enumerate(zip(ra, ga)))
 
 
-def _inverse_symmetry(gid, columns, perms) -> bool:
-    """gyr[b, a] = gyr[a, b]^-1 for all a, b, with ``columns`` the
-    transpose of ``gid`` (``GyroTable._gyration_columns``).  Each distinct
-    pair of numbers (gyr[a, b], gyr[b, a]) is tested once, by composing the
-    two gyrations in C and comparing with the identity, so a gyration whose
+def _inverse_symmetry(gid, perms) -> bool:
+    """gyr[b, a] = gyr[a, b]^-1 for all a, b.  Each distinct pair of
+    numbers (gyr[a, b], gyr[b, a]) is tested once, by composing the two
+    gyrations in C and comparing with the identity, so a gyration whose
     inverse is not numbered fails the test rather than a lookup."""
     pairs = set()
-    for ga, column in zip(gid, columns):
+    for ga, column in zip(gid, zip(*gid)):
         pairs.update(zip(ga, column))
     identity = tuple(range(len(gid)))
     return all(_getter(perms[i].images)(perms[j].images) == identity for i, j in pairs)
@@ -301,7 +300,7 @@ def _sweep_core(r: SweepReport, g: GyroTable):
 
     gid, perms = g._gyration_numbering()
     r.check("gyration-loop-property", _loop_property(g.table, gid))
-    r.check("gyration-inverse-symmetry", _inverse_symmetry(gid, g._gyration_columns(), perms))
+    r.check("gyration-inverse-symmetry", _inverse_symmetry(gid, perms))
     r.check("gyration-translation-form", _translation_form(g.table, gid, perms))
     r.check("negation-involution", all(g.neg(g.neg(a)) == a for a in els))
 

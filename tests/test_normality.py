@@ -556,8 +556,10 @@ class TestRowFormsAgainstOracle:
 
     def test_byte_comparisons_read_the_current_labels(self, nonassoc8, monkeypatch):
         # every merge is pushed and compared after it, so the last
-        # comparison of a closure reads its final labels; a translation
-        # table left stale would read labels from before some merge
+        # comparison of a closure reads its final labels.  This guards the
+        # work, not the result: a translation table left stale reads labels
+        # from before some merge, which are only less merged, so its labels
+        # still come out right but it re-merges pairs already merged
         g = direct_product(nonassoc8, klein_four())
         seen = []
 

@@ -361,7 +361,7 @@ class TestRowFormsAgainstOracles:
             gid, perms = g._gyration_numbering()
             gyr = _oracle_gyr(g)
             assert _loop_property(g.table, gid) == loop_property_per_pair(g.table, gyr) is True
-            assert _inverse_symmetry(gid, g._gyration_columns(), perms) == inverse_symmetry_per_pair(g.order, gyr) is True
+            assert _inverse_symmetry(gid, perms) == inverse_symmetry_per_pair(g.order, gyr) is True
             assert _translation_form(g.table, gid, perms) == translation_form_per_pair(g.table, gyr) is True
             assert _translation_sandwich(g.table, g.coadd) is True
             assert translation_sandwich_per_pair(g.table, g.coadd) is True
@@ -375,12 +375,12 @@ class TestRowFormsAgainstOracles:
         assert not loop_property_per_pair(t, _numbered_gyr(bad_gid, perms))
         # gyr[4, 2] numbered as the identity, gyr[2, 4] still not: every
         # numbered gyration is an involution, yet the two are not inverses
-        assert not _inverse_symmetry(bad_gid, tuple(zip(*bad_gid)), perms)
+        assert not _inverse_symmetry(bad_gid, perms)
         assert not inverse_symmetry_per_pair(8, _numbered_gyr(bad_gid, perms))
         # the non-identity gyration replaced by L_6, a 4-cycle whose inverse
         # is missing from the numbering: False, no raise
         bad_perms = (perms[0], Perm(t[6]))
-        assert not _inverse_symmetry(gid, nonassoc8._gyration_columns(), bad_perms)
+        assert not _inverse_symmetry(gid, bad_perms)
         assert not inverse_symmetry_per_pair(8, _numbered_gyr(gid, bad_perms))
         assert not _translation_form(t, gid, bad_perms)
         assert not translation_form_per_pair(t, _numbered_gyr(gid, bad_perms))
@@ -511,7 +511,7 @@ class TestRowFormsAgainstOracles:
         # a restriction to {0} and every row at order 1 are one-member tuples
         z1 = cyclic(1)
         gid, perms = z1._gyration_numbering()
-        assert _loop_property(z1.table, gid) and _inverse_symmetry(gid, z1._gyration_columns(), perms)
+        assert _loop_property(z1.table, gid) and _inverse_symmetry(gid, perms)
         assert _translation_form(z1.table, gid, perms)
         assert _translation_sandwich(z1.table, z1.coadd)
         assert _multiple_laws_hold(z1.table, z1.inv, *_integral_multiples(1, z1.int_multiple))
@@ -528,7 +528,7 @@ def _swap12(f):
 
 
 def _break_inverse(real, g):
-    return lambda gid, columns, perms: real(gid, columns, (perms[0], Perm(g.table[6])))
+    return lambda gid, perms: real(gid, (perms[0], Perm(g.table[6])))
 
 
 def _break_translation_form(real, g):
