@@ -1,11 +1,12 @@
 """Byte-stable output.
 
-The sha256 of fifteen outputs is pinned: the theorem sweep over the
+The sha256 of sixteen outputs is pinned: the theorem sweep over the
 acceptance corpus, the sweep over the order-8 census, the sweep over two
 order-16 products (na8xZ2 and Z4xZ4), ``analyze_object`` on the
 nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
-na8xV4xZ2 as JSON, and ``gyrokit verify`` on a row-swap mutant of na8xV4.
+na8xV4xZ2 as JSON, and ``gyrokit verify`` on row-swap mutants of na8xV4 and
+of na8xZ8 (order 64, the order of the verify benchmark).
 Seven more run the command line: ``sweep-theorems`` over the files that
 ``search 8 --out`` writes, ``analyze --json`` over each of those files in
 sorted name order, ``analyze --json`` on na8xV4xZ2 and on na8xna8,
@@ -98,6 +99,21 @@ def test_verify_row_swap_mutant_of_na8xv4(nonassoc8, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL order=32\n")
     assert sha256(out) == "a83969d4f0476f6441ec9b98c6bbd5d35937b2175d82ba4d652df81662cba22f"
+
+
+def test_verify_row_swap_mutant_of_na8xz8(nonassoc8, tmp_path, capsys):
+    # the order of the verify benchmark: 1,990 violations, all three kinds
+    rows = [list(r) for r in direct_product(nonassoc8, cyclic(8)).table]
+    a, b1, b2 = 37, 11, 50
+    assert rows[a][b1] and rows[a][b2]
+    rows[a][b1], rows[a][b2] = rows[a][b2], rows[a][b1]
+    path = tmp_path / "mutant.gyro"
+    save_table(path, rows)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL order=64\n")
+    assert sha256(out) == "e5245042329c17b315060c89d1225803d75e4e8178ad660be2934caa2c8a4f19"
 
 
 @pytest.fixture(scope="module")
