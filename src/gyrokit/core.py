@@ -25,8 +25,9 @@ and every memoised value lives as long as its table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, ne
+from typing import Iterable, NamedTuple
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -108,8 +109,7 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One axiom failure with a witness that reproduces it."""
 
     axiom: str  # one of G1, G2, G3, G4, ROW-BIJ
@@ -139,17 +139,23 @@ class AxiomReport:
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     """Coerce to a tuple of tuple rows; raise MalformedTableError otherwise.
 
-    A row of plain ints is checked by its least and greatest entry; any
-    other row (an ``int`` subclass, or a bad entry) goes through the entries
-    one by one, which accepts ``int`` subclasses other than ``bool`` and
-    names the first bad entry."""
+    A table of n rows of length n whose entries are plain ints is checked
+    whole, by the set of entry types and the least and greatest value.  Any
+    other table goes through the rows in order, each by its length, then
+    its least and greatest entry, then, if those fail, entry by entry: this
+    accepts ``int`` subclasses other than ``bool`` and names the first bad
+    row or entry."""
     try:
-        rows = tuple(tuple(row) for row in table)
+        rows = tuple(map(tuple, table))
     except TypeError as exc:
         raise MalformedTableError(f"not a table: {exc}") from None
     n = len(rows)
     if n == 0:
         raise MalformedTableError("empty table")
+    if set(map(len, rows)) == {n} and set(map(type, chain.from_iterable(rows))) == {int}:
+        values = set().union(*rows)
+        if min(values) >= 0 and max(values) < n:
+            return rows
     for a, row in enumerate(rows):
         if len(row) != n:
             raise MalformedTableError(f"row {a} has length {len(row)}, expected {n}")
@@ -237,6 +243,33 @@ def _gyrations_by_bytes(rows, linv) -> tuple[list[list[int]], list[tuple[int, ..
     return gid, [tuple(g) for g in number]
 
 
+def _gyration_failures(rows, gyrs, get) -> list[tuple[int, int] | None]:
+    """``_hom_failure(g, get, rows)`` for each gyration g in ``gyrs``.
+
+    Up to order 256 each row x is compared as ``bytes``: g.L_x is row x
+    translated by g, L_(g x).g is g translated by row g(x), two C calls
+    over n bytes, and ``compress`` finds the first row and entry that
+    differ without an interpreted step per row."""
+    n = len(rows)
+    if n > 256:
+        return [_hom_failure(g, get, rows) for g in gyrs]
+    pad = bytes(256 - n)
+    brows = list(map(bytes, rows))
+    tab = [rb + pad for rb in brows]
+    failures = []
+    for g in map(bytes, gyrs):
+        g_tab = g + pad
+        lhs = map(bytes.translate, brows, repeat(g_tab))
+        rhs = map(g.translate, map(tab.__getitem__, g))
+        x = next(compress(count(), map(ne, lhs, rhs)), None)
+        if x is None:
+            failures.append(None)
+        else:
+            lhs, rhs = brows[x].translate(g_tab), g.translate(tab[g[x]])
+            failures.append((x, next(compress(count(), map(ne, lhs, rhs)))))
+    return failures
+
+
 def _number_gyrations(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """The one gyration numbering of the package: ``_gyrations_by_bytes``
     up to order 256, where an element fits in a byte, and
@@ -282,7 +315,9 @@ def verify_axioms(table) -> AxiomReport:
 
     Whether a gyration preserves the operation depends on the gyration
     alone, so each of the d distinct gyrations is tested once (n row
-    comparisons) and its outcome reported for every pair that has it.
+    comparisons, two ``bytes.translate`` calls each up to order 256,
+    ``_gyration_failures``) and its outcome reported for every pair that
+    has it.
 
     Left gyroassociativity reduces to one test per element.  Pair (a, b)
     fails at c iff a (+) (b (+) c) != x (+) gyr[a, b] c, that is
@@ -295,12 +330,19 @@ def verify_axioms(table) -> AxiomReport:
     every x cancels, no pair has a G3 violation and the per-pair loop is
     skipped.
 
-    The cost is still O(n^2) interpreted steps (one per pair, to build
-    and compare gyrations) plus O(n^3 + d*n^2) element copies and
-    comparisons in C; d is 2 on a passing order-64 table.  The ``bytes``
-    path makes the C part of each step copy bytes, not object pointers
-    with their reference counts.  A failing pair adds its witness scan, at
-    most n steps.
+    The cost is O(n^2) interpreted steps (per pair, the numbering builds
+    and hashes its gyration and G4 compares two gyration numbers) plus
+    O(n^3 + d*n^2) element copies and comparisons in C; d is 2 on a
+    passing order-64 table.  The ``bytes`` path makes the C part of each
+    step copy bytes, not object pointers with their reference counts.  The
+    G3 listing runs only on a table with a failing gyration or a
+    non-cancelling x; when every x cancels it skips, by one
+    ``set.isdisjoint`` in C, each row whose gyrations all preserve the
+    operation.  A failing pair adds its witness scan, at most n steps, and
+    one plain tuple per violation, all made ``Violation``s in one C pass
+    at the end.  Reading the table is whole-row C steps too: one lookup
+    per entry in ``gyrofile.parse_gyro``, one whole-table range check in
+    ``_normalize_rows`` and one set per row for row bijectivity.
     """
     return _verify_rows(_normalize_rows(table))[0]
 
@@ -310,61 +352,68 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     table, ``(linv, gid, gyrs, get)``, its left inverses, gyration numbering
     and row getters ``get[x] = _getter(rows[x])``; ``None`` otherwise.  On
     a passing table the n permutation rows hold n zeros, one per column by
-    G2, so each left inverse is unique."""
+    G2, so each left inverse is unique.  Violations are gathered as
+    ``(axiom, witness, detail)`` tuples and made ``Violation``s at the end."""
     n = len(rows)
-    ident = list(range(n))
-    violations: list[Violation] = []
+    identity = tuple(range(n))
 
-    for a, row in enumerate(rows):
-        if sorted(row) != ident:
-            violations.append(Violation("ROW-BIJ", (a,), f"row {a} is not a permutation"))
-    if violations:
-        return AxiomReport(n, tuple(violations)), None
+    # entries are in 0..n-1, so a row is a permutation iff it has n values
+    records = [
+        ("ROW-BIJ", (a,), f"row {a} is not a permutation")
+        for a, size in enumerate(map(len, map(set, rows)))
+        if size != n
+    ]
+    if records:
+        return _report(n, records), None
 
-    for a in range(n):
-        if rows[0][a] != a:
-            violations.append(Violation("G1", (a,), f"0+{a} = {rows[0][a]} != {a}"))
+    records = [("G1", (a,), f"0+{a} = {v} != {a}") for a, v in enumerate(rows[0]) if v != a]
 
     # linv[a]: the least b with b (+) a = 0; each row holds one 0
     linv: list[int | None] = [None] * n
     for b in reversed(range(n)):
         linv[rows[b].index(0)] = b
-    for a in range(n):
-        if linv[a] is None:
-            violations.append(Violation("G2", (a,), f"no left inverse for {a}"))
-    if any(v.axiom == "G2" for v in violations):
-        return AxiomReport(n, tuple(violations)), None
+    if None in linv:
+        records += [("G2", (a,), f"no left inverse for {a}") for a, b in enumerate(linv) if b is None]
+        return _report(n, records), None
 
     # gyrs lists the distinct gyrations in order of first appearance, each
     # hashed once; gid[a][b] is the index of gyr[a, b] in it
     gid, gyrs = _number_gyrations(rows, linv)
     get = [_getter(row) for row in rows]
-    failures = [_hom_failure(g, get, rows) for g in gyrs]
-    identity = tuple(ident)
+    failures = _gyration_failures(rows, gyrs, get)
     cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
 
-    if not all(cancels) or any(f is not None for f in failures):
-        for a, ra in enumerate(rows):
+    # every row holds every x, so a row is clean iff every x cancels and
+    # its gid row holds no failing gyration number, a test made in C
+    bad_k = {k for k, f in enumerate(failures) if f is not None}
+    all_cancel = all(cancels)
+    if bad_k or not all_cancel:
+        for a, (ra, ga) in enumerate(zip(rows, gid)):
+            if all_cancel and bad_k.isdisjoint(ga):
+                continue
             for b, x in enumerate(ra):
-                k = gid[a][b]
+                k = ga[b]
                 if failures[k] is not None:
-                    violations.append(
-                        Violation("G3", (a, b) + failures[k], "gyration does not preserve the operation")
-                    )
+                    records.append(("G3", (a, b) + failures[k], "gyration does not preserve the operation"))
                 if not cancels[x]:
                     g, rb, rx = gyrs[k], rows[b], rows[x]
                     for c in range(n):
                         if ra[rb[c]] != rx[g[c]]:
-                            violations.append(Violation("G3", (a, b, c), "left gyroassociativity fails"))
+                            records.append(("G3", (a, b, c), "left gyroassociativity fails"))
                             break
 
-    for a, ra in enumerate(rows):
-        ga = gid[a]
+    for a, (ra, ga) in enumerate(zip(rows, gid)):
         for b, x in enumerate(ra):
             if gid[x][b] != ga[b]:
-                violations.append(Violation("G4", (a, b), "left loop property fails"))
+                records.append(("G4", (a, b), "left loop property fails"))
 
-    return AxiomReport(n, tuple(violations)), None if violations else (linv, gid, gyrs, get)
+    return _report(n, records), None if records else (linv, gid, gyrs, get)
+
+
+def _report(n: int, records: list[tuple]) -> AxiomReport:
+    """The report of ``(axiom, witness, detail)`` records, each made a
+    ``Violation`` by ``tuple.__new__`` in C, without ``_make``'s call."""
+    return AxiomReport(n, tuple(map(tuple.__new__, repeat(Violation), records)))
 
 
 class GyroTable:

@@ -8,6 +8,11 @@ in ASCII decimal digits only (no sign, no underscore).  Index 0 must be the
 left identity, which is validated on load, never assumed.  An order above
 ``core.DEFAULT_ORDER_CAP``, read at call time, is refused before any row is
 read.
+
+Each row is split on whitespace and read by one lookup table of the n
+canonical spellings ``str(v)``.  A row with another token (a leading zero,
+an entry out of range, anything but ASCII digits) or with the wrong number
+of entries is read again token by token, which names what is wrong.
 """
 
 from __future__ import annotations
@@ -33,11 +38,7 @@ def _decimals(toks: list[str]) -> list[int]:
 
 
 def parse_gyro(text: str) -> list[list[int]]:
-    lines = [
-        line.strip()
-        for line in text.split("\n")
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [line for line in map(str.strip, text.split("\n")) if line and not line.startswith("#")]
     if not lines:
         raise GyroParseError("no significant lines")
     if lines[0] != "gyro 1":
@@ -57,10 +58,19 @@ def parse_gyro(text: str) -> list[list[int]]:
     body = lines[2:]
     if len(body) != n:
         raise GyroParseError(f"expected {n} rows, found {len(body)}")
+    # the canonical spelling of each entry, str(v), read by one lookup
+    spelled = {str(v): v for v in range(n)}.__getitem__
     rows = []
     for i, line in enumerate(body):
+        toks = line.split()
+        if len(toks) == n:
+            try:
+                rows.append(list(map(spelled, toks)))
+                continue
+            except KeyError:
+                pass
         try:
-            row = _decimals(line.split())
+            row = _decimals(toks)
         except ValueError:
             raise GyroParseError(f"row {i}: non-integer entry in {line!r}") from None
         if len(row) != n:

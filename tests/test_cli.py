@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gyrokit import cli, search
+from gyrokit import cli, gyrofile, search
 from gyrokit.catalog import cyclic
 from gyrokit.cli import analyze_object, main
 from gyrokit.commutator import commutator_subgyrogroup, nc_commutator
@@ -67,6 +67,46 @@ class TestGyroFormat:
         with pytest.raises(GyroParseError) as exc_info:
             parse_gyro(f"gyro 1\n2\n0 1\n{line}\n")
         assert str(exc_info.value) == f"row 1: non-integer entry in {line!r}"
+
+    def test_canonical_rows_read_by_lookup(self, nonassoc8, monkeypatch):
+        # only the order line goes through the token-by-token reader
+        real, read = gyrofile._decimals, []
+        monkeypatch.setattr(gyrofile, "_decimals", lambda toks: read.append(toks) or real(toks))
+        text = format_gyro(direct_product(nonassoc8, cyclic(2)))
+        assert parse_gyro(text) == [list(r) for r in direct_product(nonassoc8, cyclic(2)).table]
+        assert read == [["16"]]
+
+    # spellings other than the canonical str(v), each read as before
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            ("00 01\n1 0", [[0, 1], [1, 0]]),
+            ("0\t1\n1 \t 0", [[0, 1], [1, 0]]),
+            ("0   1\n  1  0  ", [[0, 1], [1, 0]]),
+            ("0 001\n01 0", [[0, 1], [1, 0]]),
+        ],
+    )
+    def test_other_spellings_parse(self, body, rows):
+        assert parse_gyro(f"gyro 1\n2\n{body}\n") == rows
+
+    @pytest.mark.parametrize(
+        "order, body, message",
+        [
+            (2, "0 1\n2 0", "row 1: entry 2 out of range 0..1"),
+            (2, "0 1\n02 0", "row 1: entry 2 out of range 0..1"),
+            (10, "\n".join(["0 1 2 3 4 5 6 7 8 9", "10" + " 0" * 9] + ["0" + " 0" * 9] * 8),
+             "row 1: entry 10 out of range 0..9"),
+            (2, "0 1\n1", "row 1: expected 2 entries, found 1"),
+            (2, "0 1 0\n1 0", "row 0: expected 2 entries, found 3"),
+            (2, "0 x\n1 0", "row 0: non-integer entry in '0 x'"),
+            (2, "0 1\n1 0 x", "row 1: non-integer entry in '1 0 x'"),
+            (2, "0 1 2\n1 0", "row 0: expected 2 entries, found 3"),
+        ],
+    )
+    def test_other_spellings_rejected(self, order, body, message):
+        with pytest.raises(GyroParseError) as exc_info:
+            parse_gyro(f"gyro 1\n{order}\n{body}\n")
+        assert str(exc_info.value) == message
 
     def test_load_validates_axioms(self, tmp_path):
         p = tmp_path / "bad.gyro"

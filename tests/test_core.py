@@ -16,6 +16,7 @@ from gyrokit.core import (
     MalformedTableError,
     Perm,
     ResourceCapError,
+    Violation,
     _getter,
     _gyrations_by_bytes,
     _gyrations_by_tuples,
@@ -118,9 +119,7 @@ class TestVerifyAxioms:
             [2, 3, 0, 1],
             [3, 2, 1, 0],
         ]
-        report = verify_axioms(rows)
-        if not report.passed:
-            assert {v.axiom for v in report.violations} <= {"G1", "G2", "G3", "G4"}
+        assert verify_axioms(rows).violations == (Violation("G2", (1,), "no left inverse for 1"),)
 
     def test_malformed_tables_raise_distinct_error(self):
         with pytest.raises(MalformedTableError):
@@ -143,6 +142,30 @@ class TestVerifyAxioms:
             with pytest.raises(MalformedTableError) as exc_info:
                 build(rows)
             assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first bad row is named, and within it the length first
+            ([[0, 2], [1]], "entry (0,1) = 2 out of range 0..1"),
+            ([[0], [1, 2]], "row 0 has length 1, expected 2"),
+            ([[0, 1], [1, 0, 1]], "row 1 has length 3, expected 2"),
+            ([[0, 1], [1, 0], [0, 1, 2, 3]], "row 0 has length 2, expected 3"),
+        ],
+    )
+    def test_first_bad_row_named(self, rows, message):
+        with pytest.raises(MalformedTableError) as exc_info:
+            verify_axioms(rows)
+        assert str(exc_info.value) == message
+
+    def test_violation_is_an_immutable_value(self):
+        v = Violation("G4", (1, 2), "left loop property fails")
+        assert repr(v) == "Violation(axiom='G4', witness=(1, 2), detail='left loop property fails')"
+        with pytest.raises(AttributeError):
+            v.axiom = "G3"
+        w = Violation("G4", (1, 2), "left loop property fails")
+        assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+        assert v != Violation("G4", (2, 1), "left loop property fails")
 
     def test_int_subclass_entries_accepted(self):
         class Z2(IntEnum):
