@@ -72,8 +72,8 @@ class TestGyroFormat:
         # only the order line goes through the token-by-token reader
         real, read = gyrofile._decimals, []
         monkeypatch.setattr(gyrofile, "_decimals", lambda toks: read.append(toks) or real(toks))
-        text = format_gyro(direct_product(nonassoc8, cyclic(2)))
-        assert parse_gyro(text) == [list(r) for r in direct_product(nonassoc8, cyclic(2)).table]
+        g = direct_product(nonassoc8, cyclic(2))
+        assert parse_gyro(format_gyro(g)) == [list(r) for r in g.table]
         assert read == [["16"]]
 
     # spellings other than the canonical str(v), each read as before
@@ -100,6 +100,7 @@ class TestGyroFormat:
             (2, "0 1 0\n1 0", "row 0: expected 2 entries, found 3"),
             (2, "0 x\n1 0", "row 0: non-integer entry in '0 x'"),
             (2, "0 1\n1 0 x", "row 1: non-integer entry in '1 0 x'"),
+            # the count is checked before the range
             (2, "0 1 2\n1 0", "row 0: expected 2 entries, found 3"),
         ],
     )
