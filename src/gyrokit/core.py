@@ -141,10 +141,9 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
 
     A table of n rows of length n whose entries are plain ints is checked
     whole, by the set of entry types and the least and greatest value.  Any
-    other table goes through the rows in order, each by its length, then
-    its least and greatest entry, then, if those fail, entry by entry: this
-    accepts ``int`` subclasses other than ``bool`` and names the first bad
-    row or entry."""
+    other table goes through the rows in order, each by its length and then
+    entry by entry: this accepts ``int`` subclasses other than ``bool`` and
+    names the first bad row or entry."""
     try:
         rows = tuple(map(tuple, table))
     except TypeError as exc:
@@ -159,10 +158,9 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     for a, row in enumerate(rows):
         if len(row) != n:
             raise MalformedTableError(f"row {a} has length {len(row)}, expected {n}")
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise MalformedTableError(f"entry ({a},{b}) = {v!r} out of range 0..{n - 1}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise MalformedTableError(f"entry ({a},{b}) = {v!r} out of range 0..{n - 1}")
     return rows
 
 
@@ -221,19 +219,26 @@ def _gyrations_by_tuples(rows, linv) -> tuple[list[list[int]], list[tuple[int, .
     return gid, list(number)
 
 
-def _gyrations_by_bytes(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _byte_tables(rows) -> tuple[list[bytes], list[bytes]]:
+    """``(brows, tab)`` for a table of order at most 256, where each element
+    fits in a byte: each row as ``bytes``, and each row padded with zeros
+    to a 256-byte translation table, so that ``u.translate(tab[a])`` is
+    row a composed with u, one C call over n bytes."""
+    pad = bytes(256 - len(rows))
+    brows = list(map(bytes, rows))
+    return brows, [rb + pad for rb in brows]
+
+
+def _gyrations_by_bytes(rows, linv, tables=None) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """``_gyrations_by_tuples`` for orders up to 256, where each element
     fits in a byte: the same ``gid`` and gyrations, in the same order.
 
-    Row b is held as ``bytes`` and row a as a 256-byte translation table
-    (the row padded with zeros), so gyr[a, b] is
+    Row b is held as ``bytes`` and row a as a translation table
+    (``_byte_tables``, built here unless given), so gyr[a, b] is
     ``rb.translate(tab[a]).translate(tab[linv[x]])``: two C calls over n
     bytes, hashed as one ``bytes`` key.  Equal gyrations give equal keys
     on both paths, so both number them alike."""
-    n = len(rows)
-    brows = [bytes(row) for row in rows]
-    pad = bytes(256 - n)
-    tab = [rb + pad for rb in brows]
+    brows, tab = tables or _byte_tables(rows)
     neg_tab = [tab[i] for i in linv]
     number: dict[bytes, int] = {}
     gid = [
@@ -243,19 +248,18 @@ def _gyrations_by_bytes(rows, linv) -> tuple[list[list[int]], list[tuple[int, ..
     return gid, [tuple(g) for g in number]
 
 
-def _gyration_failures(rows, gyrs, get) -> list[tuple[int, int] | None]:
+def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
     """``_hom_failure(g, get, rows)`` for each gyration g in ``gyrs``.
 
-    Up to order 256 each row x is compared as ``bytes``: g.L_x is row x
-    translated by g, L_(g x).g is g translated by row g(x), two C calls
-    over n bytes, and ``compress`` finds the first row and entry that
-    differ without an interpreted step per row."""
-    n = len(rows)
-    if n > 256:
+    Given the ``_byte_tables`` of an order up to 256, each row x is
+    compared as ``bytes``: g.L_x is row x translated by g, L_(g x).g is g
+    translated by row g(x), two C calls over n bytes, and ``compress``
+    finds the first row and entry that differ without an interpreted step
+    per row.  ``tables`` is ``None`` above order 256."""
+    if tables is None:
         return [_hom_failure(g, get, rows) for g in gyrs]
-    pad = bytes(256 - n)
-    brows = list(map(bytes, rows))
-    tab = [rb + pad for rb in brows]
+    brows, tab = tables
+    pad = bytes(256 - len(rows))
     failures = []
     for g in map(bytes, gyrs):
         g_tab = g + pad
@@ -270,13 +274,15 @@ def _gyration_failures(rows, gyrs, get) -> list[tuple[int, int] | None]:
     return failures
 
 
-def _number_gyrations(rows, linv) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _number_gyrations(rows, linv, tables=None) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """The one gyration numbering of the package: ``_gyrations_by_bytes``
-    up to order 256, where an element fits in a byte, and
-    ``_gyrations_by_tuples`` above.  Both give the same ``(gid, gyrs)``;
-    on a table whose row 0 is the identity and whose ``linv[0]`` is 0,
-    gyr[0, 0] comes first, so index 0 is the identity."""
-    return (_gyrations_by_bytes if len(rows) <= 256 else _gyrations_by_tuples)(rows, linv)
+    up to order 256, where an element fits in a byte, on ``tables`` if
+    given, and ``_gyrations_by_tuples`` above.  Both give the same
+    ``(gid, gyrs)``; on a table whose row 0 is the identity and whose
+    ``linv[0]`` is 0, gyr[0, 0] comes first, so index 0 is the identity."""
+    if len(rows) > 256:
+        return _gyrations_by_tuples(rows, linv)
+    return _gyrations_by_bytes(rows, linv, tables)
 
 
 def _is_associative_on(rows, members) -> bool:
@@ -334,13 +340,9 @@ def verify_axioms(table) -> AxiomReport:
     and hashes its gyration and G4 compares two gyration numbers) plus
     O(n^3 + d*n^2) element copies and comparisons in C; d is 2 on a
     passing order-64 table.  The ``bytes`` path makes the C part of each
-    step copy bytes, not object pointers with their reference counts.  The
-    G3 listing runs only on a table with a failing gyration or a
-    non-cancelling x; when every x cancels it skips, by one
-    ``set.isdisjoint`` in C, each row whose gyrations all preserve the
-    operation.  A failing pair adds its witness scan, at most n steps, and
-    one plain tuple per violation, all made ``Violation``s in one C pass
-    at the end.  Reading the table is whole-row C steps too: one lookup
+    step copy bytes, not object pointers with their reference counts.  A
+    failing pair adds its witness scan, at most n steps, and one plain
+    tuple per violation, all made ``Violation``s in one C pass at the end.  Reading the table is whole-row C steps too: one lookup
     per entry in ``gyrofile.parse_gyro``, one whole-table range check in
     ``_normalize_rows`` and one set per row for row bijectivity.
     """
@@ -377,20 +379,16 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
         return _report(n, records), None
 
     # gyrs lists the distinct gyrations in order of first appearance, each
-    # hashed once; gid[a][b] is the index of gyr[a, b] in it
-    gid, gyrs = _number_gyrations(rows, linv)
+    # hashed once; gid[a][b] is the index of gyr[a, b] in it.  The bytes
+    # rows serve the numbering and the automorphism tests alike.
+    tables = _byte_tables(rows) if n <= 256 else None
+    gid, gyrs = _number_gyrations(rows, linv, tables)
     get = [_getter(row) for row in rows]
-    failures = _gyration_failures(rows, gyrs, get)
+    failures = _gyration_failures(rows, gyrs, get, tables)
     cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
 
-    # every row holds every x, so a row is clean iff every x cancels and
-    # its gid row holds no failing gyration number, a test made in C
-    bad_k = {k for k, f in enumerate(failures) if f is not None}
-    all_cancel = all(cancels)
-    if bad_k or not all_cancel:
+    if not all(cancels) or any(f is not None for f in failures):
         for a, (ra, ga) in enumerate(zip(rows, gid)):
-            if all_cancel and bad_k.isdisjoint(ga):
-                continue
             for b, x in enumerate(ra):
                 k = ga[b]
                 if failures[k] is not None:
@@ -413,6 +411,7 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
 def _report(n: int, records: list[tuple]) -> AxiomReport:
     """The report of ``(axiom, witness, detail)`` records, each made a
     ``Violation`` by ``tuple.__new__`` in C, without ``_make``'s call."""
+    # tuple.__new__ skips the field count check: each record must be a 3-tuple
     return AxiomReport(n, tuple(map(tuple.__new__, repeat(Violation), records)))
 
 
