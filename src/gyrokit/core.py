@@ -357,7 +357,6 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     G2, so each left inverse is unique.  Violations are gathered as
     ``(axiom, witness, detail)`` tuples and made ``Violation``s at the end."""
     n = len(rows)
-    identity = tuple(range(n))
 
     # entries are in 0..n-1, so a row is a permutation iff it has n values
     records = [
@@ -385,7 +384,14 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     gid, gyrs = _number_gyrations(rows, linv, tables)
     get = [_getter(row) for row in rows]
     failures = _gyration_failures(rows, gyrs, get, tables)
-    cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
+    # cancels[x]: whether L_x L_(-x) is the identity, one C composition
+    if tables is None:
+        identity = tuple(range(n))
+        cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
+    else:
+        brows, tab = tables
+        identity = bytes(range(n))
+        cancels = [brows[y].translate(tx) == identity for y, tx in zip(linv, tab)]
 
     if not all(cancels) or any(f is not None for f in failures):
         for a, (ra, ga) in enumerate(zip(rows, gid)):
