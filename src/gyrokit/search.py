@@ -10,19 +10,25 @@ pruned by facts every gyrogroup table satisfies:
   * the row of -a is the inverse permutation of the row of a;
   * gyrogroups are left Bol loops (Kiechle, Theory of K-Loops, LNM 1778,
     2002): La Lb La = L(a+(b+a)), so every pair of placed rows, b = 0
-    included, determines a third.
+    included, determines a third;
+  * left Bol loops are left power-alternative, L_a^m = L_(m.a) (Kiechle;
+    Suksumran and Wiboonton, Quasigroups Related Systems 22, 2014), and
+    L_b fixes no point for b != 0, so every cycle of L_a has length |a|:
+    a candidate row has cycles of one length, a divisor of n.
 
-The last two force rows: each placement checks the rows it determines
-against the rows already placed and records them for later indices, and a
-forced index is assigned only its forced row.  A row forced twice must be
-the same row both times.  Column distinctness is kept as one set of claimed
-cells c * n + v (value v in column c), claimed and released a whole row at a
-time in C.  A placed row claims its cells, and so does a forced row when it
+The third and fourth force rows: each placement checks the rows it
+determines against the rows already placed and records them for later
+indices, and a forced index is assigned only its forced row.  A row forced
+twice must be the same row both times.  Column distinctness is kept as one
+set of claimed cells c * n + v (value v in column c), claimed and released
+a whole row at a time in C.  A placed row claims its cells, and so does a forced row when it
 is recorded, after one ``isdisjoint`` test against every placed and forced
 cell: a forced row will be placed at its index, so a row sharing a cell
-with it has no completion.  Candidate rows skip every claimed cell.  This
-cuts no leaf.  Each node releases only the cells of its own row and of the
-forced rows it added.
+with it has no completion.  Candidate rows skip every claimed cell, and
+they are built column by column, refusing each value that closes a cycle
+of another length or grows a path past it.  Every row of a gyrogroup
+table passes both, so this cuts no leaf.  Each node releases only the
+cells of its own row and of the forced rows it added.
 
 An exception ends the search early through the DFS's ``finally`` blocks:
 ``_Limit`` once the result limit (1 in first-nonassociative mode) is
@@ -36,10 +42,11 @@ numbering, so the pruning only needs to be sound, never exact.  The
 symmetry cut discards prefixes that are provably not the lexicographically
 least relabeling of any completion, so each isomorphism class keeps exactly
 its minimal table.  At row 1 the cut is decided by cycle type alone, and
-only the rows it keeps are generated (``_cycle_type_rows``).  A leaf has
-passed the cut on all its rows, so it is its own canonical form and is kept
-as it is, and each index tries its candidates in lex order, so the leaves
-come out sorted: nothing runs after the tree.
+only the rows it keeps are generated, one per divisor m >= 2 of n
+(``_cycle_type_rows``).  A leaf has passed the cut on all its rows, so it
+is its own canonical form and is kept as it is, and each index tries its
+candidates in lex order, so the leaves come out sorted: nothing runs after
+the tree.
 
 Isomorphism uses two algorithms: one backtracking search, whose first
 isomorphism answers ``are_isomorphic`` and whose full list from a table to
@@ -138,16 +145,27 @@ class _Search:
 
         A forced index gets its forced row alone: ``_force`` claimed its
         cells against every placed and forced cell.  Any other index gets
-        the permutations p with p(0) = a that hold no claimed cell: a cell
-        of a placed row would repeat a column entry, and a cell of a forced
-        row would repeat one once that row is placed.  Each column's free
-        values are listed once, when the first candidate is asked for.
+        the permutations p with p(0) = a that hold no claimed cell and whose
+        cycles all have one length: a cell of a placed row would repeat a
+        column entry, and a cell of a forced row would repeat one once that
+        row is placed.  Each column's free values are listed once, when the
+        first candidate is asked for.
+
+        The cycle rule cuts no leaf: L_a^m = L_(m.a) in a gyrogroup (left
+        Bol loops are left power-alternative: Kiechle, Theory of K-Loops,
+        LNM 1778, 2002; Suksumran and Wiboonton, Quasigroups Related Systems
+        22, 2014), and L_b fixes no point for b != 0, so every cycle of L_a
+        has length |a|.  The row is built column by column, and the paths of
+        the partial permutation are kept with their first and last points
+        and sizes.  A value is refused if it closes a cycle of another
+        length than a cycle already closed, or of a length that does not
+        divide n, or if it grows a path past the length of a closed cycle.
 
         Row 1 gets only the rows the symmetry cut keeps, from
         ``_cycle_type_rows``: row 1 is never forced, and column c holds only
         c, so its candidates are the fixed-point-free permutations p with
-        p(0) = 1, and the cut keeps one per cycle type (the cycle through 0
-        marked)."""
+        p(0) = 1 and cycles of one length, and the cut keeps one per
+        length."""
         n = self.n
         if a == 1:
             yield from _cycle_type_rows(n)
@@ -161,21 +179,50 @@ class _Search:
         row = [a] * n
         free = [True] * n
         free[a] = False
+        # the paths of the partial permutation: head[e] starts the path that
+        # ends at e, tail[s] ends the one that starts at s, size[s] counts
+        # its points; a point inside a path or a closed cycle is stale
+        head = list(range(n))
+        tail = list(range(n))
+        size = [1] * n
+        head[a], tail[0], size[0] = 0, a, 2
+        length = 0  # the length of every cycle, once the first has closed
+        closer = 0  # the column that closed the first cycle
         values = [None, iter(allowed[1])]  # values[c]: column c's free values left
         c = 1
         while c:
+            s = head[c]  # column c extends the path s ... c
             for v in values[c]:
                 if free[v]:
-                    break
-            else:  # column c is exhausted: free the value of column c - 1
+                    if v == s:  # closes a cycle of size[s] points
+                        k = size[s]
+                        if k == length or not length and n % k == 0:
+                            break
+                    elif not length or size[s] + size[v] <= length:
+                        break
+            else:  # column c is exhausted: undo the value of column c - 1
                 values.pop()
                 c -= 1
-                free[row[c]] = True
+                v = row[c]
+                free[v] = True
+                s = head[c]
+                if v != s:
+                    t = tail[s]
+                    tail[s], head[t] = c, v
+                    size[s] -= size[v]
+                elif c == closer:
+                    length = 0
                 continue
             row[c] = v
             if c == n - 1:
                 yield tuple(row)
             else:
+                if v != s:
+                    t = tail[v]
+                    tail[s], head[t] = t, s
+                    size[s] += size[v]
+                elif not length:
+                    length, closer = size[s], c
                 free[v] = False
                 c += 1
                 values.append(iter(allowed[c]))
@@ -298,47 +345,22 @@ class _Search:
 
 
 def _cycle_type_rows(n: int):
-    """The rows 1 that pass the symmetry cut at depth 1, lazily and in
-    lexicographic order: for m = 2..n the cycle (0 1 ... m-1), then the
-    remaining points cut into consecutive cycles of nondecreasing lengths
-    >= 2.
+    """The rows 1 that pass the symmetry cut at depth 1 and have cycles of
+    one length, lazily and in lexicographic order: for each divisor m >= 2
+    of n, in increasing order, (0 1 ... m-1)(m ... 2m-1)...
 
-    These are exactly the fixed-point-free permutations p with p(0) = 1
-    that are least among their conjugates by relabelings fixing 0 and 1:
-
-      * at depth 1 the cut keeps label 1 on element 1, so row 1 passes
-        exactly when no relabeling fixing 0 and 1 makes it smaller, and each
-        conjugacy class (a cycle type, with the length m of the cycle
-        through 0 and 1 marked) has one least member;
-      * first-appearance labelling walks the cycle through 0 first, giving
-        (0 1 ... m-1), and opens each later cycle at its least free label s;
-      * a cycle of length l from s writes s + 1, ..., s + l - 1, s, and a
-        longer one writes s + l at the cell where the shorter closes with
-        s, so at the first cell where two arrangements differ the shorter
-        cycle is smaller: the least arrangement has nondecreasing lengths.
-
-    The same cell argument orders two rows by their first differing cycle
-    length, m included, so generating the length sequences in increasing
-    lexicographic order yields the rows in lexicographic order."""
-    row = list(range(1, n + 1))  # row[i] = i + 1 inside a cycle
-
-    def close(s: int, least: int):
-        # cut s..n-1 into cycles of nondecreasing lengths >= least
-        if s == n:
-            yield tuple(row)
-            return
-        rest = n - s
-        for length in (*range(least, rest // 2 + 1), rest):
-            end = s + length
-            row[end - 1] = s
-            yield from close(end, length)
-            row[end - 1] = end
-
+    Among the fixed-point-free permutations p with p(0) = 1, these are the
+    least among their conjugates by relabelings fixing 0 and 1: at depth 1
+    the cut keeps label 1 on element 1, so row 1 passes exactly when no
+    relabeling fixing 0 and 1 makes it smaller, and each conjugacy class,
+    a cycle type, has one least member.  First-appearance labelling walks
+    the cycle through 0 first, giving (0 1 ... m-1), and opens each later
+    cycle at its least free label s, giving (s s+1 ... s+m-1).  A shorter
+    cycle through 0 writes 0 at cell m - 1, where a longer one writes m,
+    so the rows come in increasing m."""
     for m in range(2, n + 1):
-        if n - m != 1:
-            row[m - 1] = 0
-            yield from close(m, 2)
-            row[m - 1] = m
+        if n % m == 0:
+            yield tuple(x + 1 if (x + 1) % m else x + 1 - m for x in range(n))
 
 
 def run_search(config: SearchConfig) -> SearchResult:

@@ -44,6 +44,21 @@ def exhaustive():
     return {n: run_search(SearchConfig(order=n)) for n in CLASS_COUNTS}
 
 
+def cycle_lengths(p: tuple) -> list[int]:
+    """The length of each cycle of the permutation p."""
+    seen = [False] * len(p)
+    lengths = []
+    for x in range(len(p)):
+        k = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            k += 1
+        if k:
+            lengths.append(k)
+    return lengths
+
+
 def relabel(g: GyroTable, sigma: tuple) -> GyroTable:
     """Apply a carrier relabeling fixing 0 to a table."""
     n = g.order
@@ -201,7 +216,7 @@ class TestEnumerate:
         assert len(result.tables) == 2
         assert all(verify_axioms(t.table).passed for t in result.tables)
 
-    @pytest.mark.parametrize("n, nodes, leaves", [(10, 25, 2), (11, 12, 1)])
+    @pytest.mark.parametrize("n, nodes, leaves", [(10, 25, 2), (11, 10, 1)])
     def test_orders_ten_and_eleven(self, n, nodes, leaves, exhaustive):
         result = exhaustive[n]
         assert result.complete
@@ -215,18 +230,20 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_row_one_candidates_are_the_rows_the_cut_keeps(self, n):
+        # the fixed-point-free rows with cycles of one length that the cut
+        # at depth 1 keeps: one per divisor m >= 2 of n
         identity = tuple(range(n))
         kept = []
         for rest in itertools.permutations([0, *range(2, n)]):
             p = (1, *rest)
-            if any(p[c] == c for c in range(1, n)):
+            if any(p[c] == c for c in range(1, n)) or len(set(cycle_lengths(p))) > 1:
                 continue
             rows = [identity, p] + [None] * (n - 2)
             if next(search._smaller_relabelings(rows, 1), None) is None:
                 kept.append(p)
         got = list(search._Search(SearchConfig(order=n))._row_candidates(1))
         assert got == kept
-        assert len(got) == [1, 1, 2, 3, 5, 7, 11, 15][n - 2]
+        assert len(got) == [1, 1, 2, 1, 3, 1, 3, 2][n - 2]
 
     @pytest.mark.parametrize("n", [40, 400])
     def test_row_one_candidates_are_lazy(self, n):
@@ -247,7 +264,50 @@ class TestEnumerate:
         monkeypatch.setattr(search._Search, "_propagate", counted)
         result = run_search(SearchConfig(order=8))
         assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
-        assert len(row_one) == 11
+        assert len(row_one) == 3
+
+    @pytest.mark.parametrize(
+        "config, calls",
+        [(SearchConfig(order=n), calls) for n, calls in zip(range(2, 9), [0, 0, 2, 0, 6, 0, 18])]
+        + [(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE), 6)],
+        ids=[f"exhaustive-{n}" for n in range(2, 9)] + ["first-nonassociative-8"],
+    )
+    def test_candidates_agree_with_brute_force(self, monkeypatch, config, calls):
+        # every unforced row a >= 2 the DFS asks for: the permutations with
+        # p(0) = a, no claimed cell and cycles of one length, in lex order
+        row_candidates = search._Search._row_candidates
+        checked = []
+
+        def brute_force(self, a):
+            got = list(row_candidates(self, a))
+            if a >= 2 and a not in self.forced:
+                n = self.n
+                rows = ((a, *rest) for rest in itertools.permutations([v for v in range(n) if v != a]))
+                want = [
+                    p
+                    for p in rows
+                    if not any(c * n + v in self.claimed for c, v in enumerate(p))
+                    and len(set(cycle_lengths(p))) == 1
+                ]
+                assert got == want
+                checked.append(a)
+            return iter(got)
+
+        monkeypatch.setattr(search._Search, "_row_candidates", brute_force)
+        run_search(config)
+        # at a prime order row 1 is one n-cycle, and its powers force every
+        # other row
+        assert len(checked) == calls
+
+    def test_rows_have_cycles_of_one_length(self, exhaustive, groups, nonassoc8):
+        # the fact the candidate rows rest on: every cycle of L_a has the
+        # length of its cycle through 0, |a|
+        tables = [t for r in exhaustive.values() for t in r.tables]
+        tables += groups.values()
+        tables += [direct_product(nonassoc8, cyclic(2)), direct_product(nonassoc8, cyclic(8))]
+        for g in tables:
+            for a, row in enumerate(g.table):
+                assert set(cycle_lengths(row)) == {len(g._cycle(a))}, (g.order, a)
 
     def test_placed_row_forces_its_inverse_and_square(self):
         # row 1 of Z4 forces row 3 = L1^-1 and, by the Bol identity with
@@ -288,8 +348,8 @@ class TestEnumerate:
         assert added == [3, 4] and len(s.claimed) == len(claimed) + 6
 
     def test_propagate_calls_at_order_eight(self, monkeypatch):
-        # candidate rows skip the cells of placed and forced rows alike, so
-        # 1,497 rows reach _propagate
+        # candidate rows skip the cells of placed and forced rows alike and
+        # have cycles of one length, so 645 rows reach _propagate
         propagate = search._Search._propagate
         calls = []
 
@@ -300,7 +360,7 @@ class TestEnumerate:
         monkeypatch.setattr(search._Search, "_propagate", counted)
         result = run_search(SearchConfig(order=8))
         assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
-        assert len(calls) == 1497
+        assert len(calls) == 645
 
     def test_deadline_checked_inside_the_cut(self, monkeypatch):
         # at order 12 the cut at depth 1 over the all-2-cycles row 1 ties
