@@ -9,17 +9,19 @@ derived from the table via the gyrator identity
 and numbered in one place, ``_number_gyrations``.  Every ``GyroTable`` is
 built by its axiom check (``_verify_rows``), so every table is a verified
 gyrogroup and keeps what that check built, once: the left inverses, the
-gyration numbering and the row getters.  One scan, ``_is_associative_on``,
-decides associativity for ``is_group`` and ``substructure.is_subgroup``.
-All values are immutable after construction except one per-table memo,
-``_memo``, of structures derived from the table, empty on a new table;
-each key is filled by the module that owns it (``"columns"`` and
-``("cycle", a)`` here, ``("cosets", H)`` and ``"lattice members"`` by
-``substructure``, ``("normal", N)``, ``("quotient", N)`` and
-``"byte lines"`` by ``normality``, ``"reversal kernel"`` and ``"lmlt"``,
-the whole group lmlt(G), by ``nuclei``, ``"commutator subgyrogroup"`` by
-``commutator``).  Every fill is idempotent (safe for concurrent readers),
-and every memoised value lives as long as its table.
+gyration numbering, the row getters and the row view: a table is the one
+store of its line views, rows and columns, in the encoding ``_line_views``
+decides.  One scan, ``_is_associative_on``, decides associativity for
+``is_group`` and ``substructure.is_subgroup``.  All values are immutable
+after construction except one per-table memo, ``_memo``, of structures
+derived from the table, empty on a new table; each key is filled by the
+module that owns it (``"columns"``, the column view, and ``("cycle", a)``
+here, ``("cosets", H)`` and ``"lattice members"`` by ``substructure``,
+``("normal", N)`` and ``("quotient", N)`` by ``normality``,
+``"reversal kernel"`` and ``"lmlt"``, the whole group lmlt(G), by
+``nuclei``, ``"commutator subgyrogroup"`` by ``commutator``).  Every fill
+is idempotent (safe for concurrent readers), and every memoised value
+lives as long as its table.
 """
 
 from __future__ import annotations
@@ -219,26 +221,37 @@ def _gyrations_by_tuples(rows, linv) -> tuple[list[list[int]], list[tuple[int, .
     return gid, list(number)
 
 
-def _byte_tables(rows) -> tuple[list[bytes], list[bytes]]:
-    """``(brows, tab)`` for a table of order at most 256, where each element
-    fits in a byte: each row as ``bytes``, and each row padded with zeros
-    to a 256-byte translation table, so that ``u.translate(tab[a])`` is
-    row a composed with u, one C call over n bytes."""
-    pad = bytes(256 - len(rows))
-    brows = list(map(bytes, rows))
-    return brows, [rb + pad for rb in brows]
+def _translation_table(line):
+    """``line``, of at most 256 bytes, padded with zeros to the 256-byte
+    table of ``bytes.translate`` that maps x to line[x].  A ``bytearray``
+    stays one, so a write into it changes what later translations read."""
+    return line + bytes(256 - len(line))
 
 
-def _gyrations_by_bytes(rows, linv, tables=None) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _line_views(lines) -> tuple:
+    """``(lines, looks)``: the n rows or columns of a table of order n in
+    the package's one line encoding, decided here, and ``looks[x](seq)``,
+    line x read through seq (``seq[v]`` for each v of it), one C call.  Up
+    to order 256, where an element fits in a byte, the lines are ``bytes``
+    and each look is a bound ``translate``, which reads through a 256-byte
+    table (``_translation_table``); above, tuples and their ``_getter``s."""
+    if len(lines) > 256:
+        return lines, list(map(_getter, lines))
+    lines = list(map(bytes, lines))
+    return lines, [line.translate for line in lines]
+
+
+def _gyrations_by_bytes(rows, linv, tables) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """``_gyrations_by_tuples`` for orders up to 256, where each element
     fits in a byte: the same ``gid`` and gyrations, in the same order.
 
-    Row b is held as ``bytes`` and row a as a translation table
-    (``_byte_tables``, built here unless given), so gyr[a, b] is
+    ``tables`` is ``(brows, tab)``: the byte rows of the row view and each
+    row a as a translation table ``tab[a]``, so that ``u.translate(tab[a])``
+    is row a composed with u, and gyr[a, b] is
     ``rb.translate(tab[a]).translate(tab[linv[x]])``: two C calls over n
     bytes, hashed as one ``bytes`` key.  Equal gyrations give equal keys
     on both paths, so both number them alike."""
-    brows, tab = tables or _byte_tables(rows)
+    brows, tab = tables
     neg_tab = [tab[i] for i in linv]
     number: dict[bytes, int] = {}
     gid = [
@@ -251,18 +264,17 @@ def _gyrations_by_bytes(rows, linv, tables=None) -> tuple[list[list[int]], list[
 def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
     """``_hom_failure(g, get, rows)`` for each gyration g in ``gyrs``.
 
-    Given the ``_byte_tables`` of an order up to 256, each row x is
-    compared as ``bytes``: g.L_x is row x translated by g, L_(g x).g is g
-    translated by row g(x), two C calls over n bytes, and ``compress``
-    finds the first row and entry that differ without an interpreted step
-    per row.  ``tables`` is ``None`` above order 256."""
+    Given the ``tables`` of ``_gyrations_by_bytes`` (up to order 256),
+    each row x is compared as ``bytes``: g.L_x is row x translated by g,
+    L_(g x).g is g translated by row g(x), two C calls over n bytes, and
+    ``compress`` finds the first row and entry that differ without an
+    interpreted step per row.  ``tables`` is ``None`` above order 256."""
     if tables is None:
         return [_hom_failure(g, get, rows) for g in gyrs]
     brows, tab = tables
-    pad = bytes(256 - len(rows))
     failures = []
     for g in map(bytes, gyrs):
-        g_tab = g + pad
+        g_tab = _translation_table(g)
         lhs = map(bytes.translate, brows, repeat(g_tab))
         rhs = map(g.translate, map(tab.__getitem__, g))
         x = next(compress(count(), map(ne, lhs, rhs)), None)
@@ -274,13 +286,14 @@ def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
     return failures
 
 
-def _number_gyrations(rows, linv, tables=None) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _number_gyrations(rows, linv, tables) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """The one gyration numbering of the package: ``_gyrations_by_bytes``
-    up to order 256, where an element fits in a byte, on ``tables`` if
-    given, and ``_gyrations_by_tuples`` above.  Both give the same
-    ``(gid, gyrs)``; on a table whose row 0 is the identity and whose
-    ``linv[0]`` is 0, gyr[0, 0] comes first, so index 0 is the identity."""
-    if len(rows) > 256:
+    on ``tables``, the byte rows and their translation tables up to order
+    256, and ``_gyrations_by_tuples`` when ``tables`` is ``None``.  Both
+    give the same ``(gid, gyrs)``; on a table whose row 0 is the identity
+    and whose ``linv[0]`` is 0, gyr[0, 0] comes first, so index 0 is the
+    identity."""
+    if tables is None:
         return _gyrations_by_tuples(rows, linv)
     return _gyrations_by_bytes(rows, linv, tables)
 
@@ -351,8 +364,9 @@ def verify_axioms(table) -> AxiomReport:
 
 def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     """``verify_axioms`` on normalised rows: the report and, for a passing
-    table, ``(linv, gid, gyrs, get)``, its left inverses, gyration numbering
-    and row getters ``get[x] = _getter(rows[x])``; ``None`` otherwise.  On
+    table, ``(linv, gid, gyrs, get, view)``, its left inverses, gyration
+    numbering, row getters ``get[x] = _getter(rows[x])`` and row view
+    ``(lines, looks)`` (``_line_views``); ``None`` otherwise.  On
     a passing table the n permutation rows hold n zeros, one per column by
     G2, so each left inverse is unique.  Violations are gathered as
     ``(axiom, witness, detail)`` tuples and made ``Violation``s at the end."""
@@ -378,20 +392,20 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
         return _report(n, records), None
 
     # gyrs lists the distinct gyrations in order of first appearance, each
-    # hashed once; gid[a][b] is the index of gyr[a, b] in it.  The bytes
-    # rows serve the numbering and the automorphism tests alike.
-    tables = _byte_tables(rows) if n <= 256 else None
+    # hashed once; gid[a][b] is the index of gyr[a, b] in it.  The byte
+    # rows of the row view and their translation tables serve the numbering
+    # and the automorphism tests alike; above order 256 its looks are the
+    # row getters.
+    view = lines, looks = _line_views(rows)
+    tables = (lines, list(map(_translation_table, lines))) if isinstance(lines[0], bytes) else None
     gid, gyrs = _number_gyrations(rows, linv, tables)
-    get = [_getter(row) for row in rows]
+    get = looks if tables is None else list(map(_getter, rows))
     failures = _gyration_failures(rows, gyrs, get, tables)
-    # cancels[x]: whether L_x L_(-x) is the identity, one C composition
-    if tables is None:
-        identity = tuple(range(n))
-        cancels = [get[linv[x]](rows[x]) == identity for x in range(n)]
-    else:
-        brows, tab = tables
-        identity = bytes(range(n))
-        cancels = [brows[y].translate(tx) == identity for y, tx in zip(linv, tab)]
+    # cancels[x]: whether L_x L_(-x) is the identity, one C composition:
+    # row -x read through row x, as a translation table up to order 256
+    through = rows if tables is None else tables[1]
+    identity = type(lines[0])(range(n))
+    cancels = [looks[y](tx) == identity for y, tx in zip(linv, through)]
 
     if not all(cancels) or any(f is not None for f in failures):
         for a, (ra, ga) in enumerate(zip(rows, gid)):
@@ -411,7 +425,7 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
             if gid[x][b] != ga[b]:
                 records.append(("G4", (a, b), "left loop property fails"))
 
-    return _report(n, records), None if records else (linv, gid, gyrs, get)
+    return _report(n, records), None if records else (linv, gid, gyrs, get, view)
 
 
 def _report(n: int, records: list[tuple]) -> AxiomReport:
@@ -429,19 +443,22 @@ class GyroTable:
     the process is a gyrogroup, including those the package builds itself
     (direct products, quotients, relabelings, search leaves).  It keeps
     what that check built, once: the left inverses ``inv``, the row getters
-    ``_gets`` and the gyration numbers ``_gyr[a][b]`` into ``_perms``, the
-    distinct gyrations as shared ``Perm`` objects, the identity first.  The
-    columns are built on first use (``_columns``).
+    ``_gets``, the gyration numbers ``_gyr[a][b]`` into ``_perms``, the
+    distinct gyrations as shared ``Perm`` objects, the identity first, and
+    the row view ``_rows``, ``(lines, looks)`` in the encoding of
+    ``_line_views``: byte rows with their bound ``translate`` up to order
+    256, ``(table, _gets)`` above.  The column view in the same encoding is
+    built on first use (``_columns``).
     """
 
-    __slots__ = ("order", "table", "inv", "_gyr", "_perms", "_gets", "_memo")
+    __slots__ = ("order", "table", "inv", "_gyr", "_perms", "_gets", "_rows", "_memo")
 
     def __init__(self, table):
         rows = _normalize_rows(table)
         report, passed = _verify_rows(rows)
         if passed is None:
             raise AxiomError(report)
-        linv, gid, gyrs, get = passed
+        linv, gid, gyrs, get, self._rows = passed
         self.order = len(rows)
         self.table = rows
         self.inv = tuple(linv)
@@ -474,21 +491,15 @@ class GyroTable:
             raise InternalConsistencyError(f"left inverse of {a} is not a right inverse")
         return b
 
-    def _gyration_numbering(self) -> tuple[list[list[int]], tuple[Perm, ...]]:
-        """``(gid, perms)``: ``perms`` lists the distinct gyrations, the
-        identity first, and ``gid[a][b]`` is the index of gyr[a, b] in it.
-        Built once, by the axiom check at construction
-        (``_number_gyrations``)."""
-        return self._gyr, self._perms
-
-    def _columns(self) -> tuple[tuple[tuple[int, ...], ...], list]:
-        """``(columns, gets)``: column b lists a (+) b for a = 0..n-1, and
-        ``gets[b]`` is its getter.  Built on first use and memoised under
-        ``"columns"``."""
+    def _columns(self) -> tuple:
+        """The column view ``(columns, looks)``: column b lists a (+) b for
+        a = 0..n-1, in the encoding of the row view ``_rows``
+        (``_line_views``), ``bytes`` with their bound ``translate`` up to
+        order 256 and tuples with their getters above.  Built on first use,
+        not with the rows, and memoised under ``"columns"``."""
         found = self._memo.get("columns")
         if found is None:
-            columns = tuple(zip(*self.table))
-            found = self._memo["columns"] = (columns, [_getter(col) for col in columns])
+            found = self._memo["columns"] = _line_views(tuple(zip(*self.table)))
         return found
 
     def gyr(self, a: int, b: int) -> Perm:
@@ -502,7 +513,7 @@ class GyroTable:
 
     def gyrations(self) -> frozenset:
         """The distinct gyrations gyr[a, b] over all pairs: the numbered
-        ones of ``_gyration_numbering``."""
+        ones, ``_perms``."""
         return frozenset(self._perms)
 
     def coadd(self, a: int, b: int) -> int:

@@ -18,11 +18,10 @@ with the validating constructor and memoises it under ``("quotient", N)``.
 
 A closure routine computes the least congruence Cg(S x {0}) identifying a
 set S with 0, closed under every left and right translation: each merged
-pair is pushed through its rows and columns, mapped to class labels in C,
-as ``bytes`` up to order 256 and as tuples above (Freese, "Computing
-congruences efficiently", Algebra Universalis 59, 2008).  Its
-0-class is the normal closure of S; it also names the witness when N is
-not normal.
+pair is pushed through its rows and columns, the table's own line views,
+mapped to class labels in C (Freese, "Computing congruences efficiently",
+Algebra Universalis 59, 2008).  Its 0-class is the normal closure of S; it
+also names the witness when N is not normal.
 
 The normal subgyrogroups are listed as the joins of the principal normal
 closures ncl(x), the 0-classes of Cg({x} x {0}) (``normal_subgyrogroups``).
@@ -56,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GyroTable, InternalConsistencyError, _getter, _hom_failure
+from .core import GyroTable, InternalConsistencyError, _getter, _hom_failure, _translation_table
 from .substructure import (
     CosetFamily,
     SubSet,
@@ -136,20 +135,6 @@ class Quotient:
     projection: Hom
 
 
-def _byte_lines(g: GyroTable) -> tuple:
-    """``((rows, looks), (columns, looks))`` for a table of order at most
-    256: its rows and columns as ``bytes``, each with its bound
-    ``translate``, so that ``looks[x](label)`` maps line x to class labels
-    in one C call.  Built on first use and memoised under ``"byte lines"``."""
-    found = g._memo.get("byte lines")
-    if found is None:
-        rows, columns = list(map(bytes, g.table)), list(map(bytes, g._columns()[0]))
-        found = g._memo["byte lines"] = tuple(  # idempotent fill
-            (u, [line.translate for line in u]) for u in (rows, columns)
-        )
-    return found
-
-
 def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     """The least member of each element's class in Cg(seed x {0}).
 
@@ -164,21 +149,18 @@ def _zero_congruence(g: GyroTable, seed: Iterable[int]) -> list[int]:
     ``label[x]`` is the least member of the class of x: a merge relabels
     the class with the larger label.
 
-    The lines are mapped to labels the way ``core._number_gyrations``
-    composes rows.  Up to order 256 a label fits in a byte, so the labels
-    are held in a ``bytearray`` padded to 256 bytes, which is itself the
-    translation table of ``bytes.translate`` over the table's byte rows
-    and columns (``_byte_lines``): every merge writes into it, so each
-    comparison reads the current labels with nothing rebuilt.  Above 256
-    the labels are a list, read through the row getters (``_gets``) and
-    column getters (``_columns``) as tuples of ints."""
+    The lines are the table's row and column views (``GyroTable._rows``
+    and ``_columns``), each line read through the labels by its look in C;
+    only the label container depends on the order.  Up to order 256 the
+    lines are ``bytes`` and a label fits in a byte, so the labels are held
+    in a ``bytearray`` padded to a 256-byte translation table
+    (``core._translation_table``) that the lines' ``translate`` reads:
+    every merge writes into it, so each comparison reads the current labels
+    with nothing rebuilt.  Above 256 the labels are a list, read by the
+    lines' getters as tuples of ints."""
     n = g.order
-    if n <= 256:
-        lines = _byte_lines(g)
-        label = bytearray(range(n)) + bytes(256 - n)
-    else:
-        lines = ((g.table, g._gets), g._columns())
-        label = list(range(n))
+    label = _translation_table(bytearray(range(n))) if n <= 256 else list(range(n))
+    lines = (g._rows, g._columns())
     members = [[x] for x in range(n)]
     pending: list[tuple[int, int]] = []
 
@@ -397,8 +379,7 @@ def check_sufficient_normality(g: GyroTable, subset) -> bool:
     Normality then follows; the sweep check
     ``sufficient-condition-implies-normal`` confirms it."""
     h = _require_subgyrogroup(g, subset)
-    gid, _ = g._gyration_numbering()
-    if any(any(gid[x]) for x in h):  # some gyr[x, a] is not number 0
+    if any(any(g._gyr[x]) for x in h):  # some gyr[x, a] is not number 0
         return False
     if not is_gyration_invariant(g, h):
         return False

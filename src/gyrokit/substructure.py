@@ -167,7 +167,7 @@ def is_L_subgyrogroup(g: GyroTable, subset) -> bool:
     image of H has |H| members, and containment in H, tested in C, is
     equality."""
     h = _require_subgyrogroup(g, subset)
-    gid, perms = g._gyration_numbering()
+    gid, perms = g._gyr, g._perms
     ids = set()
     for row in gid:
         ids.update(map(row.__getitem__, h))
@@ -186,7 +186,7 @@ def is_gyration_invariant(g: GyroTable, subset) -> bool:
     numbering is tested once, by containment in C, as in
     ``is_L_subgyrogroup``."""
     s = _in_range(g, subset)
-    return all(s.issuperset(map(p.images.__getitem__, s)) for p in g._gyration_numbering()[1])
+    return all(s.issuperset(map(p.images.__getitem__, s)) for p in g._perms)
 
 
 def left_coset(g: GyroTable, subset, a: int) -> frozenset:

@@ -16,7 +16,7 @@ is built by the axiom check, so a broken quotient raises ``AxiomError``, a
 ``ValueError``, and its table gets an ``internal-consistency`` FAIL line.
 
 The per-pair checks read the table's gyration numbering
-(``GyroTable._gyration_numbering``: ``gid[a][b]`` is the number of
+(``GyroTable._gyr`` and ``_perms``: ``gid[a][b]`` is the number of
 gyr[a, b] among the distinct gyrations ``perms``) or compare whole rows as
 tuples built in C (``core._getter``), so none of them calls ``gyr`` per
 pair or multiplies ``Perm`` objects:
@@ -147,8 +147,8 @@ def _commutes_with_gyrations(phi: Hom) -> bool:
     is tested once: f.gyr and gyr.f composed in C (``core._getter``) and
     compared as tuples."""
     f = tuple(phi.map)
-    gid, perms = phi.domain._gyration_numbering()
-    kid, kperms = phi.codomain._gyration_numbering()
+    gid, perms = phi.domain._gyr, phi.domain._perms
+    kid, kperms = phi.codomain._gyr, phi.codomain._perms
     after_f = _getter(f)
     pairs = set()
     for ga, fa in zip(gid, f):
@@ -298,7 +298,7 @@ def _sweep_core(r: SweepReport, g: GyroTable):
     if not g.right_identity_holds():
         r.finding("right-identity", "0 is not a right identity on a validated table")
 
-    gid, perms = g._gyration_numbering()
+    gid, perms = g._gyr, g._perms
     r.check("gyration-loop-property", _loop_property(g.table, gid))
     r.check("gyration-inverse-symmetry", _inverse_symmetry(gid, perms))
     r.check("gyration-translation-form", _translation_form(g.table, gid, perms))
@@ -544,7 +544,7 @@ def _sweep_substructure(r: SweepReport, g: GyroTable, lattice: list[SubSet]):
 
     r.check(
         "subgroup-characterizations-agree",
-        _subgroup_forms_agree(g, lattice, g._gyration_numbering()),
+        _subgroup_forms_agree(g, lattice, (g._gyr, g._perms)),
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from enum import IntEnum
 from itertools import permutations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import normality_oracle
 from axioms_oracle import verify_axioms_per_pair
 from core_oracle import is_group_per_triple, is_gyrocommutative_per_pair
 
@@ -20,15 +22,25 @@ from gyrokit.core import (
     _getter,
     _gyrations_by_bytes,
     _gyrations_by_tuples,
+    _line_views,
+    _translation_table,
     direct_product,
     verify_axioms,
 )
 from gyrokit.catalog import cyclic, klein_four, sym3
+from gyrokit.cli import analyze_object
+from gyrokit.commutator import commutator, commutator_subgyrogroup
 from gyrokit.gyrofile import format_gyro, parse_gyro
 from gyrokit.normality import check_sufficient_normality, try_quotient
 from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
-from gyrokit.search import MODE_FIRST_NONASSOCIATIVE, SearchConfig, canonical_form, run_search
-from gyrokit.substructure import is_L_subgyrogroup
+from gyrokit.search import (
+    MODE_FIRST_NONASSOCIATIVE,
+    SearchConfig,
+    are_isomorphic,
+    canonical_form,
+    run_search,
+)
+from gyrokit.substructure import generate, is_L_subgyrogroup
 
 
 def z4_rows():
@@ -302,6 +314,13 @@ class TestVerifyAxiomsAgainstOracle:
             assert verify_axioms(rows) == verify_axioms_per_pair(rows)
 
 
+def byte_tables(rows):
+    """The ``tables`` of the bytes numbering up to order 256: the byte rows
+    of the row view and each row as a translation table."""
+    brows = _line_views(rows)[0]
+    return brows, list(map(_translation_table, brows))
+
+
 def least_left_inverses(rows):
     """linv[x]: the least b with b (+) x = 0."""
     n = len(rows)
@@ -316,7 +335,7 @@ class TestGyrationNumberingPaths:
 
     def assert_paths_agree(self, rows):
         linv = least_left_inverses(rows)
-        assert _gyrations_by_bytes(rows, linv) == _gyrations_by_tuples(rows, linv)
+        assert _gyrations_by_bytes(rows, linv, byte_tables(rows)) == _gyrations_by_tuples(rows, linv)
 
     def test_census8_and_corpus(self, census8, corpus):
         for t in [*census8, *corpus.values()]:
@@ -352,6 +371,12 @@ class TestVerifyAxiomsAboveOrder256:
             assert_witness_reproduces(rows, v)
 
 
+@pytest.fixture(scope="module")
+def na8_times_cyclic(nonassoc8):
+    """na8 x Zm for a given m, each built once for the module."""
+    return functools.cache(lambda m: direct_product(nonassoc8, cyclic(m)))
+
+
 class TestGyrationStoreAboveOrder256:
     """na8 x Z33, order 264, whose gyrations are numbered as tuples: the
     store against the translation form and the tuple path, and the nuclei
@@ -359,8 +384,8 @@ class TestGyrationStoreAboveOrder256:
     product with a group are products)."""
 
     @pytest.fixture(scope="class")
-    def table(self, nonassoc8):
-        g = direct_product(nonassoc8, cyclic(33))
+    def table(self, na8_times_cyclic):
+        g = na8_times_cyclic(33)
         assert g.order == 264
         return g
 
@@ -374,7 +399,7 @@ class TestGyrationStoreAboveOrder256:
             assert table.gyr(a, b) == lab.inverse() * la * lb
         # every cell holds the number of one of the numbered perms, and gyr
         # returns that shared perm
-        _, perms = table._gyration_numbering()
+        perms = table._perms
         assert {k for row in table._gyr for k in row} == set(range(len(perms)))
         assert all(table.gyr(a, b) is perms[table._gyr[a][b]] for a, b in pairs)
 
@@ -388,6 +413,70 @@ class TestGyrationStoreAboveOrder256:
             expected = tuple(a * 33 + x for a in nucleus(nonassoc8).members for x in range(33))
             assert nucleus(table).members == expected
             assert len(expected) < table.order
+
+
+class TestLineViewsEitherSideOfTheByteRange:
+    """The readers of a table's column view against per-pair or oracle
+    answers on na8 x Z32 (order 256, lines as ``bytes``) and na8 x Z33
+    (order 264, lines as tuples); element (a, x) is numbered a * m + x."""
+
+    @pytest.fixture(scope="class", params=[32, 33], ids=["order256", "order264"])
+    def table(self, request, na8_times_cyclic):
+        return na8_times_cyclic(request.param)
+
+    def test_line_encoding(self, table):
+        encoding = bytes if table.order <= 256 else tuple
+        for lines, looks in (table._rows, table._columns()):
+            assert len(lines) == len(looks) == table.order
+            assert {type(line) for line in lines} == {encoding}
+        assert list(table._columns()[0]) == [encoding(col) for col in zip(*table.table)]
+
+    def test_is_gyrocommutative(self, table):
+        # na8 is not gyrocommutative, so neither is the product; the cyclic
+        # group of the same order is
+        for g in (table, cyclic(table.order)):
+            t, els = g.table, g.elements()
+            want = all(t[a][b] == g.gyr(a, b)(t[b][a]) for a in els for b in els)
+            assert g.is_gyrocommutative() == want
+            assert want == (g is not table)
+
+    def test_commutator_subgyrogroup(self, table):
+        els = table.elements()
+        want = generate(table, {commutator(table, a, b) for a in els for b in els})
+        assert commutator_subgyrogroup(table) == want
+        assert len(want) == 2
+
+    def test_relabeling_is_isomorphic(self, table):
+        n, t = table.order, table.table
+        rest = list(range(1, n))
+        random.Random(f"relabel-{n}").shuffle(rest)
+        sigma = [0, *rest]
+        back = [0] * n
+        for i, v in enumerate(sigma):
+            back[v] = i
+        h = GyroTable([[sigma[t[back[x]][back[y]]] for y in range(n)] for x in range(n)])
+        ok, w = are_isomorphic(table, h)
+        assert ok
+        assert all(h.table[w(a)][w(b)] == w(t[a][b]) for a in range(n) for b in range(n))
+
+    def test_sufficient_normality(self, table):
+        m = table.order // 8
+        subsets = [generate(table, seed) for seed in ([1], [m], [2 * m])]
+        subsets.append(commutator_subgyrogroup(table))
+        verdicts = [normality_oracle.check_sufficient_normality(table, s) for s in subsets]
+        assert [check_sufficient_normality(table, s) for s in subsets] == verdicts
+        assert set(verdicts) == {True, False}
+
+
+def test_analyze_keeps_one_store_of_line_views(nonassoc8):
+    # the congruence closure and every column reader use the table's own
+    # views: bytes columns up to order 256, and no second copy of the lines
+    g = GyroTable(direct_product(nonassoc8, cyclic(8)).table)
+    analyze_object(g)
+    columns, looks = g._memo["columns"]
+    assert g.order == 64 and all(type(col) is bytes for col in columns)
+    assert looks == [col.translate for col in columns]
+    assert "byte lines" not in g._memo
 
 
 class TestOneNumberingPerTable:
@@ -429,14 +518,13 @@ class TestOneNumberingPerTable:
         assert calls[0] == 1
         self.read_gyrations(g)
         assert calls[0] == 1
-        gid, perms = g._gyration_numbering()
-        assert gid is g._gyr
+        gid, perms = g._gyr, g._perms
         assert all(
             type(k) is int and g.gyr(a, b) is perms[k] for a, row in enumerate(gid) for b, k in enumerate(row)
         )
         n = len(rows)
         assert g.inv == tuple(next(b for b in range(n) if rows[b][a] == 0) for a in range(n))
-        direct_gid, gyrs = core._number_gyrations(rows, g.inv)
+        direct_gid, gyrs = core._number_gyrations(rows, g.inv, byte_tables(rows))
         assert gid == direct_gid and perms == tuple(map(Perm, gyrs))
 
     def test_search_leaf_numbers_once(self, calls):
@@ -596,7 +684,7 @@ class TestGyrations:
         first = nonassoc8.gyrations()
         assert nonassoc8.gyrations() == first
         assert first == {nonassoc8.gyr(a, b) for a in els for b in els}
-        _, perms = nonassoc8._gyration_numbering()
+        perms = nonassoc8._perms
         assert {id(p) for p in first} == set(map(id, perms))
 
     def test_gyr_cache_idempotent(self):

@@ -569,8 +569,10 @@ class TestRowFormsAgainstOracle:
                 return look(tab)
             return call
 
-        lines = [(u, list(map(recorded, looks))) for u, looks in normality._byte_lines(g)]
-        monkeypatch.setattr(normality, "_byte_lines", lambda h: lines)
+        # the table's own row and column views, with each look recorded
+        (rows, row_looks), (columns, column_looks) = g._rows, g._columns()
+        monkeypatch.setattr(g, "_rows", (rows, list(map(recorded, row_looks))))
+        monkeypatch.setitem(g._memo, "columns", (columns, list(map(recorded, column_looks))))
         grown = 0
         for a in g.elements():
             seen.clear()

@@ -253,16 +253,15 @@ class TestLgPrime:
         assert exc.value.cap_name == "perm_cap"
 
     def closure_degrees(self, monkeypatch):
-        """The degree of every ``PermGroup`` built from now on."""
-        generated = PermGroup.generated.__func__
+        """The degree of every permutation-group closure run from now on."""
+        closure = nuclei._closure
         degrees = []
 
-        def counted(cls, generators, cap=nuclei.DEFAULT_PERM_CAP):
-            group = generated(cls, generators, cap)
-            degrees.append(group.degree)
-            return group
+        def counted(images, cap=None):
+            degrees.append(len(images[0]))
+            return closure(images, cap)
 
-        monkeypatch.setattr(PermGroup, "generated", classmethod(counted))
+        monkeypatch.setattr(nuclei, "_closure", counted)
         return degrees
 
     @pytest.mark.parametrize(
@@ -399,6 +398,10 @@ class TestPermGroup:
     def test_generated_requires_generators(self):
         with pytest.raises(ValueError):
             PermGroup.generated([])
+        # generators of different degrees, in either order
+        for gens in ([Perm([1, 0]), Perm([0, 2, 1])], [Perm([0, 2, 1]), Perm([1, 0])]):
+            with pytest.raises(ValueError, match="different degrees"):
+                PermGroup.generated(gens)
 
     def test_contains(self):
         group = PermGroup.generated([Perm([1, 0])])

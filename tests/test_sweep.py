@@ -358,7 +358,7 @@ class TestRowFormsAgainstOracles:
 
     def test_gyration_checks_match(self, tables):
         for g in tables:
-            gid, perms = g._gyration_numbering()
+            gid, perms = g._gyr, g._perms
             gyr = _oracle_gyr(g)
             assert _loop_property(g.table, gid) == loop_property_per_pair(g.table, gyr) is True
             assert _inverse_symmetry(gid, perms) == inverse_symmetry_per_pair(g.order, gyr) is True
@@ -368,7 +368,7 @@ class TestRowFormsAgainstOracles:
 
     def test_broken_numbering_fails_both(self, nonassoc8):
         t = nonassoc8.table
-        gid, perms = nonassoc8._gyration_numbering()
+        gid, perms = nonassoc8._gyr, nonassoc8._perms
         assert len(perms) == 2 and gid[4][2] == 1
         bad_gid = _with_cell(gid, 4, 2, 0)
         assert not _loop_property(t, bad_gid)
@@ -426,11 +426,11 @@ class TestRowFormsAgainstOracles:
         for g in tables:
             lattice = enumerate_subgyrogroups(g)
             want = subgroup_forms_agree_per_triple(g, lattice, _oracle_gyr(g))
-            assert _subgroup_forms_agree(g, lattice, g._gyration_numbering()) == want is True
+            assert _subgroup_forms_agree(g, lattice, (g._gyr, g._perms)) == want is True
         # the identity replaced by L_6, which moves 0: H = {0} is a subgroup
         # whose gyration form fails
         lattice = enumerate_subgyrogroups(nonassoc8)
-        gid, perms = nonassoc8._gyration_numbering()
+        gid, perms = nonassoc8._gyr, nonassoc8._perms
         bad = (Perm(nonassoc8.table[6]), perms[1])
         assert not _subgroup_forms_agree(nonassoc8, lattice, (gid, bad))
         assert not subgroup_forms_agree_per_triple(nonassoc8, lattice, _numbered_gyr(gid, bad))
@@ -510,7 +510,7 @@ class TestRowFormsAgainstOracles:
     def test_order_one_and_the_trivial_subgroup(self, nonassoc8):
         # a restriction to {0} and every row at order 1 are one-member tuples
         z1 = cyclic(1)
-        gid, perms = z1._gyration_numbering()
+        gid, perms = z1._gyr, z1._perms
         assert _loop_property(z1.table, gid) and _inverse_symmetry(gid, perms)
         assert _translation_form(z1.table, gid, perms)
         assert _translation_sandwich(z1.table, z1.coadd)
@@ -519,7 +519,7 @@ class TestRowFormsAgainstOracles:
         assert _preserves((0,), [[0]], ((0,),)) and _preserves([0], ((0,),), [[0]])
         assert _commutes_with_gyrations(Hom(z1, z1, [0]))
         trivial = [SubSet(nonassoc8, (0,))]
-        assert _subgroup_forms_agree(nonassoc8, trivial, nonassoc8._gyration_numbering())
+        assert _subgroup_forms_agree(nonassoc8, trivial, (nonassoc8._gyr, nonassoc8._perms))
         assert _generate_monotone([frozenset({0})], [frozenset({0})])
 
 
