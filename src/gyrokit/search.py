@@ -26,8 +26,10 @@ is recorded, after one ``isdisjoint`` test against every placed and forced
 cell: a forced row will be placed at its index, so a row sharing a cell
 with it has no completion.  Candidate rows skip every claimed cell, and
 they are built column by column, refusing each value that closes a cycle
-of another length or grows a path past it.  Every row of a gyrogroup
-table passes both, so this cuts no leaf.  Each node releases only the
+of another length or grows a path past it, or that breaks L_a L_a or
+L_a L_1 L_a on the columns set so far.  Every row of a gyrogroup table
+passes all three, so this cuts no leaf, and the two Bol checks refuse
+only rows that ``_propagate`` would refuse.  Each node releases only the
 cells of its own row and of the forced rows it added.
 
 An exception ends the search early through the DFS's ``finally`` blocks:
@@ -161,6 +163,18 @@ class _Search:
         length than a cycle already closed, or of a length that does not
         divide n, or if it grows a path past the length of a closed cycle.
 
+        A value is also refused if it breaks the left Bol identity for
+        y = 0 or 1 on the columns set so far.  L_a L_y L_a is the row at
+        b = a + (y + a), the value of column L_y(a): column a for y = 0,
+        and never column 0, as the index with L_1(a) = 0 is -1, forced by
+        row 1.  Once b is set, p(L_y(p(x))) must be row b's value in column
+        x whenever both maps are set, if b is placed or forced, and else a
+        value that no row claims in column x.  Setting column c settles
+        only x = c and the x with L_y(p(x)) = c; setting column L_y(a)
+        settles every x up to it.  ``_propagate`` makes the same
+        comparisons on the whole row, after more cells are claimed, so
+        these checks refuse only rows it would refuse and cut no leaf.
+
         Row 1 gets only the rows the symmetry cut keeps, from
         ``_cycle_type_rows``: row 1 is never forced, and column c holds only
         c, so its candidates are the fixed-point-free permutations p with
@@ -174,11 +188,22 @@ class _Search:
         if p is not None:
             yield p
             return
-        claimed = self.claimed
+        claimed, rows, forced = self.claimed, self.rows, self.forced
         allowed = [[v for v in range(n) if base + v not in claimed] for base in self.offsets]
+        # targets[b][x]: the values row b may hold in column x, its own if b
+        # is placed or forced, else every unclaimed one
+        targets: list = [None] * n
+        # the Bol rules for y = 0, 1: bols[L_y(a)] = (L_y, its inverse), set
+        # at the column whose value is b = a + (y + a); live holds (L_y, its
+        # inverse, targets[b]) for each rule whose b is set
+        r1 = rows[1]
+        bols: list = [None] * n
+        bols[a], bols[r1[a]] = (rows[0], rows[0]), (r1, _inverse_tuple(r1))
+        live: list = []
         row = [a] * n
         free = [True] * n
         free[a] = False
+        where = [0] * n  # where[v]: the column holding v, while v is not free
         # the paths of the partial permutation: head[e] starts the path that
         # ends at e, tail[s] ends the one that starts at s, size[s] counts
         # its points; a point inside a path or a closed cycle is stale
@@ -193,16 +218,37 @@ class _Search:
         while c:
             s = head[c]  # column c extends the path s ... c
             for v in values[c]:
-                if free[v]:
-                    if v == s:  # closes a cycle of size[s] points
-                        k = size[s]
-                        if k == length or not length and n % k == 0:
-                            break
-                    elif not length or size[s] + size[v] <= length:
+                if not free[v]:
+                    continue
+                if v == s:  # closes a cycle of size[s] points
+                    k = size[s]
+                    if k != length and (length or n % k):
+                        continue
+                elif length and size[s] + size[v] > length:
+                    continue
+                row[c] = v
+                # L_a L_y L_a (x) = p(r(p(x))) must be row b's value in
+                # column x: check x = c, and the x with r(p(x)) = c
+                for r, rinv, ok in live:
+                    u = r[v]
+                    if u <= c and row[u] not in ok[c]:
+                        break
+                else:
+                    if bols[c] is None:
+                        break
+                    # b = v: check every x whose image is set
+                    r, rinv = bols[c]
+                    ok = targets[v]
+                    if ok is None:
+                        q = rows[v] if v < a else forced.get(v)
+                        ok = targets[v] = [(w,) for w in q] if q else [set(vs) for vs in allowed]
+                    if all(r[u] > c or row[r[u]] in ok[x] for x, u in enumerate(row[: c + 1])):
                         break
             else:  # column c is exhausted: undo the value of column c - 1
                 values.pop()
                 c -= 1
+                if bols[c] is not None:
+                    live.pop()
                 v = row[c]
                 free[v] = True
                 s = head[c]
@@ -213,7 +259,6 @@ class _Search:
                 elif c == closer:
                     length = 0
                 continue
-            row[c] = v
             if c == n - 1:
                 yield tuple(row)
             else:
@@ -224,8 +269,17 @@ class _Search:
                 elif not length:
                     length, closer = size[s], c
                 free[v] = False
+                where[v] = c
+                if bols[c] is not None:
+                    live.append((r, rinv, ok))
                 c += 1
-                values.append(iter(allowed[c]))
+                vs = allowed[c]
+                for r, rinv, ok in live:
+                    u = rinv[c]
+                    if not free[u]:
+                        okx = ok[where[u]]
+                        vs = [v for v in vs if v in okx]
+                values.append(iter(vs))
 
     # -- forced rows ----------------------------------------------------------
 

@@ -7,10 +7,12 @@ nonassociative order-8 table, on na8xZ2 and on na8xV4 as JSON with sorted
 keys, the member lists of ``normal_subgyrogroups`` on the order-64 product
 na8xV4xZ2 as JSON, and ``gyrokit verify`` on row-swap mutants of na8xV4 and
 of na8xZ8 (order 64, the order of the verify benchmark).
-Seven more run the command line: ``sweep-theorems`` over the files that
+Nine more run the command line: ``sweep-theorems`` over the files that
 ``search 8 --out`` writes, ``analyze --json`` over each of those files in
-sorted name order, ``analyze --json`` on na8xV4xZ2 and on na8xna8,
-``hunt --orders 8``, which reads the commutator subgyrogroup of all 11
+sorted name order, the same two over the first five order-12 classes that
+``search 12 --max-results 5 --out`` writes, ``analyze --json`` on
+na8xV4xZ2 and on na8xna8, ``hunt --orders 8``, which reads the commutator
+subgyrogroup of all 11
 order-8 classes, and ``closure`` on a few seed sets of na8xZ32 (order 256,
 the last order whose elements fit in a byte) and of na8xZ33 (order 264).  A change that moves any byte of these outputs changes
 what gyrokit reports and has to re-pin the digest on purpose.
@@ -144,6 +146,37 @@ def test_cli_analyze_over_search8_files(search8_files, capsys):
         assert main(["analyze", str(path), "--json"]) == 0
         reports.append(capsys.readouterr().out)
     assert sha256("".join(reports)) == "7f3ecf658fc2e99c3d258539e845649c5569a92daf2860a5f5377d9b63ad05c1"
+
+
+@pytest.fixture(scope="session")
+def search12_files(tmp_path_factory):
+    """The .gyro files of ``gyrokit search 12 --max-results 5 --out``, the
+    first five order-12 classes in lex order (12-0 to 12-4; 12-3 and 12-4
+    are nonassociative)."""
+    out = tmp_path_factory.mktemp("search12")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["search", "12", "--max-results", "5", "--out", str(out)]) == 0
+    return out, sorted(out.glob("*.gyro"), key=lambda p: p.name)
+
+
+def test_cli_sweep_over_search12_files(search12_files, capsys):
+    out, _ = search12_files
+    capsys.readouterr()
+    assert main(["sweep-theorems", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[-1] == "summary: checks=253 pass=253 fail=0 findings=11"
+    assert sha256(text) == "22d23e2aee11b81c2deca18829490ccbb259d25f2d0c4a702174a8a05e427c38"
+
+
+def test_cli_analyze_over_search12_files(search12_files, capsys):
+    _, paths = search12_files
+    assert [p.name for p in paths] == [f"12-{i}.gyro" for i in range(5)]
+    capsys.readouterr()
+    reports = []
+    for path in paths:
+        assert main(["analyze", str(path), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert sha256("".join(reports)) == "7651c43432affd087e00ecdb6fc4c487fe3485ca0f28affbf06215612a2ee0ca"
 
 
 def test_cli_analyze_na8xv4xz2(nonassoc8, tmp_path, capsys):

@@ -1,7 +1,8 @@
+import copy
 import hashlib
 import itertools
 import random
-from operator import eq
+from operator import add, eq
 from types import SimpleNamespace
 
 import isomorphism_oracle as oracle
@@ -57,6 +58,46 @@ def cycle_lengths(p: tuple) -> list[int]:
         if k:
             lengths.append(k)
     return lengths
+
+
+def bol_rules_hold(s, a: int, p: tuple) -> bool:
+    """The left Bol identity for y = 0 and y = 1 on a whole row p at index
+    a: L_a L_y L_a is the row at index b = a + (y + a), its value at 0.  It
+    must equal row b if b is placed or forced, and hold no claimed cell if
+    not."""
+    n = s.n
+    for ry in s.rows[:2]:
+        q = tuple(p[ry[p[x]]] for x in range(n))
+        b = q[0]
+        want = s.rows[b] if b < a else s.forced.get(b)
+        if want is None:
+            if any(x * n + w in s.claimed for x, w in enumerate(q)):
+                return False
+        elif q != want:
+            return False
+    return True
+
+
+def unclaimed_rows(s, a: int) -> list[tuple]:
+    """Every permutation p with p(0) = a that holds no claimed cell, in lex
+    order."""
+    n = s.n
+    allowed = [[v for v in range(n) if x * n + v not in s.claimed] for x in range(n)]
+    row, used, out = [a] * n, {a}, []
+
+    def extend(c: int):
+        if c == n:
+            out.append(tuple(row))
+            return
+        for v in allowed[c]:
+            if v not in used:
+                used.add(v)
+                row[c] = v
+                extend(c + 1)
+                used.remove(v)
+
+    extend(1)
+    return out
 
 
 def relabel(g: GyroTable, sigma: tuple) -> GyroTable:
@@ -274,7 +315,8 @@ class TestEnumerate:
     )
     def test_candidates_agree_with_brute_force(self, monkeypatch, config, calls):
         # every unforced row a >= 2 the DFS asks for: the permutations with
-        # p(0) = a, no claimed cell and cycles of one length, in lex order
+        # p(0) = a, no claimed cell, cycles of one length and L_a L_y L_a
+        # fitting row a + (y + a) for y = 0, 1, in lex order
         row_candidates = search._Search._row_candidates
         checked = []
 
@@ -288,6 +330,7 @@ class TestEnumerate:
                     for p in rows
                     if not any(c * n + v in self.claimed for c, v in enumerate(p))
                     and len(set(cycle_lengths(p))) == 1
+                    and bol_rules_hold(self, a, p)
                 ]
                 assert got == want
                 checked.append(a)
@@ -298,6 +341,38 @@ class TestEnumerate:
         # at a prime order row 1 is one n-cycle, and its powers force every
         # other row
         assert len(checked) == calls
+
+    def test_bol_refusals_are_propagate_refusals(self, monkeypatch):
+        # the slow oracle of the partial-row Bol checks, exhaustive orders
+        # 4-10: at every unforced index a >= 2 the DFS asks for, the
+        # generator keeps a sublist of the rows with no claimed cell and
+        # cycles of one length, and each row it drops makes _propagate
+        # refuse, placed on a copy of the search state
+        row_candidates = search._Search._row_candidates
+        dropped = []
+
+        def checked(self, a):
+            got = list(row_candidates(self, a))
+            if a >= 2 and a not in self.forced:
+                allowed = [p for p in unclaimed_rows(self, a) if len(set(cycle_lengths(p))) == 1]
+                kept = set(got)
+                assert [p for p in allowed if p in kept] == got
+                for p in allowed:
+                    if p not in kept:
+                        trial = copy.copy(self)
+                        trial.rows, trial.gets = list(self.rows), list(self.gets)
+                        trial.claimed, trial.forced = set(self.claimed), dict(self.forced)
+                        trial.rows[a] = p
+                        trial.claimed.update(map(add, self.offsets, p))
+                        assert not trial._propagate(a, []), (self.n, a, p)
+                        dropped.append(p)
+            return iter(got)
+
+        monkeypatch.setattr(search._Search, "_row_candidates", checked)
+        for n in range(4, 11):
+            result = run_search(SearchConfig(order=n))
+            assert len(result.tables) == CLASS_COUNTS[n]
+        assert dropped
 
     def test_rows_have_cycles_of_one_length(self, exhaustive, groups, nonassoc8):
         # the fact the candidate rows rest on: every cycle of L_a has the
@@ -322,14 +397,21 @@ class TestEnumerate:
     def test_forced_row_cells_never_offered_to_another_index(self):
         # a forced row will be placed at its index, and column entries are
         # distinct, so no candidate for another index may share a cell (a
-        # column and its value) with it
-        s = search._Search(SearchConfig(order=6))
+        # column and its value) with it; and a candidate whose L_a L_y L_a
+        # lands on the forced index must give the forced row.  Row 1 is the
+        # all-2-cycles row, its own inverse, so it forces no other row
+        s = search._Search(SearchConfig(order=8))
+        s.rows[1] = tuple(x ^ 1 for x in range(8))
+        s.claimed.update(map(add, s.offsets, s.rows[1]))
         before = list(s._row_candidates(2))
-        q = (3, 0, 4, 5, 1, 2)
-        assert s._force(3, q, 0, [])
+        q = (3, 2, 0, 4, 6, 7, 5, 1)
+        assert s._force(3, q, 1, [])
         clash = [p for p in before if any(map(eq, p, q))]
-        assert clash and list(s._row_candidates(2)) == [p for p in before if p not in clash]
-        for a in (2, 4, 5):
+        kept = [p for p in before if p not in clash]
+        after = list(s._row_candidates(2))
+        assert clash and after == [p for p in kept if bol_rules_hold(s, 2, p)]
+        assert after != kept  # row 3 is known now, not only its cells
+        for a in (2, 4, 5, 6, 7):
             candidates = list(s._row_candidates(a))
             assert candidates and not any(any(map(eq, p, q)) for p in candidates)
         assert list(s._row_candidates(3)) == [q]
@@ -348,8 +430,9 @@ class TestEnumerate:
         assert added == [3, 4] and len(s.claimed) == len(claimed) + 6
 
     def test_propagate_calls_at_order_eight(self, monkeypatch):
-        # candidate rows skip the cells of placed and forced rows alike and
-        # have cycles of one length, so 645 rows reach _propagate
+        # candidate rows skip the cells of placed and forced rows alike, have
+        # cycles of one length and fit the rows L_a L_a and L_a L_1 L_a, so
+        # 157 rows reach _propagate
         propagate = search._Search._propagate
         calls = []
 
@@ -360,7 +443,7 @@ class TestEnumerate:
         monkeypatch.setattr(search._Search, "_propagate", counted)
         result = run_search(SearchConfig(order=8))
         assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
-        assert len(calls) == 645
+        assert len(calls) == 157
 
     def test_deadline_checked_inside_the_cut(self, monkeypatch):
         # at order 12 the cut at depth 1 over the all-2-cycles row 1 ties
@@ -391,6 +474,17 @@ class TestEnumerate:
     def test_first_nonassociative_nodes_and_leaves(self):
         result = run_search(SearchConfig(order=8, mode=MODE_FIRST_NONASSOCIATIVE))
         assert (result.nodes, result.leaves) == (8, 2)
+
+    def test_order_twelve_first_five_classes(self):
+        # the first five order-12 classes in lex order, the last two
+        # nonassociative; the first of those is the first-nonassociative
+        # table, reached in fewer nodes
+        result = run_search(SearchConfig(order=12, max_results=5))
+        assert result.complete and (result.nodes, result.leaves) == (52, 6)
+        assert [t.is_group() for t in result.tables] == [True, True, True, False, False]
+        first = run_search(SearchConfig(order=12, mode=MODE_FIRST_NONASSOCIATIVE))
+        assert first.complete and (first.nodes, first.leaves) == (37, 4)
+        assert [t.table for t in first.tables] == [result.tables[3].table]
 
     def test_search_tables_pinned(self, exhaustive):
         # the sha256 of repr() of every table the exhaustive search returns
