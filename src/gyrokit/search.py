@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, takewhile
 from operator import add
 
 from .core import (
@@ -530,13 +531,38 @@ def automorphisms(g: GyroTable) -> list[Perm]:
     return list(_isomorphisms(g, g))
 
 
-def _relabeled_rows(rows, k: int, old, label, x: int, cur, best, tied: bool):
-    """Write label rows x, x + 1, ... of the relabeling (old, label) into
-    ``cur``, row x at cell (x - 1) * n, while x <= k and old[x] <= k (its
-    row is placed).  While ``tied``, compare each row with the same cells of
-    ``best`` and stop at one that is larger.  Returns the next row and the
-    outcome: True if every row compared equals best's, False once one is
-    smaller (later rows are written, not compared), None if one is
+class _Line(tuple):
+    """A line of the symmetry cut above order 256, where an element does
+    not fit in a byte: a tuple that ``translate`` reads as ``bytes``,
+    ``line.translate(seq)`` being ``seq[v]`` for each v of the line."""
+
+    __slots__ = ()
+
+    def translate(self, seq):
+        return _Line(map(seq.__getitem__, self))
+
+
+def _cut_encoding(n: int) -> tuple:
+    """``(line, table)``: the symmetry cut's encoding at order n, decided
+    here as ``core._line_views`` decides a table's.  ``line(seq)`` makes a
+    row, a label order or a label array a line, and ``table(line)`` is
+    what ``translate`` reads through, so ``old.translate(table(row))`` is
+    row after old, one C call.  Up to order 256 a line is ``bytes`` and
+    its table is padded to the 256 bytes ``translate`` requires; above, a
+    line is a ``_Line`` and is its own table."""
+    if n > 256:
+        return _Line, lambda line: line
+    return bytes, lambda line: line.ljust(256)
+
+
+def _relabeled_rows(tabs, k: int, old, label, x: int, best):
+    """Compare label rows x, x + 1, ... of the relabeling (old, label) with
+    the same cells of ``best``, while x <= k and old[x] <= k (its row is
+    placed).  ``old`` is the label order as a line and ``label`` the table
+    of the label array; label row x is ``old.translate(tabs[old[x]])
+    .translate(label)``, two C calls, where ``tabs[a]`` is the table of row
+    a.  Returns the next row and the outcome: True if every row compared
+    equals best's, False at one that is smaller, None at one that is
     larger."""
     n = len(old)
     pos = (x - 1) * n
@@ -544,18 +570,14 @@ def _relabeled_rows(rows, k: int, old, label, x: int, cur, best, tied: bool):
         a = old[x]
         if a > k:
             break
-        row = rows[a]
-        new = [label[row[e]] for e in old]
         end = pos + n
-        if tied:
-            ref = best[pos:end]
-            if new > ref:
-                return x, None
-            tied = new == ref
-        cur[pos:end] = new
+        new = old.translate(tabs[a]).translate(label)
+        ref = best[pos:end]
+        if new != ref:
+            return x, None if new > ref else False
         pos = end
         x += 1
-    return x, tied
+    return x, True
 
 
 def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
@@ -573,45 +595,64 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     so after it every element has a label and each later row is compared
     whole (``_relabeled_rows``).  A branch is cut once it exceeds the
     incumbent on a tied prefix, and it stops comparing at a row that is not
-    placed: only a prefix already smaller there is yielded.
+    placed: only a prefix already smaller there is yielded.  The yielded
+    prefix becomes the incumbent, and a row past its end compares with an
+    empty slice, which every row exceeds: no later relabeling ties there.
+
+    Rows, label orders and label arrays are lines in the encoding of
+    ``_cut_encoding``: up to order 256, ``bytes``.
 
     The search's cut passes two more arguments and reads only whether
     anything is yielded.  Into the list ``out`` goes a record
     (old, label, x) of each relabeling that ties with the identity on every
-    cell compared: its label order, its label array and the next label row
-    to compare.  ``inherited`` holds the records of the parent node's cut at
-    depth k - 1, which chose label 1 on each of the elements 1..k-1; here
-    label 1 branches only on element k, and each record resumes at its row
-    x, comparing the rows whose element is now placed.  A record that is
-    smaller ends the cut, a larger one is dropped, and a tied one goes on
-    to ``out``.  This is exact (after McKay and Piperno, J. Symbolic
-    Comput. 60, 2014): row 1 depends on the label-1 element alone, so the
-    parent scanned every relabeling with label 1 below k over the same row
-    1; the cells compared here extend the parent's in the same row-major
-    order, so one the parent found larger is larger here too; and the
-    parent found none smaller, or this node would not exist.  So ``out``
-    equals the records of a scan over label 1 on 1..k with nothing
+    cell compared: its label order and its label array, n-byte lines up to
+    order 256 (the label's table is rebuilt when the record is resumed),
+    and the next label row to compare.  ``inherited`` holds the records of
+    the parent node's cut at depth k - 1, which chose label 1 on each of
+    the elements 1..k-1, so each record's x is at most k; here label 1
+    branches only on element k.  A record whose element old[x] is not
+    placed compares nothing and goes on to ``out`` as it is.  Every other
+    record resumes at its row x, comparing the rows whose element is now
+    placed: a smaller one ends the cut, a larger one is dropped, and a tied
+    one goes on to ``out``.  This is exact (after McKay and Piperno, J.
+    Symbolic Comput. 60, 2014): row 1 depends on the label-1 element alone,
+    so the parent scanned every relabeling with label 1 below k over the
+    same row 1; the cells compared here extend the parent's in the same
+    row-major order, so one the parent found larger is larger here too; and
+    the parent found none smaller, or this node would not exist.  So
+    ``out`` equals the records of a scan over label 1 on 1..k with nothing
     inherited, as long as nothing is yielded.
 
     With a ``deadline`` (the search's, in ``time.monotonic`` seconds), the
-    clock is read before each inherited record is resumed and on each entry
-    to the row-1 scan, and ``_Budget`` is raised once it has passed.
-    ``canonical_form`` passes none, so it always finishes."""
+    clock is read before each inherited record that compares a row and on
+    each entry to the row-1 scan, and ``_Budget`` is raised once it has
+    passed.  ``canonical_form`` passes none, so it always finishes."""
     n = len(rows)
-    cells = k * n
-    best = [v for row in rows[1 : k + 1] for v in row]
-    cur = [0] * cells
+    line, table = _cut_encoding(n)
+    tabs = [table(line(row)) for row in rows[: k + 1]]
+    best = line(chain.from_iterable(rows[1 : k + 1]))
+
+    def prefix(old, label):
+        # the cells of label rows 1.. up to k or to the first row not placed
+        placed = takewhile(k.__ge__, old[1 : k + 1])
+        return line(chain.from_iterable(old.translate(tabs[a]).translate(label) for a in placed))
+
     if inherited is not None:
-        for old, label, x in inherited:
+        for record in inherited:
+            old, label, x = record
+            if old[x] > k:  # row x's element is not placed: nothing to compare
+                if out is not None:
+                    out.append(record)
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 raise _Budget
-            x, tied = _relabeled_rows(rows, k, old, label, x, cur, best, True)
+            label_table = table(label)
+            x, tied = _relabeled_rows(tabs, k, old, label_table, x, best)
             if tied:
                 if out is not None:
                     out.append((old, label, x))
             elif tied is not None:
-                x, _ = _relabeled_rows(rows, k, old, label, 1, cur, best, False)
-                yield cur[: (x - 1) * n]
+                yield prefix(old, label_table)
                 return
     old = [0]  # old[j] is the element labeled j
     label = [0] + [-1] * (n - 1)  # label[e] is the label of element e, or -1
@@ -644,18 +685,18 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
                 if v > best[y]:
                     break
                 tied = v == best[y]
-            cur[y] = v
             y += 1
         else:
             # rows 2.. up to k or to the first row not placed
-            x, tied = _relabeled_rows(rows, k, old, label, 2, cur, best, tied)
+            old_line, label_line = line(old), line(label)
+            label_table = table(label_line)
             if tied:
-                if out is not None:
-                    out.append((old[:], label[:], x))
-            elif tied is not None:
-                pos = (x - 1) * n
-                best = cur[:pos] + [-1] * (cells - pos)  # -1 ends every later tie
-                yield cur[:pos]
+                x, tied = _relabeled_rows(tabs, k, old_line, label_table, 2, best)
+                if tied and out is not None:
+                    out.append((old_line, label_line, x))
+            if tied is False:
+                best = prefix(old_line, label_table)
+                yield best
         for e in old[mark:]:
             label[e] = -1
         del old[mark:]

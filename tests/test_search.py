@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import random
 from operator import add, eq
 from types import SimpleNamespace
@@ -445,6 +446,22 @@ class TestEnumerate:
         assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
         assert len(calls) == 157
 
+    def test_relabeled_rows_calls_at_order_eight(self, monkeypatch):
+        # a tie record whose next label row is not placed compares nothing
+        # and is handed on without a call: 3,272 calls at order 8, where
+        # calling for every record made 6,257
+        relabeled_rows = search._relabeled_rows
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return relabeled_rows(*args)
+
+        monkeypatch.setattr(search, "_relabeled_rows", counted)
+        result = run_search(SearchConfig(order=8))
+        assert (result.nodes, result.leaves) == EXHAUSTIVE_COUNTS[8]
+        assert calls[0] == 3272
+
     def test_deadline_checked_inside_the_cut(self, monkeypatch):
         # at order 12 the cut at depth 1 over the all-2-cycles row 1 ties
         # 3,840 relabelings; a clock that passes the deadline with the 50th
@@ -556,6 +573,37 @@ class TestEnumerate:
         result = run_search(config)
         assert result.nodes == 0 or inherited_sizes
         assert config.order < 3 or max(inherited_sizes) > 0
+
+    def test_cut_above_order_256(self):
+        # above order 256 an element does not fit in a byte and the cut's
+        # lines are tuples: the budgeted search stops inside its first node,
+        # and at order 260 the records resumed at each depth give a fresh
+        # scan's verdict and records.  Row a is the translation x + s_a with
+        # shifts 0, 1, -1, 3, -3, 7, ...: label 1 on element 3 ties, and its
+        # record waits at label row 2, element 6, from depth 3 to 5, passed
+        # on untouched, and is smaller once row 6 is placed
+        result = run_search(SearchConfig(order=260, time_budget=0.3))
+        assert not result.complete and result.nodes == 1
+        n = 260
+        units = [s for s in range(1, n // 2) if math.gcd(s, n) == 1]
+        shifts = [0] + [t for s in units for t in (s, n - s)]
+        records, verdicts, waits = [], [], []
+        for k in range(1, 7):
+            rows = [tuple((x + s) % n for x in range(n)) for s in shifts[: k + 1]]
+            rows += [None] * (n - k - 1)
+            out, fresh = [], []
+            first = next(search._smaller_relabelings(rows, k, records, out), None)
+            fresh_first = next(search._smaller_relabelings(rows, k, None, fresh), None)
+            assert (first is None) == (fresh_first is None)
+            verdicts.append(first is None)
+            if first is not None:
+                break
+            assert sorted((old, x) for old, _, x in out) == sorted((old, x) for old, _, x in fresh)
+            assert all(all(label[e] == j for j, e in enumerate(old)) for old, label, _ in out)
+            waits.append(sorted(x for *_, x in out))
+            records = out
+        assert verdicts == [True] * 5 + [False]
+        assert waits == [[2], [3], [2, 4], [2, 5], [2, 6]]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_canonical_tables_agree_with_oracle(self, n):
