@@ -36,7 +36,9 @@ An exception ends the search early through the DFS's ``finally`` blocks:
 ``_Limit`` once the result limit (1 in first-nonassociative mode) is
 reached, complete, or ``_Budget`` once the time budget is spent, partial.
 The clock is read before every candidate row and inside the symmetry cut,
-once per relabeling it resumes or branches on: order 16 ties 645,120 at row 1.
+once per inherited relabeling it compares (one whose next row is not placed
+is handed on unread) and once per branch of its row-1 scan: order 16 ties
+645,120 at row 1.
 
 Every surviving leaf is built by the validating ``GyroTable`` constructor,
 which runs the full axiom check from scratch and keeps the leaf's gyration
@@ -61,6 +63,8 @@ on the rows placed so far; ``canonical_form`` takes its last answer on the
 whole table.  The cut at depth k does not start afresh: it resumes the
 relabelings that tied with the identity in the cut at depth k - 1, from the
 row where each stopped, and scans only those that put label 1 on element k.
+Up to order 256 the cut's rows and tie records are ``bytes``, and a
+relabelled row is two ``translate`` calls (``_cut_encoding``).
 """
 
 from __future__ import annotations
@@ -599,8 +603,8 @@ def _smaller_relabelings(rows, k: int, inherited=None, out=None, deadline=None):
     prefix becomes the incumbent, and a row past its end compares with an
     empty slice, which every row exceeds: no later relabeling ties there.
 
-    Rows, label orders and label arrays are lines in the encoding of
-    ``_cut_encoding``: up to order 256, ``bytes``.
+    The cut keeps its copies of the rows, its label orders and its label
+    arrays as lines of ``_cut_encoding``: up to order 256, ``bytes``.
 
     The search's cut passes two more arguments and reads only whether
     anything is yielded.  Into the list ``out`` goes a record
