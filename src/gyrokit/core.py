@@ -6,13 +6,14 @@ derived from the table via the gyrator identity
 
     gyr[a, b] c  =  -(a (+) b) (+) (a (+) (b (+) c))
 
-and numbered in one place, ``_number_gyrations``.  Every ``GyroTable`` is
-built by its axiom check (``_verify_rows``), so every table is a verified
-gyrogroup and keeps what that check built, once: the left inverses, the
-gyration numbering, the row getters and the row view: a table is the one
-store of its line views, rows and columns, in the encoding ``_line_views``
-decides.  One scan, ``_is_associative_on``, decides associativity for
-``is_group`` and ``substructure.is_subgroup``.  All values are immutable
+and numbered in one place, the axiom check.  Every ``GyroTable`` is built
+by that check (``_verify_rows``), so every table is a verified gyrogroup and
+keeps what the check built, once: the left inverses, the gyration numbering
+and the row view: a table is the one store of its line views, rows and
+columns, in the encoding ``_line_views`` decides.  A reader that wants
+tuple getters of the rows builds them from ``table`` (``_getter``).  One
+scan, ``_is_associative_on``, decides associativity for ``is_group`` and
+``substructure.is_subgroup``.  All values are immutable
 after construction except one per-table memo, ``_memo``, of structures
 derived from the table, empty on a new table; each key is filled by the
 module that owns it (``"columns"``, the column view, and ``("cycle", a)``
@@ -185,17 +186,17 @@ def _inverse_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _hom_failure(f, gets, k_rows) -> tuple[int, int] | None:
+def _hom_failure(f, rows, k_rows) -> tuple[int, int] | None:
     """Why the map ``f`` does not preserve the operation: the first
     ``(x, y)`` in row-major order with ``f[x (+) y] != f[x] (+)' f[y]``;
-    ``None`` if it does.  ``gets`` yields ``_getter(rows[x])`` for each row
-    x of the domain in turn (a list built once, or a lazy ``map``), and
-    ``k_rows`` are the rows of the codomain.
+    ``None`` if it does.  ``rows`` are the rows of the domain and
+    ``k_rows`` those of the codomain.
 
-    Row x compares f.L_x with L'_(f x).f as two tuples built in C; only the
-    first row that differs is scanned for y."""
+    Row x compares f.L_x with L'_(f x).f as two tuples built in C, through
+    the getter of row x, built when the scan reaches it; only the first row
+    that differs is scanned for y."""
     after_f = _getter(f)
-    for x, (get, fx) in enumerate(zip(gets, f)):
+    for x, (get, fx) in enumerate(zip(map(_getter, rows), f)):
         lhs, rhs = get(f), after_f(k_rows[fx])
         if lhs != rhs:
             return x, next(y for y, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
@@ -222,10 +223,12 @@ def _gyrations_by_tuples(rows, linv) -> tuple[list[list[int]], list[tuple[int, .
 
 
 def _translation_table(line):
-    """``line``, of at most 256 bytes, padded with zeros to the 256-byte
-    table of ``bytes.translate`` that maps x to line[x].  A ``bytearray``
-    stays one, so a write into it changes what later translations read."""
-    return line + bytes(256 - len(line))
+    """``line``, of at most 256 bytes, padded to the 256-byte table of
+    ``bytes.translate`` that maps x to line[x], one C call.  The padding
+    is never read: a line of order n holds values below n only.  A
+    ``bytearray`` stays one, so a write into it changes what later
+    translations read."""
+    return line.ljust(256)
 
 
 def _line_views(lines) -> tuple:
@@ -261,8 +264,8 @@ def _gyrations_by_bytes(rows, linv, tables) -> tuple[list[list[int]], list[tuple
     return gid, [tuple(g) for g in number]
 
 
-def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
-    """``_hom_failure(g, get, rows)`` for each gyration g in ``gyrs``.
+def _gyration_failures(rows, gyrs, tables) -> list[tuple[int, int] | None]:
+    """``_hom_failure(g, rows, rows)`` for each gyration g in ``gyrs``.
 
     Given the ``tables`` of ``_gyrations_by_bytes`` (up to order 256),
     each row x is compared as ``bytes``: g.L_x is row x translated by g,
@@ -270,7 +273,7 @@ def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
     ``compress`` finds the first row and entry that differ without an
     interpreted step per row.  ``tables`` is ``None`` above order 256."""
     if tables is None:
-        return [_hom_failure(g, get, rows) for g in gyrs]
+        return [_hom_failure(g, rows, rows) for g in gyrs]
     brows, tab = tables
     failures = []
     for g in map(bytes, gyrs):
@@ -278,24 +281,11 @@ def _gyration_failures(rows, gyrs, get, tables) -> list[tuple[int, int] | None]:
         lhs = map(bytes.translate, brows, repeat(g_tab))
         rhs = map(g.translate, map(tab.__getitem__, g))
         x = next(compress(count(), map(ne, lhs, rhs)), None)
-        if x is None:
-            failures.append(None)
-        else:
+        if x is not None:
             lhs, rhs = brows[x].translate(g_tab), g.translate(tab[g[x]])
-            failures.append((x, next(compress(count(), map(ne, lhs, rhs)))))
+            x = x, next(compress(count(), map(ne, lhs, rhs)))
+        failures.append(x)
     return failures
-
-
-def _number_gyrations(rows, linv, tables) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """The one gyration numbering of the package: ``_gyrations_by_bytes``
-    on ``tables``, the byte rows and their translation tables up to order
-    256, and ``_gyrations_by_tuples`` when ``tables`` is ``None``.  Both
-    give the same ``(gid, gyrs)``; on a table whose row 0 is the identity
-    and whose ``linv[0]`` is 0, gyr[0, 0] comes first, so index 0 is the
-    identity."""
-    if tables is None:
-        return _gyrations_by_tuples(rows, linv)
-    return _gyrations_by_bytes(rows, linv, tables)
 
 
 def _is_associative_on(rows, members) -> bool:
@@ -328,8 +318,8 @@ def verify_axioms(table) -> AxiomReport:
     composition is one ``bytes.translate`` call over n bytes and each
     gyration is hashed as one ``bytes`` key (``_gyrations_by_bytes``);
     above 256 each composition is one ``itemgetter`` call that yields an
-    n-tuple of ints (``_gyrations_by_tuples``).  ``_number_gyrations``
-    picks the path; both number the gyrations alike, so the report does not
+    n-tuple of ints (``_gyrations_by_tuples``).  ``_verify_rows`` picks
+    the path; both number the gyrations alike, so the report does not
     depend on it.
 
     Whether a gyration preserves the operation depends on the gyration
@@ -364,11 +354,13 @@ def verify_axioms(table) -> AxiomReport:
 
 def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     """``verify_axioms`` on normalised rows: the report and, for a passing
-    table, ``(linv, gid, gyrs, get, view)``, its left inverses, gyration
-    numbering, row getters ``get[x] = _getter(rows[x])`` and row view
-    ``(lines, looks)`` (``_line_views``); ``None`` otherwise.  On
-    a passing table the n permutation rows hold n zeros, one per column by
-    G2, so each left inverse is unique.  Violations are gathered as
+    table, ``(linv, gid, gyrs, view)``, its left inverses, gyration
+    numbering and row view ``(lines, looks)`` (``_line_views``); ``None``
+    otherwise.  The numbering is the package's one: ``_gyrations_by_bytes``
+    up to order 256, ``_gyrations_by_tuples`` above; both give the same
+    ``(gid, gyrs)``, and on a passing table gyr[0, 0], the identity, is
+    number 0.  On a passing table the n permutation rows hold n zeros, one
+    per column by G2, so each left inverse is unique.  Violations are gathered as
     ``(axiom, witness, detail)`` tuples and made ``Violation``s at the end."""
     n = len(rows)
 
@@ -394,13 +386,11 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
     # gyrs lists the distinct gyrations in order of first appearance, each
     # hashed once; gid[a][b] is the index of gyr[a, b] in it.  The byte
     # rows of the row view and their translation tables serve the numbering
-    # and the automorphism tests alike; above order 256 its looks are the
-    # row getters.
+    # and the automorphism tests alike.
     view = lines, looks = _line_views(rows)
     tables = (lines, list(map(_translation_table, lines))) if isinstance(lines[0], bytes) else None
-    gid, gyrs = _number_gyrations(rows, linv, tables)
-    get = looks if tables is None else list(map(_getter, rows))
-    failures = _gyration_failures(rows, gyrs, get, tables)
+    gid, gyrs = _gyrations_by_tuples(rows, linv) if tables is None else _gyrations_by_bytes(rows, linv, tables)
+    failures = _gyration_failures(rows, gyrs, tables)
     # cancels[x]: whether L_x L_(-x) is the identity, one C composition:
     # row -x read through row x, as a translation table up to order 256
     through = rows if tables is None else tables[1]
@@ -425,7 +415,7 @@ def _verify_rows(rows) -> tuple[AxiomReport, tuple | None]:
             if gid[x][b] != ga[b]:
                 records.append(("G4", (a, b), "left loop property fails"))
 
-    return _report(n, records), None if records else (linv, gid, gyrs, get, view)
+    return _report(n, records), None if records else (linv, gid, gyrs, view)
 
 
 def _report(n: int, records: list[tuple]) -> AxiomReport:
@@ -442,29 +432,29 @@ class GyroTable:
     ``AxiomError`` with its report on a failing table, so every table in
     the process is a gyrogroup, including those the package builds itself
     (direct products, quotients, relabelings, search leaves).  It keeps
-    what that check built, once: the left inverses ``inv``, the row getters
-    ``_gets``, the gyration numbers ``_gyr[a][b]`` into ``_perms``, the
-    distinct gyrations as shared ``Perm`` objects, the identity first, and
-    the row view ``_rows``, ``(lines, looks)`` in the encoding of
-    ``_line_views``: byte rows with their bound ``translate`` up to order
-    256, ``(table, _gets)`` above.  The column view in the same encoding is
-    built on first use (``_columns``).
+    what that check built, once: the left inverses ``inv``, the gyration
+    numbers ``_gyr[a][b]`` into ``_perms``, the distinct gyrations as shared
+    ``Perm`` objects, the identity first, and the row view ``_rows``,
+    ``(lines, looks)`` in the encoding of ``_line_views``: byte rows with
+    their bound ``translate`` up to order 256, the rows of ``table`` with
+    their ``_getter``s above.  The column view in the same encoding is
+    built on first use (``_columns``).  No table keeps tuple getters of
+    its rows below order 256; a reader that wants them builds them.
     """
 
-    __slots__ = ("order", "table", "inv", "_gyr", "_perms", "_gets", "_rows", "_memo")
+    __slots__ = ("order", "table", "inv", "_gyr", "_perms", "_rows", "_memo")
 
     def __init__(self, table):
         rows = _normalize_rows(table)
         report, passed = _verify_rows(rows)
         if passed is None:
             raise AxiomError(report)
-        linv, gid, gyrs, get, self._rows = passed
+        linv, gid, gyrs, self._rows = passed
         self.order = len(rows)
         self.table = rows
         self.inv = tuple(linv)
         self._gyr: list[list[int]] = gid
         self._perms = tuple(map(Perm._unchecked, gyrs))
-        self._gets: list = get
         # derived structures, one key per owner; see the module docstring
         self._memo: dict = {}
 

@@ -89,16 +89,16 @@ class Hom:
 def _preserves(f, rows, k_rows) -> bool:
     """Whether f(rows[a][b]) = k_rows[f a][f b] for all a, b: the scan of
     ``core._hom_failure``, one tuple compare per row."""
-    return _hom_failure(f, map(_getter, rows), k_rows) is None
+    return _hom_failure(f, rows, k_rows) is None
 
 
 def check_hom(phi: Hom) -> bool:
     """True iff phi(a+b) = phi(a)+phi(b) for all pairs: row a compares
-    f.L_a with L_(f a).f (``core._hom_failure`` over the row getters).
+    f.L_a with L_(f a).f (``core._hom_failure`` over the domain's rows).
 
     A homomorphism also commutes with gyrations; the sweep check
     ``quotient-kernel-roundtrip`` and the tests confirm it for projections."""
-    return _hom_failure(phi.map, phi.domain._gets, phi.codomain.table) is None
+    return _preserves(phi.map, phi.domain.table, phi.codomain.table)
 
 
 def kernel(phi: Hom) -> SubSet:
@@ -329,7 +329,7 @@ def _principal_closures(g: GyroTable) -> list[frozenset]:
     orbit is grown breadth-first, one C call per map and round."""
     columns = g._columns()[0]
     maps = [p.images for p in g._perms[1:]]
-    maps += [get(columns[neg]) for get, neg in zip(g._gets[1:], g.inv[1:])]
+    maps += [_getter(row)(columns[neg]) for row, neg in zip(g.table[1:], g.inv[1:])]
     closure_of: list = [None] * g.order
     for x in g.elements():
         if closure_of[x] is None:

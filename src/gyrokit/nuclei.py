@@ -207,13 +207,14 @@ def lg_sharp(g: GyroTable) -> frozenset:
     is iff q is the row L_(q(0)), since L_b(0) = b (+) 0 = b; and
     L_a^-1 = L_(-a) by left cancellation.  So the rows of L(G) are
     filtered copy by copy, with one composition in C per row still in,
-    and no product of two permutations is formed.  The definitional
-    intersection of products is the tests' oracle.
+    through the row getters built here from the table, and no product of
+    two permutations is formed.  The definitional intersection of products
+    is the tests' oracle.
 
     It equals the translations of the left nucleus and is a normal subgroup
     of lmlt(G); the sweep check ``translation-subgroup-chain`` confirms
     both."""
-    table, neg, gets = g.table, g.inv, g._gets
+    table, neg, gets = g.table, g.inv, list(map(_getter, g.table))
     inside = list(g.elements())
     for a in range(1, g.order):  # the copy for a = 0 is L(G) itself
         back = table[neg[a]]
@@ -245,7 +246,7 @@ def lg_prime(g: GyroTable) -> frozenset:
         n = g.order
         upper = tuple(range(n, 2 * n))
         translations = left_translations(g)
-        doubled = _closure([la.images + g._gets[neg](upper) for la, neg in zip(translations, g.inv)])
+        doubled = _closure([la.images + _getter(g.table[neg])(upper) for la, neg in zip(translations, g.inv)])
         g._memo["lmlt"] = PermGroup(  # idempotent fill; first, so a memoised kernel implies it
             n, tuple(translations), frozenset(map(Perm._unchecked, {tuple(y[:n]) for y in doubled}))
         )

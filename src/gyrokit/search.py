@@ -69,6 +69,7 @@ relabelled row is two ``translate`` calls (``_cut_encoding``).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from itertools import chain, takewhile
@@ -83,6 +84,7 @@ from .core import (
     _getter,
     _hom_failure,
     _inverse_tuple,
+    _translation_table,
 )
 
 DEFAULT_AUT_CAP = 16
@@ -392,7 +394,13 @@ class _Search:
         isomorphic.  Every index tries its candidates in lex order, so two
         leaves come out in the order of the first row where they differ:
         sorted.  A partial result holds every leaf verified before the
-        deadline, as the table built during the run."""
+        deadline, as the table built during the run.
+
+        The symmetry cut's row-1 scan nests one generator per cycle it
+        opens, n/2 of them for the all-2-cycles row 1, so at large even
+        orders (1990 under the default limit of 1000) the DFS outgrows the
+        interpreter's recursion limit: that raises
+        ``ResourceCapError("recursion", ...)``."""
         complete = True
         try:
             self._dfs(1, [])
@@ -400,6 +408,9 @@ class _Search:
             pass
         except _Budget:
             complete = False
+        except RecursionError:
+            limit = sys.getrecursionlimit()
+            raise ResourceCapError("recursion", f"order {self.n} exceeds recursion limit {limit}") from None
         return SearchResult(tuple(self.found), complete, self.leaves, self.nodes)
 
 
@@ -517,7 +528,7 @@ def are_isomorphic(g: GyroTable, h: GyroTable) -> tuple[bool, Perm | None]:
     witness = next(_isomorphisms(g, h), None) if g.order == h.order else None
     if witness is None:
         return False, None
-    if _hom_failure(witness.images, g._gets, h.table) is not None:
+    if _hom_failure(witness.images, g.table, h.table) is not None:
         raise InternalConsistencyError("isomorphism witness fails the full table scan")
     return True, witness
 
@@ -552,11 +563,11 @@ def _cut_encoding(n: int) -> tuple:
     row, a label order or a label array a line, and ``table(line)`` is
     what ``translate`` reads through, so ``old.translate(table(row))`` is
     row after old, one C call.  Up to order 256 a line is ``bytes`` and
-    its table is padded to the 256 bytes ``translate`` requires; above, a
-    line is a ``_Line`` and is its own table."""
+    its table is ``core._translation_table``; above, a line is a ``_Line``
+    and is its own table."""
     if n > 256:
         return _Line, lambda line: line
-    return bytes, lambda line: line.ljust(256)
+    return bytes, _translation_table
 
 
 def _relabeled_rows(tabs, k: int, old, label, x: int, best):

@@ -18,8 +18,9 @@ is built by the axiom check, so a broken quotient raises ``AxiomError``, a
 The per-pair checks read the table's gyration numbering
 (``GyroTable._gyr`` and ``_perms``: ``gid[a][b]`` is the number of
 gyr[a, b] among the distinct gyrations ``perms``) or compare whole rows as
-tuples built in C (``core._getter``), so none of them calls ``gyr`` per
-pair or multiplies ``Perm`` objects:
+tuples built in C, through getters each check builds from the table's rows
+(``core._getter``), so none of them calls ``gyr`` per pair or multiplies
+``Perm`` objects:
 
 * by number: ``gyration-loop-property`` compares gid[a (+) b][b] with
   gid[a][b]; ``gyration-inverse-symmetry`` tests each distinct pair
@@ -187,7 +188,7 @@ def lg_prime_word_oracle(g: GyroTable, max_len: int = DEFAULT_ORACLE_WORD_LEN) -
     ``nuclei.lg_prime``, the group closure on 2n points.
 
     Words are composed on image tuples in C: ``_getter(q)(p)`` is p.q."""
-    translations, after = g.table, g._gets  # row a is the images of L_a
+    translations, after = g.table, list(map(_getter, g.table))  # row a is the images of L_a
     ident = tuple(g.elements())
     found = set()
     frontier = [(la, la) for la in translations]  # (forward, reversed)
@@ -407,7 +408,7 @@ def _nuclei_by_associativity(g: GyroTable) -> tuple[frozenset, frozenset, frozen
 
     For each pair, row a (+) b is compared with L_a L_b as one tuple in C,
     and only the pairs that differ are scanned for c."""
-    t, get = g.table, g._gets
+    t, get = g.table, list(map(_getter, g.table))
     left, middle, right = set(g.elements()), set(g.elements()), set(g.elements())
     for a, ra in enumerate(t):
         for b, x in enumerate(ra):

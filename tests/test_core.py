@@ -22,6 +22,7 @@ from gyrokit.core import (
     _getter,
     _gyrations_by_bytes,
     _gyrations_by_tuples,
+    _hom_failure,
     _line_views,
     _translation_table,
     direct_product,
@@ -31,7 +32,7 @@ from gyrokit.catalog import cyclic, klein_four, sym3
 from gyrokit.cli import analyze_object
 from gyrokit.commutator import commutator, commutator_subgyrogroup
 from gyrokit.gyrofile import format_gyro, parse_gyro
-from gyrokit.normality import check_sufficient_normality, try_quotient
+from gyrokit.normality import Hom, check_hom, check_sufficient_normality, try_quotient
 from gyrokit.nuclei import left_nucleus, middle_nucleus, right_nucleus
 from gyrokit.search import (
     MODE_FIRST_NONASSOCIATIVE,
@@ -468,6 +469,39 @@ class TestLineViewsEitherSideOfTheByteRange:
         assert set(verdicts) == {True, False}
 
 
+class TestHomFailureEitherSideOfTheByteRange:
+    """``_hom_failure``, which builds each domain row's getter as its scan
+    reaches it, on na8 x Z32 (order 256) and na8 x Z33 (order 264): the
+    projections onto the quotients by the Zm and na8 factors preserve the
+    operation, and a projection with two images swapped fails at the first
+    pair of a row-major scan."""
+
+    @pytest.fixture(scope="class", params=[32, 33], ids=["order256", "order264"])
+    def projections(self, request, na8_times_cyclic):
+        m = request.param
+        g = na8_times_cyclic(m)
+        factors = (range(m), range(0, g.order, m))  # Zm, na8; (a, x) is a * m + x
+        return g, [try_quotient(g, members).projection for members in factors]
+
+    def test_projections_preserve_the_operation(self, projections):
+        g, phis = projections
+        assert [phi.codomain.order for phi in phis] == [8, g.order // 8]
+        for phi in phis:
+            assert check_hom(phi)
+            assert _hom_failure(phi.map, g.table, phi.codomain.table) is None
+
+    def test_swapped_images_fail_at_the_first_pair(self, projections):
+        g, phis = projections
+        t, n = g.table, g.order
+        for phi in phis:
+            f, k = list(phi.map), phi.codomain.table
+            j = next(j for j in range(2, n) if f[j] != f[1])  # 0 keeps its image
+            f[1], f[j] = f[j], f[1]
+            first = next((x, y) for x in range(n) for y in range(n) if f[t[x][y]] != k[f[x]][f[y]])
+            assert _hom_failure(f, t, k) == first
+            assert not check_hom(Hom(g, phi.codomain, tuple(f)))
+
+
 def test_analyze_keeps_one_store_of_line_views(nonassoc8):
     # the congruence closure and every column reader use the table's own
     # views: bytes columns up to order 256, and no second copy of the lines
@@ -491,15 +525,19 @@ class TestOneNumberingPerTable:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts ``core._number_gyrations`` calls made from here on."""
+        """Counts gyration numberings, by bytes or by tuples, made from here
+        on."""
         count = [0]
-        real = core._number_gyrations
 
-        def counting(*args):
-            count[0] += 1
-            return real(*args)
+        def counting(real):
+            def numbering(*args):
+                count[0] += 1
+                return real(*args)
 
-        monkeypatch.setattr(core, "_number_gyrations", counting)
+            return numbering
+
+        for name in ("_gyrations_by_bytes", "_gyrations_by_tuples"):
+            monkeypatch.setattr(core, name, counting(getattr(core, name)))
         return count
 
     @staticmethod
@@ -524,7 +562,7 @@ class TestOneNumberingPerTable:
         )
         n = len(rows)
         assert g.inv == tuple(next(b for b in range(n) if rows[b][a] == 0) for a in range(n))
-        direct_gid, gyrs = core._number_gyrations(rows, g.inv, byte_tables(rows))
+        direct_gid, gyrs = _gyrations_by_bytes(rows, g.inv, byte_tables(rows))
         assert gid == direct_gid and perms == tuple(map(Perm, gyrs))
 
     def test_search_leaf_numbers_once(self, calls):

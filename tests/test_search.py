@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from operator import add, eq
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from gyrokit import search
 from gyrokit.catalog import all_groups, cyclic, klein_four, sym3
+from gyrokit.cli import main
 from gyrokit.core import GyroTable, InternalConsistencyError, Perm, ResourceCapError, direct_product, verify_axioms
 from gyrokit.search import (
     MODE_FIRST_NONASSOCIATIVE,
@@ -573,6 +575,19 @@ class TestEnumerate:
         result = run_search(config)
         assert result.nodes == 0 or inherited_sizes
         assert config.order < 3 or max(inherited_sizes) > 0
+
+    def test_recursion_limit_is_a_resource_cap(self, capsys):
+        # the cut's row-1 scan nests one generator per cycle it opens, and
+        # the all-2-cycles row 1 of order 1990 opens 995: more than the
+        # interpreter's default limit.  The search stops at once, long
+        # before its budget, with a resource cap, and the CLI exits 3 with
+        # one line and no traceback
+        with pytest.raises(ResourceCapError) as info:
+            run_search(SearchConfig(order=1990, time_budget=0.5))
+        assert info.value.cap_name == "recursion"
+        assert "order 1990" in str(info.value) and str(sys.getrecursionlimit()) in str(info.value)
+        assert main(["search", "1990", "--time-budget", "0.5"]) == 3
+        assert capsys.readouterr().out.splitlines() == [f"resource cap exceeded (recursion): {info.value}"]
 
     def test_cut_above_order_256(self):
         # above order 256 an element does not fit in a byte and the cut's
